@@ -140,17 +140,17 @@ def g2_analytic(J: float, kappa: float, Omega_m: float,
         ((2.0 * J**2 - kappa**2) ** 2 + 16.0 * J**2 * kappa**2)
         * (4.0 * J**2 * (Omega_q - Omega_m) ** 2 + Omega_m**2 * kappa**2) ** 2
     )
-    assert math.isclose(explicit, approx, rel_tol=1e-10), \
-        f"explicit form {explicit} deviates from amplitude form {approx}"
+    if not math.isclose(explicit, approx, rel_tol=1e-10):
+        raise ArithmeticError(f"explicit form {explicit} deviates from amplitude form {approx}")
     return full, approx
 
 
-def g2_dimensionless(l: float, r: float) -> float:
+def g2_dimensionless(l: float | np.ndarray, r: float | np.ndarray) -> float | np.ndarray:
     """Correlation at Delta_plus = J as a function of l = Omega_q/Omega_m - 1
-    and r = kappa/J."""
-    if r <= 0.0:
+    and r = kappa/J, elementwise over scalars or broadcastable arrays."""
+    if np.any(np.asarray(r) <= 0.0):
         raise ValueError(f"r must be positive, got {r}")
-    if l <= -1.0:
+    if np.any(np.asarray(l) <= -1.0):
         raise ValueError(f"l must exceed -1, got {l}")
     num = 4.0 * (l - 2.0) ** 2 * l**2 + 4.0 * r**2 * (3.0 * l + 2.0) * l + r**4
     den = (1.0 + 4.0 * (1.0 - r**2) / (r**4 + 16.0 * r**2)) * (4.0 * l**2 + r**2) ** 2
@@ -297,24 +297,24 @@ def derivative_roots(r: float, residual_tol: float = 1e-8) -> RootPair:
     reports the divergence between the two methods.
     """
     _check_r(r)
-    numeric = derivative_roots_numeric(r)
     candidates = _radical_root_candidates(r)
     if candidates:
         l1, l2, res = min(candidates, key=lambda cand: cand[2])
         if res <= residual_tol:
             return RootPair(l1=l1, l2=l2, r=r)
+        numeric = derivative_roots_numeric(r)
         warnings.warn(
             f"radical roots at r={r} have residual {res:.3e} > {residual_tol:.0e}; "
             f"radical ({l1:.12g}, {l2:.12g}) vs companion "
             f"({numeric.l1:.12g}, {numeric.l2:.12g}); using companion roots",
             RadicalRootWarning,
         )
-    else:
-        warnings.warn(
-            f"no valid radical root candidate at r={r}; using companion roots",
-            RadicalRootWarning,
-        )
-    return numeric
+        return numeric
+    warnings.warn(
+        f"no valid radical root candidate at r={r}; using companion roots",
+        RadicalRootWarning,
+    )
+    return derivative_roots_numeric(r)
 
 
 def optimal_drive_ratios(J: float, kappa: float) -> tuple[float, float]:

@@ -8,6 +8,7 @@ A rho B <-> (B^T kron A) vec(rho).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -129,25 +130,54 @@ def build_liouvillian(h: np.ndarray, channels) -> Liouvillian:
     return Liouvillian(matrix=lmat, hamiltonian=h, channels=tuple(channels))
 
 
-def steady_state(liouv: Liouvillian, kernel_rtol: float = 1e-10,
-                 residual_tol: float = 1e-10, space=None,
-                 composite: bool = True) -> DensityMatrix:
-    """Unique steady state from the Liouvillian kernel.
+@functools.lru_cache(maxsize=None)
+def _condition_probe(n: int) -> np.ndarray:
+    """Fixed right-hand side for the condition estimate. Its magnitudes and
+    phases follow Weyl sequences of irrational steps, so it has no structure
+    in common with the Liouvillian and overlaps every near-null direction of
+    the bordered matrix. (numpy.random would add several MB to the process.)"""
+    k = np.arange(n)
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    probe = (1.5 + np.cos(k * math.sqrt(2.0))) * np.exp(2j * math.pi * golden * k)
+    probe.setflags(write=False)
+    return probe
 
-    Checks that the kernel is one-dimensional (singular values below
-    ``kernel_rtol`` relative to the largest), then solves the bordered
-    least-squares system [L; trace-row] vec(rho) = [0; 1] with one step of
-    iterative refinement, Hermitizes and normalizes.
 
-    By default the state is labelled as living on a composite qubit(x)magnon
-    space of dimension 2N; pass ``space``/``composite`` for bare-mode
-    Liouvillians.
+def _bordered_solve(lmat: np.ndarray, trace_row: np.ndarray,
+                    kernel_rtol: float) -> np.ndarray | None:
+    """Solve L v = 0, tr(v) = 1 with row 0 of L replaced by the trace row.
+
+    Returns None when the bordered matrix B is singular or its condition
+    number, estimated from below as ||B||_1 ||B^-1 p||_1 / ||p||_1 with the
+    probe p solved alongside, exceeds 1/kernel_rtol.
     """
-    lmat = liouv.matrix
-    d2 = liouv.dim
-    d = liouv.hilbert_dim
-    sv = np.linalg.svd(lmat, compute_uv=False)
-    multiplicity = int(np.sum(sv < kernel_rtol * sv[0]))
+    bordered = lmat.copy()
+    bordered[0] = trace_row
+    n = bordered.shape[0]
+    rhs = np.zeros((n, 2), dtype=complex)
+    rhs[0, 0] = 1.0
+    rhs[:, 1] = _condition_probe(n)
+    try:
+        sol = np.linalg.solve(bordered, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    cond = (np.abs(bordered).sum(axis=0).max() * np.abs(sol[:, 1]).sum()
+            / np.abs(rhs[:, 1]).sum())
+    if not cond <= 1.0 / kernel_rtol:
+        return None
+    v = sol[:, 0]
+    correction = -(bordered @ v)
+    correction[0] += 1.0
+    return v + np.linalg.solve(bordered, correction)
+
+
+def _svd_kernel(lmat: np.ndarray, trace_row: np.ndarray,
+                kernel_rtol: float) -> np.ndarray:
+    """Kernel vector with unit trace from a full SVD, after checking that the
+    kernel is one-dimensional (singular values at or below ``kernel_rtol``
+    relative to the largest)."""
+    _, sv, vh = np.linalg.svd(lmat)
+    multiplicity = int(np.sum(sv <= kernel_rtol * sv[0]))
     if multiplicity == 0:
         raise SteadyStateError(
             f"no Liouvillian kernel within tolerance (smallest singular value "
@@ -155,23 +185,52 @@ def steady_state(liouv: Liouvillian, kernel_rtol: float = 1e-10,
         )
     if multiplicity > 1:
         raise DegenerateKernelError(multiplicity)
+    v = vh[-1].conj()
+    return v / (trace_row @ v)
 
-    trace_row = vec(np.eye(d, dtype=complex)).reshape(1, d2)
-    bordered = np.vstack([lmat, trace_row])
-    rhs = np.zeros(d2 + 1, dtype=complex)
-    rhs[-1] = 1.0
-    v, *_ = np.linalg.lstsq(bordered, rhs, rcond=None)
-    dv, *_ = np.linalg.lstsq(bordered, rhs - bordered @ v, rcond=None)
-    v = v + dv
 
+def _density_from_vec(v: np.ndarray) -> np.ndarray:
     rho = unvec(v)
     rho = (rho + rho.conj().T) / 2.0
-    rho = rho / np.trace(rho).real
-    residual = np.abs(lmat @ vec(rho)).max()
-    if residual > residual_tol:
-        raise SteadyStateError(
-            f"steady-state residual {residual:.3e} exceeds {residual_tol:.3e}"
-        )
+    return rho / np.trace(rho).real
+
+
+def steady_state(liouv: Liouvillian, kernel_rtol: float = 1e-10,
+                 residual_tol: float = 1e-10, space=None,
+                 composite: bool = True) -> DensityMatrix:
+    """Unique steady state from the Liouvillian kernel.
+
+    Trace preservation makes the rows of L dependent, so row 0 is replaced by
+    the trace row and the bordered system B vec(rho) = e_0 is solved by one
+    LU solve plus one step of iterative refinement. B is nonsingular exactly
+    when the kernel is one-dimensional. A fixed probe vector is solved in the
+    same call to bound cond(B) from below; on this path ``kernel_rtol`` is the
+    reciprocal of the largest accepted estimate. The state is Hermitized and
+    normalized, and the residual max|L vec(rho)| must not exceed
+    ``residual_tol``.
+
+    Only if the solve fails, the estimate exceeds 1/kernel_rtol or the
+    residual check fails does a full SVD count the singular values at or
+    below ``kernel_rtol`` relative to the largest: none raises SteadyStateError,
+    more than one raises DegenerateKernelError, and exactly one gives the
+    state from the SVD null vector, under the same residual check.
+
+    By default the state is labelled as living on a composite qubit(x)magnon
+    space of dimension 2N; pass ``space``/``composite`` for bare-mode
+    Liouvillians.
+    """
+    lmat = liouv.matrix
+    d = liouv.hilbert_dim
+    trace_row = vec(np.eye(d, dtype=complex))
+    v = _bordered_solve(lmat, trace_row, kernel_rtol)
+    rho = None if v is None else _density_from_vec(v)
+    if rho is None or not np.abs(lmat @ vec(rho)).max() <= residual_tol:
+        rho = _density_from_vec(_svd_kernel(lmat, trace_row, kernel_rtol))
+        residual = np.abs(lmat @ vec(rho)).max()
+        if not residual <= residual_tol:
+            raise SteadyStateError(
+                f"steady-state residual {residual:.3e} exceeds {residual_tol:.3e}"
+            )
     if space is None:
         from .hilbert import HilbertSpace
 

@@ -233,9 +233,14 @@ def _log10_or_error(g2: float) -> float:
     return math.log10(g2)
 
 
-def _state_columns(rho: DensityMatrix) -> dict:
+def _population_columns(rho: DensityMatrix) -> dict:
+    """P0..P3; a level at or above the truncation fock_dim is left empty."""
     pops = populations(rho)
-    out = {f"P{n}": _norm(float(pops[n])) for n in range(4)}
+    return {f"P{n}": _norm(float(pops[n])) if n < len(pops) else None for n in range(4)}
+
+
+def _state_columns(rho: DensityMatrix) -> dict:
+    out = _population_columns(rho)
     out["log10_g2"] = _norm(_log10_or_error(g2_zero(rho)))
     return out
 
@@ -294,12 +299,10 @@ def _time_series_rows(user: dict, fock_dim: int, options: dict,
     series = g2_time_series(traj)
     rows = []
     for (t, g2), state in zip(series, traj.states):
-        pops = populations(state)
         row = dict(axis_cols)
         row["kappa_t"] = _norm(kappa * t)
         row["log10_g2"] = None if math.isnan(g2) or g2 <= 0.0 else _norm(math.log10(g2))
-        for n in range(4):
-            row[f"P{n}"] = _norm(float(pops[n]))
+        row.update(_population_columns(state))
         row["error"] = ""
         rows.append(row)
     return rows

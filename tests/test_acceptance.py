@@ -262,7 +262,7 @@ def test_criterion_08_quartic_roots():
         radical = derivative_roots(r)
         numeric = derivative_roots_numeric(r)
         series = 2.0 + 9.0 * r**2 / 4.0 - 33.0 * r**4 / 32.0
-        argmin = float(grid[np.argmin([g2_dimensionless(float(l), r) for l in grid])])
+        argmin = float(grid[np.argmin(g2_dimensionless(grid, r))])
         if (abs(radical.l1 - series) > 2.0 * r**6 + 1e-12
                 or abs(radical.l1 - argmin) > 1e-4):
             l1_ok = False

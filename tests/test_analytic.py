@@ -147,6 +147,22 @@ class TestG2Analytic:
             assert scaled == pytest.approx(base, rel=1e-12)
 
 
+    def test_self_check_raises_on_inconsistent_amplitudes(self, monkeypatch):
+        import dataclasses
+
+        import magnonblockade.analytic as analytic_mod
+
+        closed = analytic_mod.steady_amplitudes_closed
+
+        def perturbed(*args):
+            amps = closed(*args)
+            return dataclasses.replace(amps, c_g2=amps.c_g2 * (1.0 + 1e-6))
+
+        monkeypatch.setattr(analytic_mod, "steady_amplitudes_closed", perturbed)
+        with pytest.raises(ArithmeticError, match="deviates from amplitude form"):
+            analytic_mod.g2_analytic(J20, KAPPA1, OMEGA01, 3 * OMEGA01)
+
+
 class TestG2Dimensionless:
     def test_frozen_values(self):
         assert g2_dimensionless(2.0, 0.1) == pytest.approx(9.703954202915e-05, rel=1e-11)
@@ -172,6 +188,15 @@ class TestG2Dimensionless:
             g2_dimensionless(2.0, 0.0)
         with pytest.raises(ValueError):
             g2_dimensionless(-1.0, 0.1)
+
+    def test_elementwise_on_arrays(self):
+        ls = np.array([-0.5, 0.0, 2.0, 4.5])
+        values = g2_dimensionless(ls, 0.1)
+        assert values.shape == ls.shape
+        for l, value in zip(ls, values):
+            assert value == pytest.approx(g2_dimensionless(float(l), 0.1), rel=1e-14)
+        with pytest.raises(ValueError):
+            g2_dimensionless(np.array([0.0, -1.0]), 0.1)
 
 
 class TestDerivativeRoots:

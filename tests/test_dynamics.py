@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magnonblockade.dynamics import (
     DegenerateKernelError,
@@ -168,6 +170,80 @@ class TestSteadyState:
         liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
         rho = steady_state(liouv)
         assert np.abs(liouv.matrix @ vec(rho.matrix)).max() <= 1e-10
+
+
+    def test_fig6b_deep_blockade_matches_extended_precision(self):
+        """Deepest fig6b point: J/2pi = 35 MHz, Omega_m/2pi = 5 kHz,
+        kappa/2pi = 0.179 MHz, Omega_q/Omega_m = 3, Delta_plus = J, N = 6.
+
+        Reference: mpmath at dps = 40, lu_solve of L (built here in double
+        precision) with row 0 replaced by the trace row and right-hand side
+        e_0, reduced to log10 g2 in the same precision.
+        """
+        p = SystemParams.from_detunings(
+            J=35.0 * MHZ, Delta_plus=35.0 * MHZ, Omega_m=0.005 * MHZ,
+            Omega_q=0.015 * MHZ, kappa_m=0.179 * MHZ, kappa_q=0.179 * MHZ)
+        rho = steady_state(build_liouvillian(build_h_eff(p), collapse_channels(p)))
+        assert math.log10(g2_zero(rho)) == pytest.approx(-9.15244830397511, abs=1e-8)
+
+    def test_svd_not_used_on_a_regular_point(self, monkeypatch):
+        p = fig2a_params()
+        liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD called on a regular point")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        rho = steady_state(liouv)
+        assert np.abs(liouv.matrix @ vec(rho.matrix)).max() <= 1e-10
+
+    def test_svd_fallback_gives_the_same_state(self, monkeypatch):
+        import magnonblockade.dynamics as dynamics_mod
+
+        p = fig2a_params(m_th=0.05)
+        liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
+        fast = steady_state(liouv)
+        monkeypatch.setattr(dynamics_mod, "_bordered_solve", lambda *args: None)
+        slow = steady_state(liouv)
+        assert np.abs(fast.matrix - slow.matrix).max() <= 1e-10
+
+
+@st.composite
+def random_params(draw, dissipative=True):
+    rate = st.floats(0.2, 2.0)
+    kappa_m, kappa_q = (draw(rate), draw(rate)) if dissipative else (0.0, 0.0)
+    if dissipative and abs(kappa_m - kappa_q) < 1e-3:
+        kappa_q = kappa_m + 0.1
+    return SystemParams.from_detunings(
+        J=draw(st.floats(0.0, 40.0)) * MHZ,
+        Delta_plus=draw(st.floats(-40.0, 40.0)) * MHZ,
+        Delta_minus=draw(st.floats(-5.0, 5.0)) * MHZ,
+        Omega_m=draw(st.floats(0.0, 0.5)) * MHZ,
+        Omega_q=draw(st.floats(0.0, 1.5)) * MHZ,
+        kappa_m=kappa_m * MHZ, kappa_q=kappa_q * MHZ,
+        m_th=draw(st.floats(0.0, 0.1)),
+        fock_dim=draw(st.integers(4, 8)),
+    )
+
+
+class TestSteadyStateProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(random_params())
+    def test_matches_svd_null_vector(self, p):
+        liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
+        rho = steady_state(liouv)
+        null = np.linalg.svd(liouv.matrix)[2][-1].conj()
+        reference = unvec(null / np.trace(unvec(null)))
+        assert np.abs(rho.matrix - reference).max() <= 1e-9
+        assert np.abs(liouv.matrix @ vec(rho.matrix)).max() <= 1e-10
+
+    @settings(max_examples=10, deadline=None)
+    @given(random_params(dissipative=False))
+    def test_undamped_kernel_is_degenerate(self, p):
+        liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
+        with pytest.raises(DegenerateKernelError) as err:
+            steady_state(liouv)
+        assert err.value.multiplicity >= p.space.total_dim
 
 
 class TestEvolve:

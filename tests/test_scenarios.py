@@ -187,6 +187,18 @@ class TestRunScenario:
         assert first["r_kappa_over_J"] == 0.005
         assert abs(first["log10_g2_numeric_l1"] - first["log10_g2_analytic_l1"]) > 0.1
 
+    def test_three_level_truncation_leaves_upper_populations_empty(self):
+        cfg = ScenarioConfig(
+            name="n3", mode="steady", fock_dim=3,
+            params={"J_over_2pi_MHz": 20.0, "kappa_over_2pi_MHz": 1.0,
+                    "Omega_m_over_2pi_MHz": 0.1, "Omega_q_over_Omega_m": 3.0},
+        )
+        result = run_scenario(cfg)
+        rec = dict(zip(result.columns, result.rows[0]))
+        assert rec["error"] == ""
+        assert rec["P2"] is not None
+        assert rec["P3"] is None
+
     def test_analytic_column_only_where_applicable(self):
         result = run_scenario(small_fig3(num=3))
         # Delta_plus/J sweep: the closed form assumes the resonant condition
