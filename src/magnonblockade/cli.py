@@ -44,7 +44,7 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args.target, args.grid, args.fock_dim)
     out = args.out or cfg.output or f"{cfg.name}.csv"
     sidecar = out + ".diag.jsonl"
-    result = run_scenario(cfg, threads=args.threads, out=out, diagnostics_out=sidecar)
+    result = run_scenario(cfg, out=out, diagnostics_out=sidecar)
     failures = [row for row in result.rows
                 if row[result.columns.index("error")]]
     print(f"{cfg.name}: {len(result.rows)} records -> {out} (diagnostics {sidecar})")
@@ -80,7 +80,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--out", help="output CSV path (default <scenario>.csv)")
     run_p.add_argument("--fock-dim", type=int, help="override the Fock truncation")
     run_p.add_argument("--grid", type=int, help="override linspace axis density")
-    run_p.add_argument("--threads", type=int, default=1, help="concurrent grid workers")
     run_p.add_argument("--strict", action="store_true",
                        help="exit with status 2 if any grid point fails")
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import DensityMatrix, dagger, embed_magnon, embed_qubit, fock_annihilation
-from .model import SystemParams, build_h_eff, build_h_longitudinal, collapse_channels
+from .hilbert import DensityMatrix, dagger
+from .model import (SystemParams, _longitudinal_operator, build_h_eff, build_h_longitudinal,
+                    collapse_channels)
 
 __all__ = [
     "Liouvillian",
@@ -253,12 +254,8 @@ def liouvillian_spectrum(liouv: Liouvillian) -> np.ndarray:
 def _split_periodic_liouvillian(p: SystemParams):
     """Static Liouvillian plus the e^{-iwt}/e^{+iwt} commutator parts of the
     longitudinal coupling."""
-    space = p.space
-    h0 = build_h_eff(p)
-    l0 = build_liouvillian(h0, collapse_channels(p))
-    m = embed_magnon(fock_annihilation(space), space)
-    proj_e = embed_qubit(np.diag([0.0, 1.0]).astype(complex), space)
-    a = p.g_rp * (proj_e @ m)
+    l0 = build_liouvillian(build_h_eff(p), collapse_channels(p))
+    a = p.g_rp * _longitudinal_operator(p.space)
     return l0.matrix, _commutator_super(a), _commutator_super(dagger(a)), p.omega_drive
 
 
@@ -278,7 +275,9 @@ def _max_step(p: SystemParams, h0: np.ndarray, time_dependent: bool) -> float:
     return min(bounds) if bounds else math.inf
 
 
-def _rk4_steps(rhs, v: np.ndarray, t0: float, t1: float, n: int) -> np.ndarray:
+def _rk4_steps(rhs, v: np.ndarray, t0: float, t1: float, n: int):
+    """Yield the state after each of ``n`` equal RK4 steps of v' = rhs(t, v)
+    from t0 to t1; ``v`` may be a state vector or a matrix of them."""
     h = (t1 - t0) / n
     t = t0
     for _ in range(n):
@@ -288,7 +287,7 @@ def _rk4_steps(rhs, v: np.ndarray, t0: float, t1: float, n: int) -> np.ndarray:
         k4 = rhs(t + h, v + h * k3)
         v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
-    return v
+        yield v
 
 
 def evolve(rho0: DensityMatrix, p: SystemParams, t_grid, time_dependent: bool = False,
@@ -326,7 +325,8 @@ def evolve(rho0: DensityMatrix, p: SystemParams, t_grid, time_dependent: bool = 
     for k in range(len(t_grid) - 1):
         t0, t1 = t_grid[k], t_grid[k + 1]
         n = max(1, math.ceil((t1 - t0) / h_max)) if math.isfinite(h_max) else 1
-        v = _rk4_steps(rhs, v, t0, t1, n)
+        for v in _rk4_steps(rhs, v, t0, t1, n):
+            pass
         rho = unvec(v)
         rho = (rho + rho.conj().T) / 2.0
         drift = max(drift, abs(np.trace(rho).real - 1.0))
@@ -357,22 +357,13 @@ def steady_state_periodic(p: SystemParams, steps_per_period: int = 64,
     period = 2.0 * math.pi / omega
     # step <= 0.02 * period and <= 0.01 / kappa
     n_sub = max(steps_per_period, 50, math.ceil(period / (0.01 / kappa_ref)))
-    h = period / n_sub
 
-    def l_at(t):
-        return l0 + np.exp(-1j * omega * t) * l1 + np.exp(1j * omega * t) * l2
+    def rhs(t, v):
+        return (l0 + np.exp(-1j * omega * t) * l1 + np.exp(1j * omega * t) * l2) @ v
 
     # one-period propagator by RK4 on the matrix equation V' = L(t) V
-    d2 = l0.shape[0]
-    prop = np.eye(d2, dtype=complex)
-    t = 0.0
-    for _ in range(n_sub):
-        k1 = l_at(t) @ prop
-        k2 = l_at(t + h / 2.0) @ (prop + (h / 2.0) * k1)
-        k3 = l_at(t + h / 2.0) @ (prop + (h / 2.0) * k2)
-        k4 = l_at(t + h) @ (prop + h * k3)
-        prop = prop + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
+    for prop in _rk4_steps(rhs, np.eye(l0.shape[0], dtype=complex), 0.0, period, n_sub):
+        pass
 
     space = p.space
     d = space.total_dim
@@ -382,7 +373,7 @@ def steady_state_periodic(p: SystemParams, steps_per_period: int = 64,
 
     # propagate vacuum through ceil(kappa_t / (kappa * period)) periods
     n_periods = math.ceil(kappa_t / (kappa_ref * period))
-    n_left, power = n_periods, prop.copy()
+    n_left, power = n_periods, prop
     while n_left > 0:
         if n_left & 1:
             v = power @ v
@@ -392,15 +383,7 @@ def steady_state_periodic(p: SystemParams, steps_per_period: int = 64,
 
     def period_average(v_start):
         acc = np.zeros_like(v_start)
-        vv = v_start
-        t = 0.0
-        for _ in range(n_sub):
-            k1 = l_at(t) @ vv
-            k2 = l_at(t + h / 2.0) @ (vv + (h / 2.0) * k1)
-            k3 = l_at(t + h / 2.0) @ (vv + (h / 2.0) * k2)
-            k4 = l_at(t + h) @ (vv + h * k3)
-            vv = vv + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
+        for vv in _rk4_steps(rhs, v_start, 0.0, period, n_sub):
             acc += vv
         return acc / n_sub, vv
 

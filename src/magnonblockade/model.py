@@ -113,6 +113,17 @@ class SystemParams:
         return replace(self, **kwargs)
 
 
+def _mode_operators(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Magnon annihilation m and qubit lowering sigma- on the composite space."""
+    return embed_magnon(fock_annihilation(space), space), embed_qubit(qubit_lowering(), space)
+
+
+def _longitudinal_operator(space: HilbertSpace) -> np.ndarray:
+    """sigma+ sigma- m, the operator the longitudinal coupling multiplies by g_rp e^{-iwt}."""
+    m, sm = _mode_operators(space)
+    return (dagger(sm) @ sm) @ m
+
+
 def build_h_eff(p: SystemParams) -> np.ndarray:
     """Rotating-frame Hamiltonian of the driven/probed system.
 
@@ -120,9 +131,7 @@ def build_h_eff(p: SystemParams) -> np.ndarray:
         + Omega_m (m' + m) + Omega_q (sigma+ + sigma-),
     embedded on the composite space. The longitudinal coupling is ignored here.
     """
-    space = p.space
-    m = embed_magnon(fock_annihilation(space), space)
-    sm = embed_qubit(qubit_lowering(), space)
+    m, sm = _mode_operators(p.space)
     sp = dagger(sm)
     md = dagger(m)
     h = (p.Delta_plus - p.Delta_minus) * (sp @ sm)
@@ -143,13 +152,10 @@ def build_h_longitudinal(p: SystemParams, t: float) -> np.ndarray:
         raise ValueError(
             f"longitudinal Hamiltonian requires Delta_minus = 0, got {p.Delta_minus}"
         )
-    space = p.space
     h = build_h_eff(p)
     if p.g_rp == 0.0:
         return h
-    m = embed_magnon(fock_annihilation(space), space)
-    proj_e = embed_qubit(np.diag([0.0, 1.0]).astype(complex), space)
-    a = proj_e @ m
+    a = _longitudinal_operator(p.space)
     phase = np.exp(-1j * p.omega_drive * t)
     return h + p.g_rp * (phase * a + np.conj(phase) * dagger(a))
 
@@ -163,9 +169,7 @@ def build_h_nonhermitian(p: SystemParams) -> np.ndarray:
         raise ValueError(
             f"non-Hermitian model assumes kappa_m = kappa_q, got {p.kappa_m} != {p.kappa_q}"
         )
-    space = p.space
-    m = embed_magnon(fock_annihilation(space), space)
-    sm = embed_qubit(qubit_lowering(), space)
+    m, sm = _mode_operators(p.space)
     number = dagger(sm) @ sm + dagger(m) @ m
     return build_h_eff(p) - 0.5j * p.kappa_m * number
 
@@ -177,9 +181,7 @@ def collapse_channels(p: SystemParams) -> list[tuple[float, np.ndarray]]:
     to drho/dt. Magnon decay carries the thermal enhancement (m_th + 1), and a
     heating channel on m' appears for m_th > 0.
     """
-    space = p.space
-    m = embed_magnon(fock_annihilation(space), space)
-    sm = embed_qubit(qubit_lowering(), space)
+    m, sm = _mode_operators(p.space)
     channels = [(p.kappa_m * (p.m_th + 1.0), m)]
     if p.m_th > 0.0:
         channels.append((p.kappa_m * p.m_th, dagger(m)))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -215,11 +214,16 @@ def _system_params(user: dict, fock_dim: int) -> SystemParams:
     )
 
 
+# a ratio this close to 1 or 0 counts as equal (linspace grid points carry rounding)
+_RATIO_TOL = 1e-9
+
+
 def _analytic_applicable(user: dict) -> bool:
+    # m_th is compared exactly: it is not a ratio of order one
     return (
-        user.get("Delta_plus_over_J", 1.0) == 1.0
-        and user.get("Delta_minus_over_Delta_plus", 0.0) == 0.0
-        and user.get("g_rp_over_J", 0.0) == 0.0
+        abs(user.get("Delta_plus_over_J", 1.0) - 1.0) <= _RATIO_TOL
+        and abs(user.get("Delta_minus_over_Delta_plus", 0.0)) <= _RATIO_TOL
+        and abs(user.get("g_rp_over_J", 0.0)) <= _RATIO_TOL
         and user.get("m_th", 0.0) == 0.0
         and "T_mK" not in user
         and "kappa_m_over_2pi_MHz" not in user
@@ -245,10 +249,32 @@ def _state_columns(rho: DensityMatrix) -> dict:
     return out
 
 
+def _static_state(p: SystemParams):
+    """Steady state of the time-independent problem and its Liouvillian."""
+    liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
+    return steady_state(liouv), liouv
+
+
+def _periodic_state(p: SystemParams, options: dict) -> DensityMatrix:
+    """Period-averaged state; without longitudinal coupling the static one."""
+    if p.g_rp == 0.0:
+        return _static_state(p)[0]
+    return steady_state_periodic(p, steps_per_period=int(options.get("steps_per_period", 64)))
+
+
+def _trajectory(p: SystemParams, options: dict, n_t: int):
+    """Evolution from the configured initial state, sampled at ``n_t`` equal
+    steps up to kappa_m t = kappa_t_max."""
+    if p.kappa_m <= 0.0:
+        raise ConfigError("time series scenarios require kappa_m > 0")
+    t_grid = np.linspace(0.0, float(options.get("kappa_t_max", 30.0)) / p.kappa_m, n_t)
+    rho0 = _initial_state(options.get("initial_state", "vacuum"), p)
+    return evolve(rho0, p, t_grid, time_dependent=p.g_rp > 0.0)
+
+
 def _steady_record(user: dict, fock_dim: int) -> dict:
     p = _system_params(user, fock_dim)
-    liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
-    rho = steady_state(liouv)
+    rho, liouv = _static_state(p)
     rec = _state_columns(rho)
     rec["residual_inf"] = _norm(float(np.abs(liouv.matrix @ vec(rho.matrix)).max()))
     if _analytic_applicable(user):
@@ -261,16 +287,7 @@ def _steady_record(user: dict, fock_dim: int) -> dict:
 
 
 def _periodic_record(user: dict, fock_dim: int, options: dict) -> dict:
-    p = _system_params(user, fock_dim)
-    if p.g_rp == 0.0:
-        # continuity limit: static problem
-        liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
-        rho = steady_state(liouv)
-    else:
-        rho = steady_state_periodic(
-            p, steps_per_period=int(options.get("steps_per_period", 64))
-        )
-    return _state_columns(rho)
+    return _state_columns(_periodic_state(_system_params(user, fock_dim), options))
 
 
 def _initial_state(name: str, p: SystemParams) -> DensityMatrix:
@@ -288,19 +305,11 @@ def _initial_state(name: str, p: SystemParams) -> DensityMatrix:
 def _time_series_rows(user: dict, fock_dim: int, options: dict,
                       axis_cols: dict) -> list[dict]:
     p = _system_params(user, fock_dim)
-    kappa = p.kappa_m
-    if kappa <= 0.0:
-        raise ConfigError("time series scenarios require kappa_m > 0")
-    kappa_t_max = float(options.get("kappa_t_max", 30.0))
-    n_t = int(options.get("time_points", 201))
-    t_grid = np.linspace(0.0, kappa_t_max / kappa, n_t)
-    rho0 = _initial_state(options.get("initial_state", "vacuum"), p)
-    traj = evolve(rho0, p, t_grid, time_dependent=p.g_rp > 0.0)
-    series = g2_time_series(traj)
+    traj = _trajectory(p, options, int(options.get("time_points", 201)))
     rows = []
-    for (t, g2), state in zip(series, traj.states):
+    for (t, g2), state in zip(g2_time_series(traj), traj.states):
         row = dict(axis_cols)
-        row["kappa_t"] = _norm(kappa * t)
+        row["kappa_t"] = _norm(p.kappa_m * t)
         row["log10_g2"] = None if math.isnan(g2) or g2 <= 0.0 else _norm(math.log10(g2))
         row.update(_population_columns(state))
         row["error"] = ""
@@ -327,9 +336,7 @@ def _roots_record(user: dict, fock_dim: int) -> dict:
         point = dict(u)
         point["kappa_over_2pi_MHz"] = r * point["J_over_2pi_MHz"]
         point["Omega_q_over_Omega_m"] = l + 1.0
-        p = _system_params(point, fock_dim)
-        liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
-        rho = steady_state(liouv)
+        rho, _ = _static_state(_system_params(point, fock_dim))
         rec[f"log10_g2_numeric_{tag}"] = _norm(_log10_or_error(g2_zero(rho)))
     return rec
 
@@ -357,7 +364,7 @@ class SweepResult:
         return [row[i] for row in self.rows]
 
 
-def run_scenario(cfg: ScenarioConfig, threads: int = 1, out: str | None = None,
+def run_scenario(cfg: ScenarioConfig, out: str | None = None,
                  diagnostics_out: str | None = None) -> SweepResult:
     """Execute a scenario over its grid, optionally writing CSV and a JSONL
     diagnostics sidecar. Failed points carry an in-band error tag."""
@@ -390,11 +397,7 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1, out: str | None = None,
             rec["error"] = message
             return [rec], time.perf_counter() - start, message
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(work, points))
-    else:
-        outcomes = [work(u) for u in points]
+    outcomes = [work(u) for u in points]
 
     rows = []
     diag_lines = []
@@ -494,31 +497,21 @@ def convergence_check(cfg: ScenarioConfig, fock_dims, rel_tol: float = 1e-3,
     n = len(points)
     idxs = sorted({0, n // 4, n // 2, (3 * n) // 4, n - 1})[:max_points]
 
-    def g2_at(user: dict, fock_dim: int) -> float:
-        p = _system_params(user, fock_dim)
-        if cfg.mode == "periodic" and p.g_rp > 0.0:
-            rho = steady_state_periodic(
-                p, steps_per_period=int(cfg.options.get("steps_per_period", 64)))
-        elif cfg.mode == "time_series":
-            kappa = p.kappa_m
-            t_end = float(cfg.options.get("kappa_t_max", 30.0)) / kappa
-            rho0 = _initial_state(cfg.options.get("initial_state", "vacuum"), p)
-            traj = evolve(rho0, p, np.array([0.0, t_end]),
-                          time_dependent=p.g_rp > 0.0)
-            rho = traj.states[-1]
-        else:
-            rho = steady_state(build_liouvillian(build_h_eff(p), collapse_channels(p)))
-        return g2_zero(rho)
-
     point_values = []
     max_change = 0.0
     non_monotone = False
     for i in idxs:
-        user = points[i]
         values = {}
         for nd in fock_dims:
+            p = _system_params(points[i], nd)
+            if cfg.mode == "periodic":
+                rho = _periodic_state(p, cfg.options)
+            elif cfg.mode == "time_series":
+                rho = _trajectory(p, cfg.options, 2).states[-1]
+            else:
+                rho, _ = _static_state(p)
             try:
-                values[nd] = g2_at(user, nd)
+                values[nd] = g2_zero(rho)
             except UndefinedCorrelationError:
                 values[nd] = 0.0
         changes = []
@@ -683,6 +676,15 @@ def get_scenario(name: str, **kwargs) -> ScenarioConfig:
 # flat key=value config files
 
 
+def _float_tuple(text: str) -> tuple:
+    return tuple(float(v) for v in text.split())
+
+
+def _linspace(text: str) -> tuple:
+    start, stop, num = text.split()
+    return float(start), float(stop), int(num)
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse the flat structured-text config format.
 
@@ -696,7 +698,7 @@ def parse_config(text: str) -> ScenarioConfig:
         sweep.axis1.path = params.Delta_plus_over_J
         sweep.axis1.linspace = -2 2 201
     """
-    entries = {}
+    entries, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -707,22 +709,30 @@ def parse_config(text: str) -> ScenarioConfig:
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = value
+        lines[key] = lineno
+
+    def convert(key: str, value, kind):
+        try:
+            return kind(value)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(
+                f"line {lines[key]}: bad value {value!r} for {key!r} ({exc})") from None
 
     name = entries.pop("scenario", None)
     mode = entries.pop("mode", None)
     if not name or not mode:
         raise ConfigError("config must define 'scenario' and 'mode'")
     output = entries.pop("output", None)
-    fock_dim = int(entries.pop("fock_dim", 6))
+    fock_dim = convert("fock_dim", entries.pop("fock_dim"), int) if "fock_dim" in entries else 6
 
     params, options = {}, {}
     axis_parts: dict[str, dict] = {}
     for key, value in entries.items():
         if key.startswith("params."):
-            params[key.split(".", 1)[1]] = float(value)
+            params[key.split(".", 1)[1]] = convert(key, value, float)
         elif key.startswith("option."):
             opt = key.split(".", 1)[1]
-            options[opt] = value if opt == "initial_state" else float(value)
+            options[opt] = value if opt == "initial_state" else convert(key, value, float)
         elif key.startswith("sweep."):
             parts = key.split(".")
             if len(parts) < 3:
@@ -740,22 +750,22 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"sweep.{axis_name} needs a 'path'") from None
         paired = {}
         for k in [k for k in spec if k.startswith("paired.")]:
-            paired[k.split(".", 1)[1]] = tuple(float(v) for v in spec.pop(k).split())
+            paired[k.split(".", 1)[1]] = convert(f"sweep.{axis_name}.{k}", spec.pop(k),
+                                                 _float_tuple)
         if "linspace" in spec:
-            start, stop, num = spec.pop("linspace").split()
-            axes.append(SweepAxis.from_linspace(path, float(start), float(stop),
-                                                int(num), paired=paired))
+            start, stop, num = convert(f"sweep.{axis_name}.linspace", spec.pop("linspace"),
+                                       _linspace)
+            axes.append(SweepAxis.from_linspace(path, start, stop, num, paired=paired))
         elif "values" in spec:
-            vals = tuple(float(v) for v in spec.pop("values").split())
+            vals = convert(f"sweep.{axis_name}.values", spec.pop("values"), _float_tuple)
             axes.append(SweepAxis(path, vals, paired=paired))
         else:
             raise ConfigError(f"sweep.{axis_name} needs 'values' or 'linspace'")
         if spec:
             raise ConfigError(f"unknown sweep.{axis_name} keys: {sorted(spec)}")
 
-    if "time_points" in options:
-        options["time_points"] = int(options["time_points"])
-    if "steps_per_period" in options:
-        options["steps_per_period"] = int(options["steps_per_period"])
+    for opt in ("time_points", "steps_per_period"):
+        if opt in options:
+            options[opt] = convert(f"option.{opt}", options[opt], int)
     return ScenarioConfig(name=name, mode=mode, params=params, axes=tuple(axes),
                           fock_dim=fock_dim, options=options, output=output)

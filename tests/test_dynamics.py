@@ -283,6 +283,19 @@ class TestEvolve:
             assert abs(np.trace(state.matrix).real - 1.0) <= 1e-8
             assert np.linalg.eigvalsh(state.matrix).min() >= -1e-7
 
+    def test_rk4_steps_drive_vectors_and_matrices(self):
+        # one step count drives a state vector and the propagator matrix alike
+        from magnonblockade.dynamics import _rk4_steps
+
+        p = fig2a_params(fock_dim=3)
+        lmat = build_liouvillian(build_h_eff(p), collapse_channels(p)).matrix
+        v0 = vec(vacuum(p).matrix)
+        states = list(_rk4_steps(lambda t, v: lmat @ v, v0, 0.0, 0.05, 5))
+        assert len(states) == 5
+        for prop in _rk4_steps(lambda t, v: lmat @ v, np.eye(lmat.shape[0]), 0.0, 0.05, 5):
+            pass
+        assert np.abs(prop @ v0 - states[-1]).max() <= 1e-13
+
     def test_rejects_bad_grid(self):
         p = fig2a_params()
         with pytest.raises(ValueError, match="t_grid"):

@@ -126,6 +126,15 @@ class TestBuildHLongitudinal:
         with pytest.raises(ValueError, match="Delta_minus"):
             build_h_longitudinal(p, 0.0)
 
+    def test_longitudinal_operator_is_excited_projector_times_m(self):
+        # sigma+ sigma- is exactly the embedded |e><e| projector
+        from magnonblockade.model import _longitudinal_operator
+
+        space = params().space
+        proj_e = embed_qubit(np.diag([0.0, 1.0]).astype(complex), space)
+        m = embed_magnon(fock_annihilation(space), space)
+        assert np.array_equal(_longitudinal_operator(space), proj_e @ m)
+
 
 class TestBuildHNonHermitian:
     def test_zero_kappa_equals_static(self):

@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
+from magnonblockade.analytic import g2_analytic
 from magnonblockade.cli import main as cli_main
+from magnonblockade.dynamics import evolve, steady_state_periodic
 from magnonblockade.model import MHZ, thermal_occupation
 from magnonblockade.scenarios import (
     ConfigError,
@@ -19,7 +21,8 @@ from magnonblockade.scenarios import (
     parse_csv,
     run_scenario,
 )
-from magnonblockade.scenarios import _system_params
+from magnonblockade.observables import g2_zero
+from magnonblockade.scenarios import _initial_state, _system_params
 
 
 def small_fig3(num=5):
@@ -129,12 +132,32 @@ class TestRunScenario:
         deltas = result.column("Delta_plus_over_J")
         assert deltas[int(np.argmin(logs))] == pytest.approx(1.0)
 
-    def test_determinism_and_threading(self):
+    def test_determinism(self):
         cfg = small_fig3()
         csv_a = emit_csv(run_scenario(cfg))
         csv_b = emit_csv(run_scenario(cfg))
-        csv_c = emit_csv(run_scenario(cfg, threads=3))
-        assert csv_a == csv_b == csv_c
+        assert csv_a == csv_b
+
+    def test_analytic_column_at_rounded_resonance(self):
+        # linspace(0.1, 1.3, 5) puts the resonant point at 0.9999999999999999
+        cfg = parse_config("""
+scenario = rounded
+mode = steady
+fock_dim = 4
+params.J_over_2pi_MHz = 20
+params.kappa_over_2pi_MHz = 1
+params.Omega_m_over_2pi_MHz = 0.1
+params.Omega_q_over_Omega_m = 3
+sweep.axis1.path = params.Delta_plus_over_J
+sweep.axis1.linspace = 0.1 1.3 5
+""")
+        assert cfg.axes[0].values[3] != 1.0
+        result = run_scenario(cfg)
+        analytic = result.column("log10_g2_analytic")
+        assert [v is not None for v in analytic] == [False, False, False, True, False]
+        p = _system_params({**cfg.params, "Delta_plus_over_J": 1.0}, 4)
+        expected = math.log10(g2_analytic(p.J, p.kappa_m, p.Omega_m, p.Omega_q)[1])
+        assert analytic[3] == pytest.approx(expected, rel=1e-10)
 
     def test_failed_points_carry_error_tag(self):
         cfg = ScenarioConfig(
@@ -301,6 +324,44 @@ class TestConvergence:
         with pytest.raises(ConfigError):
             convergence_check(get_scenario("fig10"), [4, 6])
 
+    def test_periodic_mode_uses_the_period_averaged_state(self):
+        user = {"J_over_2pi_MHz": 35.0, "kappa_over_2pi_MHz": 0.5,
+                "Omega_m_over_2pi_MHz": 0.033, "Omega_q_over_Omega_m": 3.0,
+                "drive_freq_over_2pi_MHz": 1500.0, "g_rp_over_J": 0.3}
+        cfg = ScenarioConfig(name="periodic_point", mode="periodic", params=user,
+                             options={"steps_per_period": 64})
+        report = convergence_check(cfg, [3, 4])
+        (values,) = report.point_values
+        for n in (3, 4):
+            rho = steady_state_periodic(_system_params(user, n), steps_per_period=64)
+            assert values[n] == g2_zero(rho)
+
+    def test_time_series_mode_uses_the_final_state(self):
+        user = {"J_over_2pi_MHz": 20.0, "kappa_over_2pi_MHz": 1.0,
+                "Omega_m_over_2pi_MHz": 0.1, "Omega_q_over_Omega_m": 1.0}
+        cfg = ScenarioConfig(name="ts_point", mode="time_series", params=user,
+                             options={"kappa_t_max": 2.0, "initial_state": "vacuum"})
+        report = convergence_check(cfg, [3, 4])
+        (values,) = report.point_values
+        for n in (3, 4):
+            p = _system_params(user, n)
+            traj = evolve(_initial_state("vacuum", p), p, [0.0, 2.0 / p.kappa_m])
+            assert values[n] == g2_zero(traj.states[-1])
+
+    def test_time_series_without_magnon_decay_is_a_config_error(self):
+        cfg = ScenarioConfig(
+            name="ts_undamped", mode="time_series",
+            params={"J_over_2pi_MHz": 20.0, "kappa_m_over_2pi_MHz": 0.0,
+                    "kappa_q_over_2pi_MHz": 1.0, "Omega_m_over_2pi_MHz": 0.1},
+            fock_dim=3,
+        )
+        with pytest.raises(ConfigError, match="kappa_m > 0"):
+            convergence_check(cfg, [3, 4])
+        result = run_scenario(cfg)
+        (row,) = result.rows
+        assert row[result.columns.index("error")] == (
+            "ConfigError: time series scenarios require kappa_m > 0")
+
 
 CONFIG_TEXT = """
 # custom sweep
@@ -346,10 +407,19 @@ sweep.axis1.paired.params.Omega_m_over_2pi_MHz = 0.021 0.033
         "scenario = x\nmode = steady\njunk\n",      # not key = value
         "scenario = x\nmode = steady\nwhat = 1\n",  # unknown top-level key
         "scenario = x\nmode = steady\nsweep.a.path = params.m_th\n",  # no values
+        "scenario = x\nmode = steady\nparams.J_over_2pi_MHz = abc\n",
+        "scenario = x\nmode = steady\nfock_dim = six\n",
+        "scenario = x\nmode = steady\nsweep.a.path = params.m_th\nsweep.a.linspace = 1 2\n",
+        "scenario = x\nmode = steady\nsweep.a.path = params.m_th\nsweep.a.values = 1 x\n",
+        "scenario = x\nmode = time_series\noption.time_points = many\n",
     ])
     def test_parse_errors(self, bad):
         with pytest.raises(ConfigError):
             parse_config(bad)
+
+    def test_bad_value_names_its_line(self):
+        with pytest.raises(ConfigError, match=r"line 4: .*'abc'.*params\.J_over_2pi_MHz"):
+            parse_config("scenario = x\nmode = steady\n\nparams.J_over_2pi_MHz = abc\n")
 
 
 class TestCli:
@@ -361,7 +431,7 @@ class TestCli:
     def test_run_builtin_with_overrides(self, tmp_path):
         out = tmp_path / "fig2b.csv"
         code = cli_main(["run", "fig2b", "--grid", "3", "--fock-dim", "4",
-                         "--out", str(out), "--threads", "2"])
+                         "--out", str(out)])
         assert code == 0
         assert out.exists()
         parsed = parse_csv(out.read_text())
@@ -384,6 +454,12 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("scenario = x\nmode = bogus\n")
         assert cli_main(["run", str(bad)]) == 1
+
+    def test_bad_value_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("scenario = x\nmode = steady\nparams.J_over_2pi_MHz = abc\n")
+        assert cli_main(["run", str(bad)]) == 1
+        assert "line 3" in capsys.readouterr().err
 
     def test_strict_solver_failure_exit_code(self, tmp_path):
         cfg = tmp_path / "fail.cfg"
