@@ -1,6 +1,7 @@
 """Lindblad master-equation solvers: vectorized Liouvillian, direct steady
 state, fixed-step time evolution, and the period-averaged steady state of the
-periodically driven (longitudinal-coupling) problem.
+periodically driven (longitudinal-coupling) problem. Both steady states are
+the unit-trace kernel vector of one generator, found by the same solve.
 
 Vectorization is column-stacking: vec(rho) = rho.flatten(order='F'), so
 A rho B <-> (B^T kron A) vec(rho).
@@ -31,7 +32,6 @@ __all__ = [
     "SteadyStateError",
     "DegenerateKernelError",
     "TraceDriftError",
-    "PeriodicConvergenceError",
 ]
 
 
@@ -53,16 +53,6 @@ class TraceDriftError(RuntimeError):
     def __init__(self, drift: float, tol: float):
         super().__init__(f"trace drift {drift:.3e} exceeds tolerance {tol:.3e}")
         self.drift = drift
-
-
-class PeriodicConvergenceError(RuntimeError):
-    """Period-averaged state failed to converge between consecutive periods."""
-
-    def __init__(self, change: float, tol: float):
-        super().__init__(
-            f"period-to-period averaged-state change {change:.3e} exceeds {tol:.3e}"
-        )
-        self.change = change
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -196,42 +186,48 @@ def _density_from_vec(v: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def steady_state(liouv: Liouvillian, kernel_rtol: float = 1e-10,
-                 residual_tol: float = 1e-10, space=None,
-                 composite: bool = True) -> DensityMatrix:
-    """Unique steady state from the Liouvillian kernel.
+def _kernel_state(gen: np.ndarray, d: int, kernel_rtol: float = 1e-10,
+                  residual_tol: float = 1e-10) -> np.ndarray:
+    """Hermitized unit-trace d x d density matrix spanning the kernel of the
+    trace-annihilating generator ``gen`` (trace row zero).
 
-    Trace preservation makes the rows of L dependent, so row 0 is replaced by
-    the trace row and the bordered system B vec(rho) = e_0 is solved by one
-    LU solve plus one step of iterative refinement. B is nonsingular exactly
-    when the kernel is one-dimensional. A fixed probe vector is solved in the
-    same call to bound cond(B) from below; on this path ``kernel_rtol`` is the
-    reciprocal of the largest accepted estimate. The state is Hermitized and
-    normalized, and the residual max|L vec(rho)| must not exceed
-    ``residual_tol``.
+    Row 0 of ``gen`` is replaced by the trace row and the bordered system
+    B vec(rho) = e_0 is solved by one LU solve plus one step of iterative
+    refinement. B is nonsingular exactly when the kernel is one-dimensional. A
+    fixed probe vector is solved in the same call to bound cond(B) from below;
+    on this path ``kernel_rtol`` is the reciprocal of the largest accepted
+    estimate. The residual max|gen vec(rho)| must not exceed ``residual_tol``.
 
     Only if the solve fails, the estimate exceeds 1/kernel_rtol or the
     residual check fails does a full SVD count the singular values at or
     below ``kernel_rtol`` relative to the largest: none raises SteadyStateError,
     more than one raises DegenerateKernelError, and exactly one gives the
     state from the SVD null vector, under the same residual check.
+    """
+    trace_row = vec(np.eye(d, dtype=complex))
+    v = _bordered_solve(gen, trace_row, kernel_rtol)
+    rho = None if v is None else _density_from_vec(v)
+    if rho is None or not np.abs(gen @ vec(rho)).max() <= residual_tol:
+        rho = _density_from_vec(_svd_kernel(gen, trace_row, kernel_rtol))
+        residual = np.abs(gen @ vec(rho)).max()
+        if not residual <= residual_tol:
+            raise SteadyStateError(
+                f"steady-state residual {residual:.3e} exceeds {residual_tol:.3e}"
+            )
+    return rho
+
+
+def steady_state(liouv: Liouvillian, kernel_rtol: float = 1e-10,
+                 residual_tol: float = 1e-10, space=None,
+                 composite: bool = True) -> DensityMatrix:
+    """Unique steady state from the Liouvillian kernel, by ``_kernel_state``.
 
     By default the state is labelled as living on a composite qubit(x)magnon
     space of dimension 2N; pass ``space``/``composite`` for bare-mode
     Liouvillians.
     """
-    lmat = liouv.matrix
     d = liouv.hilbert_dim
-    trace_row = vec(np.eye(d, dtype=complex))
-    v = _bordered_solve(lmat, trace_row, kernel_rtol)
-    rho = None if v is None else _density_from_vec(v)
-    if rho is None or not np.abs(lmat @ vec(rho)).max() <= residual_tol:
-        rho = _density_from_vec(_svd_kernel(lmat, trace_row, kernel_rtol))
-        residual = np.abs(lmat @ vec(rho)).max()
-        if not residual <= residual_tol:
-            raise SteadyStateError(
-                f"steady-state residual {residual:.3e} exceeds {residual_tol:.3e}"
-            )
+    rho = _kernel_state(liouv.matrix, d, kernel_rtol, residual_tol)
     if space is None:
         from .hilbert import HilbertSpace
 
@@ -337,15 +333,17 @@ def evolve(rho0: DensityMatrix, p: SystemParams, t_grid, time_dependent: bool = 
                       step=h_max, trace_drift=drift)
 
 
-def steady_state_periodic(p: SystemParams, steps_per_period: int = 64,
-                          kappa_t: float = 30.0, tol: float = 1e-8) -> DensityMatrix:
+def steady_state_periodic(p: SystemParams, steps_per_period: int = 64) -> DensityMatrix:
     """Period-averaged steady state under the time-dependent longitudinal coupling.
 
-    Evolves |g,0><g,0| with fixed-step RK4 (via the one-period propagator)
-    until kappa*t >= ``kappa_t``, then averages the state over one full drive
-    period sampled at ``steps_per_period`` points. Raises
-    PeriodicConvergenceError if consecutive period averages still differ by
-    more than ``tol``.
+    The one-period propagator P is built by fixed-step RK4 on V' = L(t) V. The
+    state at drive phase 0 is the fixed point P v = v, found by
+    ``_kernel_state`` as the kernel of G = (P - I)/T; dividing by the period T
+    makes G approximate the period-averaged Liouvillian, so the kernel and
+    residual tolerances mean what they mean for the static problem. That
+    state is then evolved over one period and averaged over the RK4 samples.
+    A period takes ``steps_per_period`` steps, at least 50 and at least 100
+    kappa T.
     """
     if p.g_rp <= 0.0:
         raise ValueError(f"periodic steady state requires g_rp > 0, got {p.g_rp}")
@@ -362,38 +360,13 @@ def steady_state_periodic(p: SystemParams, steps_per_period: int = 64,
         return (l0 + np.exp(-1j * omega * t) * l1 + np.exp(1j * omega * t) * l2) @ v
 
     # one-period propagator by RK4 on the matrix equation V' = L(t) V
-    for prop in _rk4_steps(rhs, np.eye(l0.shape[0], dtype=complex), 0.0, period, n_sub):
+    eye = np.eye(l0.shape[0], dtype=complex)
+    for prop in _rk4_steps(rhs, eye, 0.0, period, n_sub):
         pass
 
     space = p.space
-    d = space.total_dim
-    rho0 = np.zeros((d, d), dtype=complex)
-    rho0[0, 0] = 1.0
-    v = vec(rho0)
-
-    # propagate vacuum through ceil(kappa_t / (kappa * period)) periods
-    n_periods = math.ceil(kappa_t / (kappa_ref * period))
-    n_left, power = n_periods, prop
-    while n_left > 0:
-        if n_left & 1:
-            v = power @ v
-        n_left >>= 1
-        if n_left:
-            power = power @ power
-
-    def period_average(v_start):
-        acc = np.zeros_like(v_start)
-        for vv in _rk4_steps(rhs, v_start, 0.0, period, n_sub):
-            acc += vv
-        return acc / n_sub, vv
-
-    avg_prev, v = period_average(v)
-    avg, _ = period_average(v)
-    change = np.abs(avg - avg_prev).max()
-    if change > tol:
-        raise PeriodicConvergenceError(change, tol)
-
-    rho = unvec(avg)
-    rho = (rho + rho.conj().T) / 2.0
-    rho = rho / np.trace(rho).real
-    return DensityMatrix(rho, space, True).validate()
+    rho0 = _kernel_state((prop - eye) / period, space.total_dim)
+    avg = np.zeros(l0.shape[0], dtype=complex)
+    for v in _rk4_steps(rhs, vec(rho0), 0.0, period, n_sub):
+        avg += v
+    return DensityMatrix(_density_from_vec(avg), space, True).validate()

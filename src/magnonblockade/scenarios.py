@@ -60,6 +60,7 @@ _PARAM_KEYS = {
 }
 
 _OPTION_KEYS = {"kappa_t_max", "time_points", "initial_state", "steps_per_period"}
+_INT_OPTIONS = {"time_points", "steps_per_period"}
 
 _MODES = {"steady", "time_series", "periodic", "roots"}
 
@@ -138,6 +139,8 @@ class ScenarioConfig:
                 raise ConfigError(f"unknown option key {key!r}")
         if self.fock_dim < 3:
             raise ConfigError(f"fock_dim must be >= 3, got {self.fock_dim}")
+        if self.options.get("time_points", 2) < 2:
+            raise ConfigError(f"time_points must be >= 2, got {self.options['time_points']}")
 
     def with_fock_dim(self, n: int) -> "ScenarioConfig":
         return replace(self, fock_dim=n)
@@ -485,7 +488,8 @@ def convergence_check(cfg: ScenarioConfig, fock_dims, rel_tol: float = 1e-3,
     """Re-run representative grid points at each truncation and compare g2.
 
     Passes when the relative change between consecutive truncations stays
-    below ``rel_tol`` (0.1% by default).
+    below ``rel_tol`` (0.1% by default). A point whose g2 is undefined (no
+    magnon population) is recorded as nan with an infinite change and fails.
     """
     fock_dims = sorted(fock_dims)
     if len(fock_dims) < 2:
@@ -513,11 +517,12 @@ def convergence_check(cfg: ScenarioConfig, fock_dims, rel_tol: float = 1e-3,
             try:
                 values[nd] = g2_zero(rho)
             except UndefinedCorrelationError:
-                values[nd] = 0.0
+                values[nd] = math.nan
         changes = []
         for a, b in zip(fock_dims, fock_dims[1:]):
-            ref = max(abs(values[a]), 1e-300)
-            changes.append(abs(values[b] - values[a]) / ref)
+            change = abs(values[b] - values[a]) / max(abs(values[a]), 1e-300)
+            # an undefined g2 cannot be shown to converge
+            changes.append(math.inf if math.isnan(change) else change)
         if len(changes) >= 2 and any(c2 > c1 * 1.001 and c2 > rel_tol
                                      for c1, c2 in zip(changes, changes[1:])):
             non_monotone = True
@@ -732,7 +737,8 @@ def parse_config(text: str) -> ScenarioConfig:
             params[key.split(".", 1)[1]] = convert(key, value, float)
         elif key.startswith("option."):
             opt = key.split(".", 1)[1]
-            options[opt] = value if opt == "initial_state" else convert(key, value, float)
+            kind = str if opt == "initial_state" else int if opt in _INT_OPTIONS else float
+            options[opt] = convert(key, value, kind)
         elif key.startswith("sweep."):
             parts = key.split(".")
             if len(parts) < 3:
@@ -764,8 +770,5 @@ def parse_config(text: str) -> ScenarioConfig:
         if spec:
             raise ConfigError(f"unknown sweep.{axis_name} keys: {sorted(spec)}")
 
-    for opt in ("time_points", "steps_per_period"):
-        if opt in options:
-            options[opt] = convert(f"option.{opt}", options[opt], int)
     return ScenarioConfig(name=name, mode=mode, params=params, axes=tuple(axes),
                           fock_dim=fock_dim, options=options, output=output)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from magnonblockade.dynamics import (
     DegenerateKernelError,
     Liouvillian,
-    PeriodicConvergenceError,
     SteadyStateError,
     build_liouvillian,
     evolve,
@@ -380,14 +379,71 @@ class TestSteadyStatePeriodic:
         with pytest.raises(ValueError, match="g_rp"):
             steady_state_periodic(p)
 
-    def test_nonconvergence_reported(self):
-        p = SystemParams.from_detunings(**OPT, g_rp=0.1 * 35.0 * MHZ)
-        with pytest.raises(PeriodicConvergenceError):
-            steady_state_periodic(p, kappa_t=0.01)
-
     def test_state_is_valid_density_matrix(self):
         p = SystemParams.from_detunings(**OPT, g_rp=0.1 * 35.0 * MHZ)
         rho = steady_state_periodic(p)
         rho.validate()
         # paper-value regressions for this solver live in test_acceptance
         assert g2_zero(rho) < 1e-5
+
+    def test_matches_matrix_continued_fraction(self):
+        """FIG9A point (g_rp/J = 0.3, Omega_q/Omega_m = 3, N = 4) at 512 RK4
+        steps against the harmonic expansion rho(t) = sum_k rho_k e^{ik w t}.
+
+        With L(t) = L0 + e^{-iwt} L1 + e^{iwt} L2 the harmonics obey
+        (L0 - ikw) rho_k + L1 rho_{k+1} + L2 rho_{k-1} = 0. Truncated at |k| <= 8,
+        rho_k = S_k rho_{k-1} for k > 0 and rho_k = T_k rho_{k+1} for k < 0 with
+        S_k = -(L0 - ikw + L1 S_{k+1})^-1 L2 and T_k = -(L0 - ikw + L2 T_{k-1})^-1 L1,
+        so the period average rho_0 spans the kernel of L0 + L1 S_1 + L2 T_-1.
+        """
+        from magnonblockade.dynamics import _split_periodic_liouvillian
+        from magnonblockade.observables import populations
+
+        p = SystemParams.from_detunings(**{**OPT, "fock_dim": 4}, g_rp=0.3 * 35.0 * MHZ)
+        l0, l1, l2, omega = _split_periodic_liouvillian(p)
+        eye = np.eye(l0.shape[0])
+        s_next = t_prev = np.zeros_like(l0)
+        for k in range(8, 0, -1):
+            s_next = -np.linalg.solve(l0 - 1j * k * omega * eye + l1 @ s_next, l2)
+            t_prev = -np.linalg.solve(l0 + 1j * k * omega * eye + l2 @ t_prev, l1)
+        null = np.linalg.svd(l0 + l1 @ s_next + l2 @ t_prev)[2][-1].conj()
+        rho = unvec(null)
+        rho = (rho + rho.conj().T) / 2.0
+        ref = DensityMatrix(rho / np.trace(rho).real, p.space, True)
+
+        got = steady_state_periodic(p, steps_per_period=512)
+        assert populations(got)[1] == pytest.approx(populations(ref)[1], rel=1e-9)
+        assert math.log10(g2_zero(got)) == pytest.approx(math.log10(g2_zero(ref)), abs=1e-6)
+
+
+class TestPeriodicGeneratorProperties:
+    """What the fixed-point solve relies on: every part of L(t) annihilates the
+    trace, L(t) preserves Hermiticity, and so the RK4 one-period map P keeps
+    the trace, which lets the bordered solve drop row 0 of (P - I)/T."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(random_params(), st.floats(0.5, 15.0), st.integers(3, 4),
+           st.floats(0.0, 2.0 * math.pi), st.integers(0, 2**32 - 1))
+    def test_trace_and_hermiticity_preserved(self, p, g_rp_mhz, n, phase, seed):
+        from magnonblockade.dynamics import _rk4_steps, _split_periodic_liouvillian
+
+        p = p.with_(g_rp=g_rp_mhz * MHZ, fock_dim=n)
+        l0, l1, l2, omega = _split_periodic_liouvillian(p)
+        d = p.space.total_dim
+        trace_row = vec(np.eye(d))
+        for part in (l0, l1, l2):
+            assert np.abs(trace_row @ part).max() <= 1e-12 * np.linalg.norm(part)
+
+        lmat = l0 + np.exp(-1j * phase) * l1 + np.exp(1j * phase) * l2
+        a = random_density(np.random.default_rng(seed), d)
+        image = unvec(lmat @ vec(a))
+        assert np.abs(image - image.conj().T).max() <= 1e-12 * np.linalg.norm(lmat)
+
+        def rhs(t, v):
+            return (l0 + np.exp(-1j * omega * t) * l1 + np.exp(1j * omega * t) * l2) @ v
+
+        period = 2.0 * math.pi / omega
+        for prop in _rk4_steps(rhs, np.eye(d * d, dtype=complex), 0.0, period, 64):
+            pass
+        gen = (prop - np.eye(d * d)) / period
+        assert np.abs(trace_row @ gen).max() <= 1e-12 * np.linalg.norm(gen)

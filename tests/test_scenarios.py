@@ -172,6 +172,34 @@ sweep.axis1.linspace = 0.1 1.3 5
         assert result.rows[1][i_err] == ""
         assert result.rows[0][result.columns.index("log10_g2")] is None
 
+    def test_periodic_sweep_records(self):
+        cfg = parse_config("""
+scenario = periodic_small
+mode = periodic
+fock_dim = 4
+params.J_over_2pi_MHz = 35
+params.kappa_over_2pi_MHz = 0.5
+params.Omega_m_over_2pi_MHz = 0.033
+params.drive_freq_over_2pi_MHz = 1500
+sweep.axis1.path = params.g_rp_over_J
+sweep.axis1.values = 0.1 0.3
+sweep.axis2.path = params.Omega_q_over_Omega_m
+sweep.axis2.values = 2.5 3.5
+""")
+        result = run_scenario(cfg)
+        assert len(result.rows) == 4
+        assert all(err == "" for err in result.column("error"))
+        assert all(v < -4.0 for v in result.column("log10_g2"))
+
+        undamped = ScenarioConfig(
+            name="periodic_undamped", mode="periodic", fock_dim=4,
+            params={**{k: v for k, v in cfg.params.items() if k != "kappa_over_2pi_MHz"},
+                    "kappa_m_over_2pi_MHz": 0.5, "kappa_q_over_2pi_MHz": 0.0,
+                    "g_rp_over_J": 0.3, "Omega_q_over_Omega_m": 3.0},
+        )
+        (row,) = run_scenario(undamped).rows
+        assert row[-1].startswith("ValueError:") and "requires dissipation" in row[-1]
+
     def test_csv_round_trip(self):
         result = run_scenario(small_fig3())
         assert parse_csv(emit_csv(result)) == result
@@ -301,14 +329,16 @@ class TestConvergence:
         assert report.passed
         assert report.max_rel_change < 1e-3
 
-    def test_undriven_scenario_trivially_converged(self):
+    def test_undriven_scenario_fails(self):
+        # g2 is undefined without magnon population, so nothing can converge
         cfg = ScenarioConfig(
             name="undriven", mode="steady",
             params={"J_over_2pi_MHz": 20.0, "kappa_over_2pi_MHz": 1.0},
         )
         report = convergence_check(cfg, [4, 6, 8])
-        assert report.passed
-        assert report.max_rel_change == 0.0
+        assert report.passed is False
+        assert report.max_rel_change == math.inf
+        assert all(math.isnan(g2) for g2 in report.point_values[0].values())
 
     def test_thermal_scenario_converges_by_six(self):
         cfg = ScenarioConfig(
@@ -412,6 +442,9 @@ sweep.axis1.paired.params.Omega_m_over_2pi_MHz = 0.021 0.033
         "scenario = x\nmode = steady\nsweep.a.path = params.m_th\nsweep.a.linspace = 1 2\n",
         "scenario = x\nmode = steady\nsweep.a.path = params.m_th\nsweep.a.values = 1 x\n",
         "scenario = x\nmode = time_series\noption.time_points = many\n",
+        "scenario = x\nmode = time_series\noption.time_points = 2.5\n",
+        "scenario = x\nmode = periodic\noption.steps_per_period = 0.9\n",
+        "scenario = x\nmode = time_series\noption.time_points = 0\n",
     ])
     def test_parse_errors(self, bad):
         with pytest.raises(ConfigError):
@@ -480,3 +513,12 @@ sweep.axis1.values = 0 1
         code = cli_main(["converge", "fig2b", "--grid", "3", "--fock-dims", "4,6"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_converge_command_fails_on_undefined_g2(self, tmp_path, capsys):
+        cfg = tmp_path / "undriven.cfg"
+        cfg.write_text("scenario = undriven\nmode = steady\n"
+                       "params.J_over_2pi_MHz = 20\nparams.kappa_over_2pi_MHz = 1\n")
+        assert cli_main(["converge", str(cfg), "--fock-dims", "4,6"]) == 2
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.out
+        assert "Traceback" not in captured.err
