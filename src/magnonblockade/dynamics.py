@@ -1,7 +1,9 @@
 """Lindblad master-equation solvers: vectorized Liouvillian, direct steady
 state, fixed-step time evolution, and the period-averaged steady state of the
 periodically driven (longitudinal-coupling) problem. Both steady states are
-the unit-trace kernel vector of one generator, found by the same solve.
+the unit-trace kernel vector of one generator, found by the same solve. Every
+trajectory is a power of one RK4 map: one step of the static generator, or
+the one-period propagator of the driven one.
 
 Vectorization is column-stacking: vec(rho) = rho.flatten(order='F'), so
 A rho B <-> (B^T kron A) vec(rho).
@@ -16,15 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import DensityMatrix, dagger
-from .model import (SystemParams, _longitudinal_operator, build_h_eff, build_h_longitudinal,
-                    collapse_channels)
+from .model import SystemParams, _longitudinal_operator, build_h_eff, collapse_channels
 
 __all__ = [
     "Liouvillian",
     "Trajectory",
     "build_liouvillian",
     "steady_state",
-    "liouvillian_spectrum",
     "evolve",
     "steady_state_periodic",
     "vec",
@@ -33,6 +33,11 @@ __all__ = [
     "DegenerateKernelError",
     "TraceDriftError",
 ]
+
+
+_KERNEL_RTOL = 1e-10  # 1 / largest accepted cond(B); SVD kernel cutoff relative to sigma_max
+_RESIDUAL_TOL = 1e-10  # largest accepted max|gen vec(rho)| of a steady state
+_DRIFT_TOL = 1e-8  # largest accepted |tr(rho) - 1| along a trajectory
 
 
 class SteadyStateError(RuntimeError):
@@ -84,7 +89,8 @@ class Liouvillian:
 
 @dataclass
 class Trajectory:
-    """Time-ordered density matrices on a user grid plus solver metadata."""
+    """Time-ordered density matrices plus solver metadata: each interval of
+    ``times`` stands for ceil(interval / ``step``) RK4 steps."""
 
     times: np.ndarray
     states: list
@@ -134,13 +140,12 @@ def _condition_probe(n: int) -> np.ndarray:
     return probe
 
 
-def _bordered_solve(lmat: np.ndarray, trace_row: np.ndarray,
-                    kernel_rtol: float) -> np.ndarray | None:
+def _bordered_solve(lmat: np.ndarray, trace_row: np.ndarray) -> np.ndarray | None:
     """Solve L v = 0, tr(v) = 1 with row 0 of L replaced by the trace row.
 
     Returns None when the bordered matrix B is singular or its condition
     number, estimated from below as ||B||_1 ||B^-1 p||_1 / ||p||_1 with the
-    probe p solved alongside, exceeds 1/kernel_rtol.
+    probe p solved alongside, exceeds 1/_KERNEL_RTOL.
     """
     bordered = lmat.copy()
     bordered[0] = trace_row
@@ -154,7 +159,7 @@ def _bordered_solve(lmat: np.ndarray, trace_row: np.ndarray,
         return None
     cond = (np.abs(bordered).sum(axis=0).max() * np.abs(sol[:, 1]).sum()
             / np.abs(rhs[:, 1]).sum())
-    if not cond <= 1.0 / kernel_rtol:
+    if not cond <= 1.0 / _KERNEL_RTOL:
         return None
     v = sol[:, 0]
     correction = -(bordered @ v)
@@ -162,17 +167,16 @@ def _bordered_solve(lmat: np.ndarray, trace_row: np.ndarray,
     return v + np.linalg.solve(bordered, correction)
 
 
-def _svd_kernel(lmat: np.ndarray, trace_row: np.ndarray,
-                kernel_rtol: float) -> np.ndarray:
+def _svd_kernel(lmat: np.ndarray, trace_row: np.ndarray) -> np.ndarray:
     """Kernel vector with unit trace from a full SVD, after checking that the
-    kernel is one-dimensional (singular values at or below ``kernel_rtol``
+    kernel is one-dimensional (singular values at or below ``_KERNEL_RTOL``
     relative to the largest)."""
     _, sv, vh = np.linalg.svd(lmat)
-    multiplicity = int(np.sum(sv <= kernel_rtol * sv[0]))
+    multiplicity = int(np.sum(sv <= _KERNEL_RTOL * sv[0]))
     if multiplicity == 0:
         raise SteadyStateError(
             f"no Liouvillian kernel within tolerance (smallest singular value "
-            f"{sv[-1]:.3e} vs threshold {kernel_rtol * sv[0]:.3e})"
+            f"{sv[-1]:.3e} vs threshold {_KERNEL_RTOL * sv[0]:.3e})"
         )
     if multiplicity > 1:
         raise DegenerateKernelError(multiplicity)
@@ -186,8 +190,7 @@ def _density_from_vec(v: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def _kernel_state(gen: np.ndarray, d: int, kernel_rtol: float = 1e-10,
-                  residual_tol: float = 1e-10) -> np.ndarray:
+def _kernel_state(gen: np.ndarray, d: int) -> np.ndarray:
     """Hermitized unit-trace d x d density matrix spanning the kernel of the
     trace-annihilating generator ``gen`` (trace row zero).
 
@@ -195,31 +198,29 @@ def _kernel_state(gen: np.ndarray, d: int, kernel_rtol: float = 1e-10,
     B vec(rho) = e_0 is solved by one LU solve plus one step of iterative
     refinement. B is nonsingular exactly when the kernel is one-dimensional. A
     fixed probe vector is solved in the same call to bound cond(B) from below;
-    on this path ``kernel_rtol`` is the reciprocal of the largest accepted
-    estimate. The residual max|gen vec(rho)| must not exceed ``residual_tol``.
+    the largest accepted estimate is 1/_KERNEL_RTOL. The residual
+    max|gen vec(rho)| must not exceed ``_RESIDUAL_TOL``.
 
-    Only if the solve fails, the estimate exceeds 1/kernel_rtol or the
+    Only if the solve fails, the estimate exceeds 1/_KERNEL_RTOL or the
     residual check fails does a full SVD count the singular values at or
-    below ``kernel_rtol`` relative to the largest: none raises SteadyStateError,
+    below ``_KERNEL_RTOL`` relative to the largest: none raises SteadyStateError,
     more than one raises DegenerateKernelError, and exactly one gives the
     state from the SVD null vector, under the same residual check.
     """
     trace_row = vec(np.eye(d, dtype=complex))
-    v = _bordered_solve(gen, trace_row, kernel_rtol)
+    v = _bordered_solve(gen, trace_row)
     rho = None if v is None else _density_from_vec(v)
-    if rho is None or not np.abs(gen @ vec(rho)).max() <= residual_tol:
-        rho = _density_from_vec(_svd_kernel(gen, trace_row, kernel_rtol))
+    if rho is None or not np.abs(gen @ vec(rho)).max() <= _RESIDUAL_TOL:
+        rho = _density_from_vec(_svd_kernel(gen, trace_row))
         residual = np.abs(gen @ vec(rho)).max()
-        if not residual <= residual_tol:
+        if not residual <= _RESIDUAL_TOL:
             raise SteadyStateError(
-                f"steady-state residual {residual:.3e} exceeds {residual_tol:.3e}"
+                f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:.3e}"
             )
     return rho
 
 
-def steady_state(liouv: Liouvillian, kernel_rtol: float = 1e-10,
-                 residual_tol: float = 1e-10, space=None,
-                 composite: bool = True) -> DensityMatrix:
+def steady_state(liouv: Liouvillian, *, space=None, composite: bool = True) -> DensityMatrix:
     """Unique steady state from the Liouvillian kernel, by ``_kernel_state``.
 
     By default the state is labelled as living on a composite qubit(x)magnon
@@ -227,7 +228,7 @@ def steady_state(liouv: Liouvillian, kernel_rtol: float = 1e-10,
     Liouvillians.
     """
     d = liouv.hilbert_dim
-    rho = _kernel_state(liouv.matrix, d, kernel_rtol, residual_tol)
+    rho = _kernel_state(liouv.matrix, d)
     if space is None:
         from .hilbert import HilbertSpace
 
@@ -240,13 +241,6 @@ def steady_state(liouv: Liouvillian, kernel_rtol: float = 1e-10,
     return DensityMatrix(rho, space, composite)
 
 
-def liouvillian_spectrum(liouv: Liouvillian) -> np.ndarray:
-    """Full eigenvalue spectrum sorted by |real part| (debug path: the kernel
-    eigenvalue comes first, the spectral gap second)."""
-    evals = np.linalg.eigvals(liouv.matrix)
-    return evals[np.argsort(np.abs(evals.real))]
-
-
 def _split_periodic_liouvillian(p: SystemParams):
     """Static Liouvillian plus the e^{-iwt}/e^{+iwt} commutator parts of the
     longitudinal coupling."""
@@ -255,9 +249,9 @@ def _split_periodic_liouvillian(p: SystemParams):
     return l0.matrix, _commutator_super(a), _commutator_super(dagger(a)), p.omega_drive
 
 
-def _max_step(p: SystemParams, h0: np.ndarray, time_dependent: bool) -> float:
-    """Fixed RK4 step bound: resolves the decay scale, the Hamiltonian
-    spectral span (for transient accuracy), and the drive period."""
+def _max_step(p: SystemParams, h0: np.ndarray) -> float:
+    """Fixed RK4 step bound: resolves the decay scale and the Hamiltonian
+    spectral span (for transient accuracy)."""
     bounds = []
     kappa_ref = max(p.kappa_m * (2.0 * p.m_th + 1.0), p.kappa_q)
     if kappa_ref > 0.0:
@@ -266,8 +260,6 @@ def _max_step(p: SystemParams, h0: np.ndarray, time_dependent: bool) -> float:
     span = float(ev.max() - ev.min())
     if span > 0.0:
         bounds.append(0.2 / span)
-    if time_dependent and p.omega_drive > 0.0:
-        bounds.append(0.02 * 2.0 * math.pi / p.omega_drive)
     return min(bounds) if bounds else math.inf
 
 
@@ -286,87 +278,98 @@ def _rk4_steps(rhs, v: np.ndarray, t0: float, t1: float, n: int):
         yield v
 
 
-def evolve(rho0: DensityMatrix, p: SystemParams, t_grid, time_dependent: bool = False,
-           drift_tol: float = 1e-8) -> Trajectory:
-    """Integrate the master equation with fixed-step RK4, recording grid states.
+def _one_period_maps(p: SystemParams, steps_per_period: int = 64):
+    """One-period propagator P, period-average map A, drive period T and RK4
+    step h of the longitudinally driven generator, from one RK4 pass on the
+    matrix equation V' = L(t) V with V(0) = I.
 
-    ``t_grid`` must start at 0 and increase strictly. With ``time_dependent``
-    the Hamiltonian is the longitudinal one evaluated along the drive phase;
-    otherwise the static rotating-frame Hamiltonian is used.
+    A is the mean of the propagators at the RK4 samples t = h, 2h, ..., T, so
+    A v is the period average of the trajectory that starts from v at drive
+    phase 0. A period takes ``steps_per_period`` steps, at least 50, and no
+    step exceeds ``_max_step``.
+    """
+    l0, l1, l2, omega = _split_periodic_liouvillian(p)
+    period = 2.0 * math.pi / omega
+    n_sub = max(steps_per_period, 50,
+                math.ceil(period / _max_step(p, build_h_eff(p))))
+
+    def rhs(t, v):
+        return (l0 + np.exp(-1j * omega * t) * l1 + np.exp(1j * omega * t) * l2) @ v
+
+    avg = np.zeros_like(l0)
+    for prop in _rk4_steps(rhs, np.eye(l0.shape[0], dtype=complex), 0.0, period, n_sub):
+        avg += prop
+    return prop, avg / n_sub, period, period / n_sub
+
+
+def evolve(rho0: DensityMatrix, p: SystemParams, t_grid) -> Trajectory:
+    """States of the master equation on a uniform ``t_grid`` starting at 0,
+    each a power of one fixed RK4 map applied to ``rho0``.
+
+    Without longitudinal coupling the map is one RK4 step of the static
+    Liouvillian; each grid interval takes ceil(spacing / ``Trajectory.step``)
+    equal steps, with ``step`` the ``_max_step`` bound. With g_rp > 0 the
+    samples are snapped to the nearest whole number k of drive periods
+    (``Trajectory.times`` holds k T) and each reports the period average
+    A P^k rho0 of ``_one_period_maps``, so the first sample is the average over
+    the first period. Trace drift beyond ``_DRIFT_TOL`` raises TraceDriftError.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0.0):
-        raise ValueError("t_grid must start at 0 and be strictly increasing")
+    gaps = np.diff(t_grid)
+    # the relative 1e-9 admits the rounding of np.linspace grids
+    if (t_grid[0] != 0.0 or gaps.size == 0 or gaps.min() <= 0.0
+            or gaps.max() - gaps.min() > 1e-9 * gaps.max()):
+        raise ValueError("t_grid must start at 0 and increase in equal steps")
     rho0.validate()
+    dt = t_grid[-1] / gaps.size
 
-    if time_dependent:
-        l0, l1, l2, omega = _split_periodic_liouvillian(p)
-        h_probe = build_h_longitudinal(p, 0.0)
-
-        def rhs(t, v):
-            return l0 @ v + np.exp(-1j * omega * t) * (l1 @ v) + np.exp(1j * omega * t) * (l2 @ v)
+    if p.g_rp > 0.0:
+        prop, report, period, step = _one_period_maps(p)
+        counts = np.floor(t_grid / period + 0.5).astype(int)
+        if np.diff(counts).min() < 1:
+            raise ValueError(f"t_grid spacing {dt:.3e} is below the drive period {period:.3e}")
+        times = counts * period
     else:
         liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
-        lmat = liouv.matrix
-        h_probe = liouv.hamiltonian
+        step = _max_step(p, liouv.hamiltonian)
+        n = max(1, math.ceil(dt / step))
+        eye = np.eye(liouv.dim, dtype=complex)
+        prop = next(_rk4_steps(lambda t, v: liouv.matrix @ v, eye, 0.0, dt / n, 1))
+        report, counts, times = None, n * np.arange(t_grid.size), t_grid
+    powers = {m: np.linalg.matrix_power(prop, m) for m in set(np.diff(counts).tolist())}
 
-        def rhs(t, v):
-            return lmat @ v
-
-    h_max = _max_step(p, h_probe, time_dependent)
     space = p.space
     v = vec(rho0.matrix).astype(complex)
-    states = [DensityMatrix(rho0.matrix.copy(), space, True)]
-    drift = abs(np.trace(rho0.matrix) - 1.0)
-    for k in range(len(t_grid) - 1):
-        t0, t1 = t_grid[k], t_grid[k + 1]
-        n = max(1, math.ceil((t1 - t0) / h_max)) if math.isfinite(h_max) else 1
-        for v in _rk4_steps(rhs, v, t0, t1, n):
-            pass
-        rho = unvec(v)
+    states = []
+    drift = 0.0
+    for k in range(t_grid.size):
+        if k:
+            v = powers[counts[k] - counts[k - 1]] @ v
+        rho = unvec(v if report is None else report @ v)
         rho = (rho + rho.conj().T) / 2.0
         drift = max(drift, abs(np.trace(rho).real - 1.0))
-        if drift > drift_tol:
-            raise TraceDriftError(drift, drift_tol)
+        if drift > _DRIFT_TOL:
+            raise TraceDriftError(drift, _DRIFT_TOL)
         states.append(DensityMatrix(rho, space, True).validate())
-    return Trajectory(times=t_grid, states=states, params=p,
-                      step=h_max, trace_drift=drift)
+    return Trajectory(times=times, states=states, params=p, step=step, trace_drift=drift)
 
 
 def steady_state_periodic(p: SystemParams, steps_per_period: int = 64) -> DensityMatrix:
     """Period-averaged steady state under the time-dependent longitudinal coupling.
 
-    The one-period propagator P is built by fixed-step RK4 on V' = L(t) V. The
-    state at drive phase 0 is the fixed point P v = v, found by
-    ``_kernel_state`` as the kernel of G = (P - I)/T; dividing by the period T
-    makes G approximate the period-averaged Liouvillian, so the kernel and
-    residual tolerances mean what they mean for the static problem. That
-    state is then evolved over one period and averaged over the RK4 samples.
-    A period takes ``steps_per_period`` steps, at least 50 and at least 100
-    kappa T.
+    With the maps of ``_one_period_maps``, the state at drive phase 0 is the
+    fixed point P v = v, found by ``_kernel_state`` as the kernel of
+    G = (P - I)/T; dividing by the period T makes G approximate the
+    period-averaged Liouvillian, so the kernel and residual tolerances mean
+    what they mean for the static problem. The result is its period average
+    A v.
     """
     if p.g_rp <= 0.0:
         raise ValueError(f"periodic steady state requires g_rp > 0, got {p.g_rp}")
-    kappa_ref = min(p.kappa_m, p.kappa_q)
-    if kappa_ref <= 0.0:
+    if min(p.kappa_m, p.kappa_q) <= 0.0:
         raise ValueError("periodic steady state requires dissipation")
 
-    l0, l1, l2, omega = _split_periodic_liouvillian(p)
-    period = 2.0 * math.pi / omega
-    # step <= 0.02 * period and <= 0.01 / kappa
-    n_sub = max(steps_per_period, 50, math.ceil(period / (0.01 / kappa_ref)))
-
-    def rhs(t, v):
-        return (l0 + np.exp(-1j * omega * t) * l1 + np.exp(1j * omega * t) * l2) @ v
-
-    # one-period propagator by RK4 on the matrix equation V' = L(t) V
-    eye = np.eye(l0.shape[0], dtype=complex)
-    for prop in _rk4_steps(rhs, eye, 0.0, period, n_sub):
-        pass
-
+    prop, avg, period, _ = _one_period_maps(p, steps_per_period)
     space = p.space
-    rho0 = _kernel_state((prop - eye) / period, space.total_dim)
-    avg = np.zeros(l0.shape[0], dtype=complex)
-    for v in _rk4_steps(rhs, vec(rho0), 0.0, period, n_sub):
-        avg += v
-    return DensityMatrix(_density_from_vec(avg), space, True).validate()
+    rho0 = _kernel_state((prop - np.eye(prop.shape[0])) / period, space.total_dim)
+    return DensityMatrix(_density_from_vec(avg @ vec(rho0)), space, True).validate()

@@ -54,18 +54,11 @@ def _magnon_moments(rho: DensityMatrix) -> tuple[float, float]:
     return n1, n2
 
 
-def g2_zero(rho: DensityMatrix, on_composite: bool | None = None) -> float:
-    """Equal-time second-order correlation <m'm'mm> / <m'm>^2.
-
-    ``on_composite`` may force the input interpretation; by default the state
-    carries it. Raises UndefinedCorrelationError when <m'm> is below the
-    occupation floor (no drive).
+def g2_zero(rho: DensityMatrix) -> float:
+    """Equal-time second-order correlation <m'm'mm> / <m'm>^2 of a composite or
+    magnon-reduced state. Raises UndefinedCorrelationError when <m'm> is below
+    the occupation floor (no drive).
     """
-    if on_composite is not None and on_composite != rho.composite:
-        raise ValueError(
-            f"state is {'composite' if rho.composite else 'magnon-reduced'}, "
-            f"but on_composite={on_composite}"
-        )
     n1, n2 = _magnon_moments(rho)
     if n1 < OCCUPATION_FLOOR:
         raise UndefinedCorrelationError(

@@ -9,9 +9,9 @@ from magnonblockade.dynamics import (
     DegenerateKernelError,
     Liouvillian,
     SteadyStateError,
+    TraceDriftError,
     build_liouvillian,
     evolve,
-    liouvillian_spectrum,
     steady_state,
     steady_state_periodic,
     unvec,
@@ -105,7 +105,8 @@ class TestBuildLiouvillian:
     def test_dissipative_spectrum(self):
         liouv = build_liouvillian(build_h_eff(fig2a_params()),
                                   collapse_channels(fig2a_params()))
-        evals = liouvillian_spectrum(liouv)
+        evals = np.linalg.eigvals(liouv.matrix)
+        evals = evals[np.argsort(np.abs(evals.real))]
         assert evals.real.max() <= 1e-10
         # unique kernel eigenvalue sorted first, then a finite spectral gap
         assert abs(evals[0]) <= 1e-10
@@ -301,12 +302,64 @@ class TestEvolve:
             evolve(vacuum(p), p, np.array([0.1, 0.2]))
         with pytest.raises(ValueError, match="t_grid"):
             evolve(vacuum(p), p, np.array([0.0, 0.2, 0.2]))
+        with pytest.raises(ValueError, match="t_grid"):
+            evolve(vacuum(p), p, np.array([0.0, 0.1, 0.3]))
+        # with g_rp > 0 every sample needs its own whole drive period
+        p = SystemParams.from_detunings(**OPT, fock_dim=3, g_rp=3.5 * MHZ)
+        period = 2 * math.pi / p.omega_drive
+        with pytest.raises(ValueError, match="t_grid"):
+            evolve(vacuum(p), p, np.linspace(0.0, 5 * period, 11))
+
+    def test_powered_map_matches_stepwise_rk4(self):
+        # the static trajectory is the per-step RK4 loop, taken as matrix powers
+        from magnonblockade.dynamics import _rk4_steps
+
+        p = fig2a_params(fock_dim=4)
+        lmat = build_liouvillian(build_h_eff(p), collapse_channels(p)).matrix
+        t_grid = np.linspace(0.0, 3.0 / p.kappa_m, 7)
+        traj = evolve(vacuum(p), p, t_grid)
+        dt = t_grid[1]
+        n = math.ceil(dt / traj.step)
+        assert n > 1
+        v = vec(vacuum(p).matrix)
+        for state in traj.states[1:]:
+            for v in _rk4_steps(lambda t, x: lmat @ x, v, 0.0, dt, n):
+                pass
+            assert np.abs(state.matrix - unvec(v)).max() <= 1e-12
+
+    def test_trace_drift_is_reported(self, monkeypatch):
+        import magnonblockade.dynamics as dynamics_mod
+
+        def leaky(h, channels):
+            liouv = build_liouvillian(h, channels)
+            return Liouvillian(matrix=liouv.matrix - 1e-3 * np.eye(liouv.dim),
+                               hamiltonian=liouv.hamiltonian, channels=liouv.channels)
+
+        monkeypatch.setattr(dynamics_mod, "build_liouvillian", leaky)
+        p = fig2a_params(fock_dim=3)
+        with pytest.raises(TraceDriftError) as err:
+            evolve(vacuum(p), p, np.linspace(0.0, 1.0 / p.kappa_m, 3))
+        assert err.value.drift > 1e-8
+
+
+class TestEvolveProperties:
+    @settings(max_examples=20, deadline=None)
+    @given(random_params(), st.integers(4, 6), st.integers(0, 2**32 - 1))
+    def test_long_time_state_is_the_steady_state(self, p, n, seed):
+        p = p.with_(fock_dim=n)
+        d = p.space.total_dim
+        rho0 = DensityMatrix(random_density(np.random.default_rng(seed), d), p.space, True)
+        t_end = 40.0 / min(p.kappa_m, p.kappa_q)
+        traj = evolve(rho0, p, np.array([0.0, t_end]))
+        rho_ss = steady_state(build_liouvillian(build_h_eff(p), collapse_channels(p)))
+        assert np.abs(traj.states[-1].matrix - rho_ss.matrix).max() <= 1e-8
 
 
 class TestEvolveAgainstAdaptiveIntegrator:
     """Independent oracle: scipy's DOP853 on the same master equation."""
 
-    def scipy_final_state(self, p, t_end, rho0):
+    def scipy_states(self, p, t_eval, rho0):
+        """Vectorized states at ``t_eval``, one column each."""
         from scipy.integrate import solve_ivp
 
         from magnonblockade.dynamics import _split_periodic_liouvillian
@@ -320,28 +373,39 @@ class TestEvolveAgainstAdaptiveIntegrator:
                 out = out + np.exp(1j * omega * t) * (l2 @ v)
             return out
 
-        sol = solve_ivp(rhs, (0.0, t_end), vec(rho0), method="DOP853",
-                        rtol=1e-11, atol=1e-13)
-        return unvec(sol.y[:, -1])
+        sol = solve_ivp(rhs, (0.0, t_eval[-1]), vec(rho0), method="DOP853",
+                        t_eval=t_eval, rtol=1e-11, atol=1e-13)
+        return sol.y
 
     def test_static_evolution_matches(self):
         # fixed-step RK4 transient accuracy against a tight adaptive reference
         p = fig2a_params()
         t_end = 1.0 / p.kappa_m
         traj = evolve(vacuum(p), p, np.array([0.0, t_end]))
-        ref = self.scipy_final_state(p, t_end, vacuum(p).matrix)
+        ref = unvec(self.scipy_states(p, [t_end], vacuum(p).matrix)[:, -1])
         assert np.abs(traj.states[-1].matrix - ref).max() <= 1e-7
 
     def test_time_dependent_evolution_matches(self):
+        # g_rp > 0: each sample is snapped to a whole number of drive periods and
+        # is the average over the period that starts there, taken at the RK4
+        # right-endpoint samples
         p = SystemParams.from_detunings(
             J=35.0 * MHZ, Delta_plus=35.0 * MHZ, Omega_m=0.033 * MHZ,
             Omega_q=0.099 * MHZ, kappa_m=0.5 * MHZ, kappa_q=0.5 * MHZ,
-            omega_drive=1500.0 * MHZ, g_rp=3.5 * MHZ)
+            omega_drive=1500.0 * MHZ, g_rp=3.5 * MHZ, fock_dim=4)
         period = 2 * math.pi / p.omega_drive
-        t_end = 20 * period
-        traj = evolve(vacuum(p), p, np.array([0.0, t_end]), time_dependent=True)
-        ref = self.scipy_final_state(p, t_end, vacuum(p).matrix)
-        assert np.abs(traj.states[-1].matrix - ref).max() <= 1e-9
+        t_grid = np.linspace(0.0, 0.5 / p.kappa_m, 6)
+        traj = evolve(vacuum(p), p, t_grid)
+        k = np.round(traj.times / period)
+        assert np.abs(traj.times - k * period).max() <= 1e-12 * period
+        assert np.abs(traj.times - t_grid).max() <= period / 2
+        n_sub = round(period / traj.step)
+        offsets = traj.step * np.arange(1, n_sub + 1)
+        t_eval = np.concatenate([t + offsets for t in traj.times])
+        ys = self.scipy_states(p, t_eval, vacuum(p).matrix)
+        means = ys.reshape(ys.shape[0], len(traj.times), n_sub).mean(axis=2)
+        for state, mean in zip(traj.states, means.T):
+            assert np.abs(state.matrix - unvec(mean)).max() <= 1e-9
 
     def test_split_generator_matches_longitudinal_hamiltonian(self):
         # the harmonic-split generator equals the Liouvillian rebuilt from the

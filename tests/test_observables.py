@@ -157,13 +157,6 @@ class TestG2Zero:
         rho[0, 1] = rho[1, 0] = 0.2
         assert g2_zero(magnon_dm(rho, n)) == 0.0
 
-    def test_on_composite_flag_consistency(self):
-        p = fig2a_params()
-        rho = steady_state(build_liouvillian(build_h_eff(p), collapse_channels(p)))
-        assert g2_zero(rho, on_composite=True) == g2_zero(rho)
-        with pytest.raises(ValueError, match="on_composite"):
-            g2_zero(rho, on_composite=False)
-
 
 class TestG2TimeSeries:
     def test_asymptote_at_resonant_coupling(self):

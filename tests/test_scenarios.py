@@ -53,6 +53,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown sweep parameter"):
             SweepAxis("params.bogus", (1.0,))
 
+    @pytest.mark.parametrize("options", [
+        {"time_points": 2.5},
+        {"time_points": "5"},
+        {"time_points": True},
+        {"time_points": 1},
+        {"steps_per_period": 0.9},
+        {"steps_per_period": -5},
+        {"steps_per_period": 0},
+        {"steps_per_period": "64"},
+    ])
+    def test_integer_options(self, options):
+        with pytest.raises(ConfigError, match="integer"):
+            ScenarioConfig(name="x", mode="time_series", params={}, options=options)
+
     def test_paired_length_mismatch(self):
         with pytest.raises(ConfigError, match="paired"):
             SweepAxis("params.J_over_2pi_MHz", (14.0, 35.0),
@@ -219,6 +233,25 @@ sweep.axis2.values = 2.5 3.5
         # vacuum start: first sample has undefined correlation, recorded as gap
         assert result.rows[0][result.columns.index("log10_g2")] is None
         assert result.rows[0][result.columns.index("error")] == ""
+
+    def test_longitudinal_time_series_is_snapped_to_whole_periods(self):
+        cfg = ScenarioConfig(
+            name="ts_longitudinal", mode="time_series", fock_dim=4,
+            params={"J_over_2pi_MHz": 35.0, "kappa_over_2pi_MHz": 0.5,
+                    "Omega_m_over_2pi_MHz": 0.033, "Omega_q_over_Omega_m": 3.0,
+                    "drive_freq_over_2pi_MHz": 1500.0, "g_rp_over_J": 0.3},
+            options={"kappa_t_max": 5.0, "time_points": 11},
+        )
+        result = run_scenario(cfg)
+        assert len(result.rows) == 11
+        assert all(err == "" for err in result.column("error"))
+        kappa_period = 2.0 * math.pi * 0.5 / 1500.0  # kappa_m T, T = 1/(1500 MHz)
+        kts = np.array(result.column("kappa_t"))
+        k = np.round(kts / kappa_period)
+        assert np.all(np.diff(k) >= 1)
+        # the CSV keeps 12 significant digits
+        assert np.abs(kts - k * kappa_period).max() <= 1e-10
+        assert np.abs(kts - np.linspace(0.0, 5.0, 11)).max() <= kappa_period / 2
 
     def test_roots_mode_consistency(self):
         cfg = get_scenario("fig10").with_grid(8)
@@ -445,6 +478,8 @@ sweep.axis1.paired.params.Omega_m_over_2pi_MHz = 0.021 0.033
         "scenario = x\nmode = time_series\noption.time_points = 2.5\n",
         "scenario = x\nmode = periodic\noption.steps_per_period = 0.9\n",
         "scenario = x\nmode = time_series\noption.time_points = 0\n",
+        "scenario = x\nmode = periodic\noption.steps_per_period = -5\n",
+        "scenario = x\nmode = periodic\noption.steps_per_period = 0\n",
     ])
     def test_parse_errors(self, bad):
         with pytest.raises(ConfigError):
