@@ -59,7 +59,13 @@ def _cmd_run(args) -> int:
 def _cmd_converge(args) -> int:
     cfg = _load_config(args.target, args.grid, None)
     dims = [int(v) for v in args.fock_dims.split(",")]
-    report = convergence_check(cfg, dims)
+    try:
+        report = convergence_check(cfg, dims)
+    except ConfigError:
+        raise
+    except Exception as exc:  # a failed solve is reported, not a traceback
+        print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     print(report)
     for values in report.point_values:
         print("  " + "  ".join(f"N={n}: {g2:.6e}" for n, g2 in values.items()))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import DensityMatrix, dagger
+from .hilbert import _TRACE_TOL, DensityMatrix, dagger
 from .model import SystemParams, _longitudinal_operator, build_h_eff, collapse_channels
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
 
 _KERNEL_RTOL = 1e-10  # 1 / largest accepted cond(B); SVD kernel cutoff relative to sigma_max
 _RESIDUAL_TOL = 1e-10  # largest accepted max|gen vec(rho)| of a steady state
-_DRIFT_TOL = 1e-8  # largest accepted |tr(rho) - 1| along a trajectory
 
 
 class SteadyStateError(RuntimeError):
@@ -238,7 +237,7 @@ def steady_state(liouv: Liouvillian, *, space=None, composite: bool = True) -> D
     expected = space.total_dim if composite else space.fock_dim
     if expected != d:
         raise ValueError(f"space dimension {expected} does not match Liouvillian {d}")
-    return DensityMatrix(rho, space, composite)
+    return DensityMatrix(rho, space, composite).validate()
 
 
 def _split_periodic_liouvillian(p: SystemParams):
@@ -312,7 +311,8 @@ def evolve(rho0: DensityMatrix, p: SystemParams, t_grid) -> Trajectory:
     samples are snapped to the nearest whole number k of drive periods
     (``Trajectory.times`` holds k T) and each reports the period average
     A P^k rho0 of ``_one_period_maps``, so the first sample is the average over
-    the first period. Trace drift beyond ``_DRIFT_TOL`` raises TraceDriftError.
+    the first period. Trace drift beyond ``hilbert._TRACE_TOL`` raises
+    TraceDriftError.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     gaps = np.diff(t_grid)
@@ -348,8 +348,8 @@ def evolve(rho0: DensityMatrix, p: SystemParams, t_grid) -> Trajectory:
         rho = unvec(v if report is None else report @ v)
         rho = (rho + rho.conj().T) / 2.0
         drift = max(drift, abs(np.trace(rho).real - 1.0))
-        if drift > _DRIFT_TOL:
-            raise TraceDriftError(drift, _DRIFT_TOL)
+        if drift > _TRACE_TOL:
+            raise TraceDriftError(drift, _TRACE_TOL)
         states.append(DensityMatrix(rho, space, True).validate())
     return Trajectory(times=times, states=states, params=p, step=step, trace_drift=drift)
 

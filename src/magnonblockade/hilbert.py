@@ -25,6 +25,10 @@ __all__ = [
     "embed_magnon",
 ]
 
+_HERM_TOL = 1e-10  # largest accepted max|rho - rho'| of a density matrix
+_TRACE_TOL = 1e-9  # largest accepted |tr(rho) - 1|
+_EIG_FLOOR = -1e-9  # lowest accepted eigenvalue
+
 
 @dataclass(frozen=True)
 class HilbertSpace:
@@ -89,20 +93,20 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.space.total_dim if self.composite else self.space.fock_dim
 
-    def validate(self, herm_tol: float = 1e-10, trace_tol: float = 1e-9,
-                 eig_floor: float = -1e-9) -> "DensityMatrix":
-        """Check hermiticity, unit trace and numerical positive semidefiniteness."""
+    def validate(self) -> "DensityMatrix":
+        """Check hermiticity, unit trace and numerical positive semidefiniteness
+        against ``_HERM_TOL``, ``_TRACE_TOL`` and ``_EIG_FLOOR``."""
         m = self.matrix
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"matrix shape {m.shape} does not match space dimension {self.dim}")
         herm = np.abs(m - m.conj().T).max()
-        if herm > herm_tol:
+        if herm > _HERM_TOL:
             raise ValueError(f"density matrix not Hermitian: max deviation {herm:.3e}")
         tr = np.trace(m)
-        if abs(tr - 1.0) > trace_tol:
+        if abs(tr - 1.0) > _TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} deviates from 1 by {abs(tr - 1.0):.3e}")
         lowest = np.linalg.eigvalsh((m + m.conj().T) / 2).min()
-        if lowest < eig_floor:
+        if lowest < _EIG_FLOOR:
             raise ValueError(f"density matrix has negative eigenvalue {lowest:.3e}")
         return self
 

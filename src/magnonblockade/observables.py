@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .hilbert import DensityMatrix, dagger, fock_annihilation
+from .hilbert import DensityMatrix
 
 __all__ = [
     "UndefinedCorrelationError",
@@ -45,13 +45,11 @@ def populations(rho: DensityMatrix) -> np.ndarray:
 
 
 def _magnon_moments(rho: DensityMatrix) -> tuple[float, float]:
-    """(<m'm>, <m'm'mm>) evaluated on the magnon reduction."""
-    rm = partial_trace_qubit(rho) if rho.composite else rho
-    m = fock_annihilation(rho.space)
-    md = dagger(m)
-    n1 = np.trace(rm.matrix @ (md @ m)).real
-    n2 = np.trace(rm.matrix @ (md @ md @ m @ m)).real
-    return n1, n2
+    """(<m'm>, <m'm'mm>) = (sum n P_n, sum n(n-1) P_n): both operators are
+    diagonal in the Fock basis."""
+    pops = populations(rho)
+    n = np.arange(pops.size)
+    return float(n @ pops), float((n * (n - 1)) @ pops)
 
 
 def g2_zero(rho: DensityMatrix) -> float:

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,10 +61,26 @@ _PARAM_KEYS = {
     "r_kappa_over_J",
 }
 
-_OPTION_KEYS = {"kappa_t_max", "time_points", "initial_state", "steps_per_period"}
-_INT_OPTIONS = {"time_points", "steps_per_period"}
+# initial-state name -> basis index i = q*N + n of the pure state it names
+_INITIAL_STATES = {"vacuum": 0, "g1": 1}
 
-_MODES = {"steady", "time_series", "periodic", "roots"}
+
+class _Option(NamedTuple):
+    default: object  # its type is the option's type
+    requirement: str
+    accepts: Callable
+
+
+_OPTIONS = {
+    "kappa_t_max": _Option(30.0, "a finite number > 0", lambda v: 0.0 < v < math.inf),
+    "time_points": _Option(201, "an integer >= 2", lambda v: v >= 2),
+    "initial_state": _Option("vacuum", f"one of {sorted(_INITIAL_STATES)}",
+                             lambda v: v in _INITIAL_STATES),
+    "steps_per_period": _Option(64, "an integer >= 1", lambda v: v >= 1),
+}
+
+# bool is an Integral too; it is rejected separately
+_OPTION_TYPES = {int: numbers.Integral, float: numbers.Real, str: str}
 
 
 def _norm(x: float) -> float:
@@ -127,6 +145,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {sorted(_MODES)}")
+        mode = _MODES[self.mode]
         if len(self.axes) > 2:
             raise ConfigError(f"at most 2 sweep axes supported, got {len(self.axes)}")
         if self.mode == "time_series" and len(self.axes) > 1:
@@ -134,16 +153,19 @@ class ScenarioConfig:
         for key in self.params:
             if key not in _PARAM_KEYS:
                 raise ConfigError(f"unknown parameter key {key!r}")
-        for key in self.options:
-            if key not in _OPTION_KEYS:
+        for key, value in self.options.items():
+            if key not in _OPTIONS:
                 raise ConfigError(f"unknown option key {key!r}")
+            opt = _OPTIONS[key]
+            if (isinstance(value, bool)
+                    or not isinstance(value, _OPTION_TYPES[type(opt.default)])
+                    or not opt.accepts(value)):
+                raise ConfigError(f"{key} must be {opt.requirement}, got {value!r}")
+            if key not in mode.options:
+                raise ConfigError(f"{self.mode} scenarios do not read option {key!r}; "
+                                  f"they read {sorted(mode.options)}")
         if self.fock_dim < 3:
             raise ConfigError(f"fock_dim must be >= 3, got {self.fock_dim}")
-        for key, least in (("time_points", 2), ("steps_per_period", 1)):
-            value = self.options.get(key, least)
-            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                    or value < least):
-                raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
 
     def with_fock_dim(self, n: int) -> "ScenarioConfig":
         return replace(self, fock_dim=n)
@@ -243,10 +265,14 @@ def _log10_or_error(g2: float) -> float:
     return math.log10(g2)
 
 
+_POPULATIONS = ("P0", "P1", "P2", "P3")
+
+
 def _population_columns(rho: DensityMatrix) -> dict:
     """P0..P3; a level at or above the truncation fock_dim is left empty."""
     pops = populations(rho)
-    return {f"P{n}": _norm(float(pops[n])) if n < len(pops) else None for n in range(4)}
+    return {col: _norm(float(pops[n])) if n < len(pops) else None
+            for n, col in enumerate(_POPULATIONS)}
 
 
 def _state_columns(rho: DensityMatrix) -> dict:
@@ -257,6 +283,9 @@ def _state_columns(rho: DensityMatrix) -> dict:
 
 def _static_state(p: SystemParams):
     """Steady state of the time-independent problem and its Liouvillian."""
+    if p.g_rp > 0.0:
+        raise ConfigError("g_rp_over_J > 0 needs mode = periodic; the static "
+                          "solve has no longitudinal coupling")
     liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
     return steady_state(liouv), liouv
 
@@ -265,7 +294,7 @@ def _periodic_state(p: SystemParams, options: dict) -> DensityMatrix:
     """Period-averaged state; without longitudinal coupling the static one."""
     if p.g_rp == 0.0:
         return _static_state(p)[0]
-    return steady_state_periodic(p, steps_per_period=options.get("steps_per_period", 64))
+    return steady_state_periodic(p, steps_per_period=options["steps_per_period"])
 
 
 def _trajectory(p: SystemParams, options: dict, n_t: int):
@@ -273,12 +302,11 @@ def _trajectory(p: SystemParams, options: dict, n_t: int):
     steps up to kappa_m t = kappa_t_max."""
     if p.kappa_m <= 0.0:
         raise ConfigError("time series scenarios require kappa_m > 0")
-    t_grid = np.linspace(0.0, float(options.get("kappa_t_max", 30.0)) / p.kappa_m, n_t)
-    rho0 = _initial_state(options.get("initial_state", "vacuum"), p)
-    return evolve(rho0, p, t_grid)
+    t_grid = np.linspace(0.0, float(options["kappa_t_max"]) / p.kappa_m, n_t)
+    return evolve(_initial_state(options["initial_state"], p), p, t_grid)
 
 
-def _steady_record(user: dict, fock_dim: int) -> dict:
+def _steady_rows(user: dict, fock_dim: int, options: dict) -> list[dict]:
     p = _system_params(user, fock_dim)
     rho, liouv = _static_state(p)
     rec = _state_columns(rho)
@@ -289,41 +317,34 @@ def _steady_record(user: dict, fock_dim: int) -> dict:
         )
     else:
         rec["log10_g2_analytic"] = None
-    return rec
+    return [rec]
 
 
-def _periodic_record(user: dict, fock_dim: int, options: dict) -> dict:
-    return _state_columns(_periodic_state(_system_params(user, fock_dim), options))
+def _periodic_rows(user: dict, fock_dim: int, options: dict) -> list[dict]:
+    return [_state_columns(_periodic_state(_system_params(user, fock_dim), options))]
 
 
 def _initial_state(name: str, p: SystemParams) -> DensityMatrix:
     d = p.space.total_dim
     rho = np.zeros((d, d), dtype=complex)
-    if name == "vacuum":
-        rho[0, 0] = 1.0
-    elif name == "g1":
-        rho[1, 1] = 1.0
-    else:
-        raise ConfigError(f"unknown initial_state {name!r}")
+    i = _INITIAL_STATES[name]
+    rho[i, i] = 1.0
     return DensityMatrix(rho, p.space, True)
 
 
-def _time_series_rows(user: dict, fock_dim: int, options: dict,
-                      axis_cols: dict) -> list[dict]:
+def _time_series_rows(user: dict, fock_dim: int, options: dict) -> list[dict]:
     p = _system_params(user, fock_dim)
-    traj = _trajectory(p, options, options.get("time_points", 201))
+    traj = _trajectory(p, options, options["time_points"])
     rows = []
     for (t, g2), state in zip(g2_time_series(traj), traj.states):
-        row = dict(axis_cols)
-        row["kappa_t"] = _norm(p.kappa_m * t)
-        row["log10_g2"] = None if math.isnan(g2) or g2 <= 0.0 else _norm(math.log10(g2))
+        row = {"kappa_t": _norm(p.kappa_m * t),
+               "log10_g2": None if math.isnan(g2) or g2 <= 0.0 else _norm(math.log10(g2))}
         row.update(_population_columns(state))
-        row["error"] = ""
         rows.append(row)
     return rows
 
 
-def _roots_record(user: dict, fock_dim: int) -> dict:
+def _roots_rows(user: dict, fock_dim: int, options: dict) -> list[dict]:
     u = dict(user)
     try:
         r = u.pop("r_kappa_over_J")
@@ -344,16 +365,38 @@ def _roots_record(user: dict, fock_dim: int) -> dict:
         point["Omega_q_over_Omega_m"] = l + 1.0
         rho, _ = _static_state(_system_params(point, fock_dim))
         rec[f"log10_g2_numeric_{tag}"] = _norm(_log10_or_error(g2_zero(rho)))
-    return rec
+    return [rec]
 
 
-_MODE_COLUMNS = {
-    "steady": ["log10_g2", "log10_g2_analytic", "P0", "P1", "P2", "P3", "residual_inf"],
-    "periodic": ["log10_g2", "P0", "P1", "P2", "P3"],
-    "roots": ["l1", "l2", "l1_numeric", "l2_numeric",
-              "log10_g2_analytic_l1", "log10_g2_numeric_l1",
-              "log10_g2_analytic_l2", "log10_g2_numeric_l2"],
+class _Mode(NamedTuple):
+    columns: tuple  # placed between the axis columns and "error"
+    options: frozenset  # the option keys the mode reads
+    rows: Callable  # (user, fock_dim, options) -> one dict per output row
+    state: Callable | None  # (p, options) -> the state convergence_check compares
+
+
+_MODES = {
+    "steady": _Mode(
+        ("log10_g2", "log10_g2_analytic", *_POPULATIONS, "residual_inf"),
+        frozenset(), _steady_rows, lambda p, options: _static_state(p)[0]),
+    "periodic": _Mode(
+        ("log10_g2", *_POPULATIONS),
+        frozenset({"steps_per_period"}), _periodic_rows, _periodic_state),
+    "roots": _Mode(
+        ("l1", "l2", "l1_numeric", "l2_numeric",
+         "log10_g2_analytic_l1", "log10_g2_numeric_l1",
+         "log10_g2_analytic_l2", "log10_g2_numeric_l2"),
+        frozenset(), _roots_rows, None),
+    "time_series": _Mode(
+        ("kappa_t", "log10_g2", *_POPULATIONS),
+        frozenset({"kappa_t_max", "time_points", "initial_state"}), _time_series_rows,
+        lambda p, options: _trajectory(p, options, 2).states[-1]),
 }
+
+
+def _options(cfg: ScenarioConfig) -> dict:
+    """Every option's value: the config's own, else the default."""
+    return {key: cfg.options.get(key, opt.default) for key, opt in _OPTIONS.items()}
 
 
 @dataclass
@@ -374,34 +417,22 @@ def run_scenario(cfg: ScenarioConfig, out: str | None = None,
                  diagnostics_out: str | None = None) -> SweepResult:
     """Execute a scenario over its grid, optionally writing CSV and a JSONL
     diagnostics sidecar. Failed points carry an in-band error tag."""
+    mode = _MODES[cfg.mode]
+    options = _options(cfg)
     axis_keys = [ax.key for ax in cfg.axes]
     points = cfg.grid_points()
-
-    if cfg.mode == "time_series":
-        columns = axis_keys + ["kappa_t", "log10_g2", "P0", "P1", "P2", "P3", "error"]
-    else:
-        columns = axis_keys + _MODE_COLUMNS[cfg.mode] + ["error"]
+    columns = axis_keys + list(mode.columns) + ["error"]
 
     def work(user: dict) -> tuple[list[dict], float, str]:
         axis_cols = {k: _norm(user[k]) for k in axis_keys}
         start = time.perf_counter()
         try:
-            if cfg.mode == "steady":
-                rec = _steady_record(user, cfg.fock_dim)
-            elif cfg.mode == "periodic":
-                rec = _periodic_record(user, cfg.fock_dim, cfg.options)
-            elif cfg.mode == "roots":
-                rec = _roots_record(user, cfg.fock_dim)
-            else:
-                rows = _time_series_rows(user, cfg.fock_dim, cfg.options, axis_cols)
-                return rows, time.perf_counter() - start, ""
-            rec = {**axis_cols, **rec, "error": ""}
-            return [rec], time.perf_counter() - start, ""
+            recs = [{**axis_cols, **rec, "error": ""}
+                    for rec in mode.rows(user, cfg.fock_dim, options)]
+            return recs, time.perf_counter() - start, ""
         except Exception as exc:  # recorded in-band, never silently dropped
             message = f"{type(exc).__name__}: {exc}"
-            rec = dict(axis_cols)
-            rec["error"] = message
-            return [rec], time.perf_counter() - start, message
+            return [{**axis_cols, "error": message}], time.perf_counter() - start, message
 
     outcomes = [work(u) for u in points]
 
@@ -496,8 +527,10 @@ def convergence_check(cfg: ScenarioConfig, fock_dims, rel_tol: float = 1e-3) -> 
     fock_dims = sorted(fock_dims)
     if len(fock_dims) < 2:
         raise ConfigError("need at least two truncations to compare")
-    if cfg.mode == "roots":
-        raise ConfigError("roots scenarios have no truncation to converge")
+    state = _MODES[cfg.mode].state
+    if state is None:
+        raise ConfigError(f"{cfg.mode} scenarios have no truncation to converge")
+    options = _options(cfg)
 
     points = cfg.grid_points()
     n = len(points)
@@ -509,13 +542,7 @@ def convergence_check(cfg: ScenarioConfig, fock_dims, rel_tol: float = 1e-3) -> 
     for i in idxs:
         values = {}
         for nd in fock_dims:
-            p = _system_params(points[i], nd)
-            if cfg.mode == "periodic":
-                rho = _periodic_state(p, cfg.options)
-            elif cfg.mode == "time_series":
-                rho = _trajectory(p, cfg.options, 2).states[-1]
-            else:
-                rho, _ = _static_state(p)
+            rho = state(_system_params(points[i], nd), options)
             try:
                 values[nd] = g2_zero(rho)
             except UndefinedCorrelationError:
@@ -739,7 +766,7 @@ def parse_config(text: str) -> ScenarioConfig:
             params[key.split(".", 1)[1]] = convert(key, value, float)
         elif key.startswith("option."):
             opt = key.split(".", 1)[1]
-            kind = str if opt == "initial_state" else int if opt in _INT_OPTIONS else float
+            kind = type(_OPTIONS[opt].default) if opt in _OPTIONS else str
             options[opt] = convert(key, value, kind)
         elif key.startswith("sweep."):
             parts = key.split(".")

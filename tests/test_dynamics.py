@@ -327,19 +327,22 @@ class TestEvolve:
                 pass
             assert np.abs(state.matrix - unvec(v)).max() <= 1e-12
 
-    def test_trace_drift_is_reported(self, monkeypatch):
+    # a drift just above the 1e-9 trace tolerance is a TraceDriftError too,
+    # not the bare ValueError of DensityMatrix.validate
+    @pytest.mark.parametrize("leak", [1e-3, 1e-9])
+    def test_trace_drift_is_reported(self, monkeypatch, leak):
         import magnonblockade.dynamics as dynamics_mod
 
         def leaky(h, channels):
             liouv = build_liouvillian(h, channels)
-            return Liouvillian(matrix=liouv.matrix - 1e-3 * np.eye(liouv.dim),
+            return Liouvillian(matrix=liouv.matrix - leak * np.eye(liouv.dim),
                                hamiltonian=liouv.hamiltonian, channels=liouv.channels)
 
         monkeypatch.setattr(dynamics_mod, "build_liouvillian", leaky)
         p = fig2a_params(fock_dim=3)
         with pytest.raises(TraceDriftError) as err:
-            evolve(vacuum(p), p, np.linspace(0.0, 1.0 / p.kappa_m, 3))
-        assert err.value.drift > 1e-8
+            evolve(vacuum(p), p, np.linspace(0.0, 9.0 / p.kappa_m, 3))
+        assert err.value.drift > 1e-9
 
 
 class TestEvolveProperties:
@@ -353,6 +356,23 @@ class TestEvolveProperties:
         traj = evolve(rho0, p, np.array([0.0, t_end]))
         rho_ss = steady_state(build_liouvillian(build_h_eff(p), collapse_channels(p)))
         assert np.abs(traj.states[-1].matrix - rho_ss.matrix).max() <= 1e-8
+
+    @settings(max_examples=15, deadline=None)
+    @given(random_params(), st.integers(4, 5), st.floats(0.0, 0.5),
+           st.sampled_from(["vacuum", "g1", "random"]), st.integers(0, 2**32 - 1))
+    def test_propagated_states_stay_positive(self, p, n, g_rp_over_j, start, seed):
+        p = p.with_(fock_dim=n, g_rp=g_rp_over_j * p.J)
+        d = p.space.total_dim
+        if start == "random":
+            rho0 = random_density(np.random.default_rng(seed), d)
+        else:
+            rho0 = np.zeros((d, d), dtype=complex)
+            i = ("vacuum", "g1").index(start)  # |g,0> and |g,1>
+            rho0[i, i] = 1.0
+        t_end = 5.0 / min(p.kappa_m, p.kappa_q)
+        traj = evolve(DensityMatrix(rho0, p.space, True), p, np.linspace(0.0, t_end, 6))
+        for state in traj.states:
+            assert np.linalg.eigvalsh(state.matrix).min() >= -1e-9
 
 
 class TestEvolveAgainstAdaptiveIntegrator:

@@ -22,7 +22,7 @@ from magnonblockade.scenarios import (
     run_scenario,
 )
 from magnonblockade.observables import g2_zero
-from magnonblockade.scenarios import _initial_state, _system_params
+from magnonblockade.scenarios import _MODES, _initial_state, _system_params
 
 
 def small_fig3(num=5):
@@ -66,6 +66,21 @@ class TestConfigValidation:
     def test_integer_options(self, options):
         with pytest.raises(ConfigError, match="integer"):
             ScenarioConfig(name="x", mode="time_series", params={}, options=options)
+
+    @pytest.mark.parametrize("mode, options, match", [
+        ("time_series", {"steps_per_period": 64}, "do not read"),
+        ("steady", {"kappa_t_max": 5.0}, "do not read"),
+        ("periodic", {"initial_state": "g1"}, "do not read"),
+        ("roots", {"time_points": 11}, "do not read"),
+        ("time_series", {"kappa_t_max": 0.0}, "kappa_t_max must be"),
+        ("time_series", {"kappa_t_max": -1.0}, "kappa_t_max must be"),
+        ("time_series", {"kappa_t_max": math.nan}, "kappa_t_max must be"),
+        ("time_series", {"kappa_t_max": "30"}, "kappa_t_max must be"),
+        ("time_series", {"initial_state": "e0"}, "initial_state must be"),
+    ])
+    def test_option_errors(self, mode, options, match):
+        with pytest.raises(ConfigError, match=match):
+            ScenarioConfig(name="x", mode=mode, params={}, options=options)
 
     def test_paired_length_mismatch(self):
         with pytest.raises(ConfigError, match="paired"):
@@ -128,6 +143,10 @@ class TestBuiltInScenarios:
     def test_fig11_starts_from_single_magnon(self):
         cfg = get_scenario("fig11")
         assert cfg.options["initial_state"] == "g1"
+
+    def test_options_are_read_by_their_mode(self):
+        for cfg in built_in_scenarios():
+            assert set(cfg.options) <= _MODES[cfg.mode].options
 
     def test_grid_override_preserves_discrete_axes(self):
         cfg = get_scenario("fig3").with_grid(11)
@@ -213,6 +232,17 @@ sweep.axis2.values = 2.5 3.5
         )
         (row,) = run_scenario(undamped).rows
         assert row[-1].startswith("ValueError:") and "requires dissipation" in row[-1]
+
+    def test_steady_mode_rejects_longitudinal_coupling(self):
+        cfg = ScenarioConfig(
+            name="steady_grp", mode="steady", fock_dim=4,
+            params={"J_over_2pi_MHz": 35.0, "kappa_over_2pi_MHz": 0.5,
+                    "Omega_m_over_2pi_MHz": 0.033, "Omega_q_over_Omega_m": 3.0},
+            axes=(SweepAxis("params.g_rp_over_J", (0.0, 0.3)),),
+        )
+        errors = run_scenario(cfg).column("error")
+        assert errors[0] == ""
+        assert errors[1].startswith("ConfigError:") and "mode = periodic" in errors[1]
 
     def test_csv_round_trip(self):
         result = run_scenario(small_fig3())
@@ -480,6 +510,10 @@ sweep.axis1.paired.params.Omega_m_over_2pi_MHz = 0.021 0.033
         "scenario = x\nmode = time_series\noption.time_points = 0\n",
         "scenario = x\nmode = periodic\noption.steps_per_period = -5\n",
         "scenario = x\nmode = periodic\noption.steps_per_period = 0\n",
+        "scenario = x\nmode = time_series\noption.steps_per_period = 512\n",
+        "scenario = x\nmode = steady\noption.time_points = 5\n",
+        "scenario = x\nmode = time_series\noption.kappa_t_max = 0\n",
+        "scenario = x\nmode = time_series\noption.initial_state = e0\n",
     ])
     def test_parse_errors(self, bad):
         with pytest.raises(ConfigError):
@@ -548,6 +582,16 @@ sweep.axis1.values = 0 1
         code = cli_main(["converge", "fig2b", "--grid", "3", "--fock-dims", "4,6"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_converge_command_reports_a_failed_solve(self, tmp_path, capsys):
+        cfg = tmp_path / "undamped.cfg"
+        cfg.write_text("scenario = undamped\nmode = steady\n"
+                       "params.J_over_2pi_MHz = 20\nparams.kappa_over_2pi_MHz = 0\n"
+                       "params.Omega_m_over_2pi_MHz = 0.1\n")
+        assert cli_main(["converge", str(cfg), "--fock-dims", "3,4"]) == 2
+        err = capsys.readouterr().err
+        assert "DegenerateKernelError" in err
+        assert "Traceback" not in err
 
     def test_converge_command_fails_on_undefined_g2(self, tmp_path, capsys):
         cfg = tmp_path / "undriven.cfg"
