@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams
+from .model import SystemParams, build_h_nonhermitian
 
 __all__ = [
     "AmplitudeSet",
@@ -87,7 +87,8 @@ def steady_amplitudes_closed(J: float, kappa: float, Omega_m: float,
 
 
 def steady_amplitudes_general(p: SystemParams) -> AmplitudeSet:
-    """Steady amplitudes for arbitrary Delta_plus by solving the 4x4 linear system.
+    """Steady amplitudes for arbitrary Delta_plus from H_nh psi = 0 with C_g0 = 1, the
+    4x4 system of ``build_h_nonhermitian`` on the ansatz states.
 
     The ansatz assumes resonance (Delta_minus = 0) and a single decay rate
     kappa_m = kappa_q > 0.
@@ -96,20 +97,14 @@ def steady_amplitudes_general(p: SystemParams) -> AmplitudeSet:
         raise ValueError("amplitude model requires kappa_m = kappa_q > 0")
     if abs(p.Delta_minus) > 1e-9 * max(1.0, abs(p.Delta_plus)):
         raise ValueError(f"amplitude model requires Delta_minus = 0, got {p.Delta_minus}")
-    J, kappa = p.J, p.kappa_m
-    om, oq = p.Omega_m, p.Omega_q
-    z = p.Delta_plus - 0.5j * kappa
-    s2 = math.sqrt(2.0)
-    # unknowns ordered (C_e0, C_g1, C_e1, C_g2); C_g0 = 1
-    mat = np.array([
-        [z, J, 0.0, 0.0],
-        [J, z, 0.0, 0.0],
-        [om, oq, 2.0 * z, s2 * J],
-        [0.0, s2 * om, s2 * J, 2.0 * z],
-    ], dtype=complex)
-    rhs = np.array([-oq, -om, 0.0, 0.0], dtype=complex)
+    n = p.fock_dim
+    ansatz = [0, n, 1, n + 1, 2]  # |g0>, |e0>, |g1>, |e1>, |g2> at index q*N + n
+    excitations = np.array([0, 1, 1, 2, 2])
+    h = build_h_nonhermitian(p)[np.ix_(ansatz, ansatz)]
+    # weak drive: a state is fed only by states with no more excitations
+    h = np.where(excitations <= excitations[:, None], h, 0.0)
     try:
-        sol = np.linalg.solve(mat, rhs)
+        sol = np.linalg.solve(h[1:, 1:], -h[1:, 0])
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"amplitude system is singular: {exc}") from exc
     return AmplitudeSet(c_g0=1.0 + 0.0j, c_e0=sol[0], c_g1=sol[1],

@@ -58,7 +58,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_converge(args) -> int:
     cfg = _load_config(args.target, args.grid, None)
-    dims = [int(v) for v in args.fock_dims.split(",")]
+    try:
+        dims = [int(v) for v in args.fock_dims.split(",")]
+    except ValueError:
+        raise ConfigError(f"--fock-dims must be comma-separated integers, "
+                          f"got {args.fock_dims!r}") from None
     try:
         report = convergence_check(cfg, dims)
     except ConfigError:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import _TRACE_TOL, DensityMatrix, dagger
-from .model import SystemParams, _longitudinal_operator, build_h_eff, collapse_channels
+from .model import SystemParams, _longitudinal_operator, _nonhermitian, build_h_eff, collapse_channels
 
 __all__ = [
     "Liouvillian",
@@ -98,31 +98,28 @@ class Trajectory:
     trace_drift: float
 
 
-def _commutator_super(a: np.ndarray) -> np.ndarray:
-    """Superoperator of -i[a, .] in column-stacking convention."""
-    d = a.shape[0]
-    eye = np.eye(d, dtype=complex)
-    return -1j * (np.kron(eye, a) - np.kron(a.T, eye))
+def _two_sided_super(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Superoperator of rho -> left rho + rho right in column-stacking convention."""
+    eye = np.eye(left.shape[0], dtype=complex)
+    return np.kron(eye, left) + np.kron(right.T, eye)
 
 
 def build_liouvillian(h: np.ndarray, channels) -> Liouvillian:
-    """Assemble L with L vec(rho) = vec(-i[H,rho] + sum (g/2)(2 C rho C' - {C'C, rho}))."""
+    """Assemble L with L vec(rho) = vec(K rho + rho K' + sum g C rho C') = vec(-i[H,rho]
+    + sum (g/2)(2 C rho C' - {C'C, rho})), where K = -i ``model._nonhermitian``."""
     d = h.shape[0]
     if h.shape != (d, d):
         raise ValueError(f"Hamiltonian must be square, got {h.shape}")
     herm = np.abs(h - h.conj().T).max()
     if herm > 1e-9 * max(1.0, np.abs(h).max()):
         raise ValueError(f"Hamiltonian not Hermitian: max deviation {herm:.3e}")
-    eye = np.eye(d, dtype=complex)
-    lmat = _commutator_super(h)
-    for rate, c in channels:
+    for _, c in channels:
         if c.shape != (d, d):
             raise ValueError(f"channel operator shape {c.shape} does not match H {h.shape}")
-        cd = dagger(c)
-        cdc = cd @ c
-        lmat = lmat + (rate / 2.0) * (
-            2.0 * np.kron(c.conj(), c) - np.kron(eye, cdc) - np.kron(cdc.T, eye)
-        )
+    k = -1j * _nonhermitian(h, channels)
+    lmat = _two_sided_super(k, dagger(k))
+    for rate, c in channels:
+        lmat += rate * np.kron(c.conj(), c)
     return Liouvillian(matrix=lmat, hamiltonian=h, channels=tuple(channels))
 
 
@@ -242,10 +239,11 @@ def steady_state(liouv: Liouvillian, *, space=None, composite: bool = True) -> D
 
 def _split_periodic_liouvillian(p: SystemParams):
     """Static Liouvillian plus the e^{-iwt}/e^{+iwt} commutator parts of the
-    longitudinal coupling."""
-    l0 = build_liouvillian(build_h_eff(p), collapse_channels(p))
+    longitudinal coupling, where -i[a, rho] = (-i a) rho + rho (i a)."""
+    liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
     a = p.g_rp * _longitudinal_operator(p.space)
-    return l0.matrix, _commutator_super(a), _commutator_super(dagger(a)), p.omega_drive
+    l1, l2 = (_two_sided_super(-1j * x, 1j * x) for x in (a, dagger(a)))
+    return liouv, l1, l2, p.omega_drive
 
 
 def _max_step(p: SystemParams, h0: np.ndarray) -> float:
@@ -287,16 +285,15 @@ def _one_period_maps(p: SystemParams, steps_per_period: int = 64):
     phase 0. A period takes ``steps_per_period`` steps, at least 50, and no
     step exceeds ``_max_step``.
     """
-    l0, l1, l2, omega = _split_periodic_liouvillian(p)
+    liouv, l1, l2, omega = _split_periodic_liouvillian(p)
     period = 2.0 * math.pi / omega
-    n_sub = max(steps_per_period, 50,
-                math.ceil(period / _max_step(p, build_h_eff(p))))
+    n_sub = max(steps_per_period, 50, math.ceil(period / _max_step(p, liouv.hamiltonian)))
 
     def rhs(t, v):
-        return (l0 + np.exp(-1j * omega * t) * l1 + np.exp(1j * omega * t) * l2) @ v
+        return (liouv.matrix + np.exp(-1j * omega * t) * l1 + np.exp(1j * omega * t) * l2) @ v
 
-    avg = np.zeros_like(l0)
-    for prop in _rk4_steps(rhs, np.eye(l0.shape[0], dtype=complex), 0.0, period, n_sub):
+    avg = np.zeros_like(liouv.matrix)
+    for prop in _rk4_steps(rhs, np.eye(liouv.dim, dtype=complex), 0.0, period, n_sub):
         avg += prop
     return prop, avg / n_sub, period, period / n_sub
 

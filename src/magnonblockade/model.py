@@ -160,18 +160,18 @@ def build_h_longitudinal(p: SystemParams, t: float) -> np.ndarray:
     return h + p.g_rp * (phase * a + np.conj(phase) * dagger(a))
 
 
-def build_h_nonhermitian(p: SystemParams) -> np.ndarray:
-    """Effective non-Hermitian Hamiltonian H_eff - i kappa (sigma+sigma- + m'm)/2.
+def _nonhermitian(h: np.ndarray, channels) -> np.ndarray:
+    """H - (i/2) sum gamma C'C for channels [(gamma, C), ...], the no-jump part of the
+    master equation drho/dt = K rho + rho K' + sum gamma C rho C' with K = -i times it."""
+    k = h.astype(complex)
+    for rate, c in channels:
+        k -= 0.5j * rate * (dagger(c) @ c)
+    return k
 
-    Requires a single decay rate kappa_m = kappa_q.
-    """
-    if not math.isclose(p.kappa_m, p.kappa_q, rel_tol=1e-12, abs_tol=0.0):
-        raise ValueError(
-            f"non-Hermitian model assumes kappa_m = kappa_q, got {p.kappa_m} != {p.kappa_q}"
-        )
-    m, sm = _mode_operators(p.space)
-    number = dagger(sm) @ sm + dagger(m) @ m
-    return build_h_eff(p) - 0.5j * p.kappa_m * number
+
+def build_h_nonhermitian(p: SystemParams) -> np.ndarray:
+    """``_nonhermitian`` of ``build_h_eff(p)`` and ``collapse_channels(p)``, for any rates."""
+    return _nonhermitian(build_h_eff(p), collapse_channels(p))
 
 
 def collapse_channels(p: SystemParams) -> list[tuple[float, np.ndarray]]:

@@ -83,6 +83,13 @@ _OPTIONS = {
 _OPTION_TYPES = {int: numbers.Integral, float: numbers.Real, str: str}
 
 
+def _check_finite(name: str, values) -> None:
+    """Reject a value that would reach the solver as nan or inf."""
+    for v in values:
+        if not (isinstance(v, numbers.Real) and math.isfinite(v)):
+            raise ConfigError(f"{name} must be a finite number, got {v!r}")
+
+
 def _norm(x: float) -> float:
     """Round-trip floats through the CSV format so emitted and parsed results
     compare equal."""
@@ -103,17 +110,17 @@ class SweepAxis:
     paired: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        key = self.path.split(".", 1)
-        if len(key) != 2 or key[0] != "params" or key[1] not in _PARAM_KEYS:
-            raise ConfigError(f"unknown sweep parameter path {self.path!r}")
-        for p in self.paired:
-            k = p.split(".", 1)
-            if len(k) != 2 or k[0] != "params" or k[1] not in _PARAM_KEYS:
-                raise ConfigError(f"unknown paired parameter path {p!r}")
-            if len(self.paired[p]) != len(self.values):
+        if not self.values:
+            raise ConfigError(f"sweep axis {self.path!r} has no values")
+        for path, values in ((self.path, self.values), *self.paired.items()):
+            key = path.split(".", 1)
+            if len(key) != 2 or key[0] != "params" or key[1] not in _PARAM_KEYS:
+                raise ConfigError(f"unknown sweep parameter path {path!r}")
+            if len(values) != len(self.values):
                 raise ConfigError(
-                    f"paired values for {p!r} must match axis length {len(self.values)}"
+                    f"paired values for {path!r} must match axis length {len(self.values)}"
                 )
+            _check_finite(path, values)
 
     @property
     def key(self) -> str:
@@ -122,6 +129,9 @@ class SweepAxis:
     @classmethod
     def from_linspace(cls, path: str, start: float, stop: float, num: int,
                       paired: dict | None = None) -> "SweepAxis":
+        if num < 1:
+            raise ConfigError(f"sweep axis {path!r} needs at least 1 point, got {num}")
+        _check_finite(path, (start, stop))
         vals = tuple(float(v) for v in np.linspace(start, stop, num))
         return cls(path=path, values=vals, linspace=(start, stop), paired=paired or {})
 
@@ -150,9 +160,14 @@ class ScenarioConfig:
             raise ConfigError(f"at most 2 sweep axes supported, got {len(self.axes)}")
         if self.mode == "time_series" and len(self.axes) > 1:
             raise ConfigError("time_series scenarios allow at most one parameter axis")
-        for key in self.params:
+        for key, value in self.params.items():
             if key not in _PARAM_KEYS:
                 raise ConfigError(f"unknown parameter key {key!r}")
+            _check_finite(f"params.{key}", (value,))
+        swept = [path for ax in self.axes for path in (ax.path, *ax.paired)]
+        for path in swept:
+            if swept.count(path) > 1:
+                raise ConfigError(f"{path} is swept by more than one axis or paired path")
         for key, value in self.options.items():
             if key not in _OPTIONS:
                 raise ConfigError(f"unknown option key {key!r}")
@@ -175,26 +190,14 @@ class ScenarioConfig:
         return replace(self, axes=tuple(ax.with_num(num) for ax in self.axes))
 
     def grid_points(self) -> list[dict]:
-        """Resolved user-unit parameter dicts, one per grid point, in grid order."""
-        points = []
-        if not self.axes:
-            return [dict(self.params)]
-        ax = self.axes[0]
-        inner = self.axes[1] if len(self.axes) > 1 else None
-        for i, v in enumerate(ax.values):
-            base = dict(self.params)
-            base[ax.key] = float(v)
-            for p, vals in ax.paired.items():
-                base[p.split(".", 1)[1]] = float(vals[i])
-            if inner is None:
-                points.append(base)
-                continue
-            for j, w in enumerate(inner.values):
-                u = dict(base)
-                u[inner.key] = float(w)
-                for p, vals in inner.paired.items():
-                    u[p.split(".", 1)[1]] = float(vals[j])
-                points.append(u)
+        """Resolved user-unit parameter dicts, one per grid point, in grid order
+        (first axis outermost)."""
+        points = [dict(self.params)]
+        for ax in self.axes:
+            keys = [path.split(".", 1)[1] for path in (ax.path, *ax.paired)]
+            rows = [dict(zip(keys, map(float, row)))
+                    for row in zip(ax.values, *ax.paired.values())]
+            points = [{**u, **row} for u in points for row in rows]
         return points
 
 
@@ -525,8 +528,8 @@ def convergence_check(cfg: ScenarioConfig, fock_dims, rel_tol: float = 1e-3) -> 
     magnon population) is recorded as nan with an infinite change and fails.
     """
     fock_dims = sorted(fock_dims)
-    if len(fock_dims) < 2:
-        raise ConfigError("need at least two truncations to compare")
+    if len(fock_dims) < 2 or len(set(fock_dims)) < len(fock_dims) or fock_dims[0] < 3:
+        raise ConfigError(f"need at least two distinct truncations >= 3, got {fock_dims}")
     state = _MODES[cfg.mode].state
     if state is None:
         raise ConfigError(f"{cfg.mode} scenarios have no truncation to converge")

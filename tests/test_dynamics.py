@@ -25,7 +25,7 @@ from magnonblockade.hilbert import (
     fock_annihilation,
 )
 from magnonblockade.model import MHZ, SystemParams, build_h_eff, collapse_channels
-from magnonblockade.observables import g2_zero
+from magnonblockade.observables import g2_zero, populations
 
 FIG2A = dict(J=20.0 * MHZ, Delta_plus=20.0 * MHZ, Omega_m=0.1 * MHZ,
              Omega_q=0.1 * MHZ, kappa_m=1.0 * MHZ, kappa_q=1.0 * MHZ)
@@ -185,6 +185,26 @@ class TestSteadyState:
             Omega_q=0.015 * MHZ, kappa_m=0.179 * MHZ, kappa_q=0.179 * MHZ)
         rho = steady_state(build_liouvillian(build_h_eff(p), collapse_channels(p)))
         assert math.log10(g2_zero(rho)) == pytest.approx(-9.15244830397511, abs=1e-8)
+
+    def test_fig8a_thermal_point_matches_extended_precision(self):
+        """fig8a point with three channels: J/2pi = 35 MHz, kappa/2pi = 0.5 MHz,
+        Omega_m/2pi = 0.033 MHz, Omega_q/Omega_m = 3, Delta_plus = J, m_th = 1e-6,
+        N = 6. The heating channel moves log10 g2 from -7.313 (m_th = 0).
+
+        Reference: mpmath at dps = 40, with L = -i(I kron H - H^T kron I)
+        + sum (g/2)(2 conj(C) kron C - I kron C'C - (C'C)^T kron I) assembled
+        term by term in that precision from the double-precision H and C of
+        ``build_h_eff`` and ``collapse_channels``, then lu_solve with row 0
+        replaced by the trace row and right-hand side e_0.
+        """
+        p = SystemParams.from_detunings(
+            J=35.0 * MHZ, Delta_plus=35.0 * MHZ, Omega_m=0.033 * MHZ,
+            Omega_q=3 * 0.033 * MHZ, kappa_m=0.5 * MHZ, kappa_q=0.5 * MHZ, m_th=1e-6)
+        channels = collapse_channels(p)
+        assert len(channels) == 3
+        rho = steady_state(build_liouvillian(build_h_eff(p), channels))
+        assert math.log10(g2_zero(rho)) == pytest.approx(-4.035412163808222022, abs=1e-10)
+        assert populations(rho)[1] == pytest.approx(0.016289207180167294872, rel=1e-10)
 
     def test_svd_not_used_on_a_regular_point(self, monkeypatch):
         p = fig2a_params()
@@ -384,7 +404,8 @@ class TestEvolveAgainstAdaptiveIntegrator:
 
         from magnonblockade.dynamics import _split_periodic_liouvillian
 
-        l0, l1, l2, omega = _split_periodic_liouvillian(p)
+        liouv, l1, l2, omega = _split_periodic_liouvillian(p)
+        l0 = liouv.matrix
 
         def rhs(t, v):
             out = l0 @ v
@@ -437,7 +458,8 @@ class TestEvolveAgainstAdaptiveIntegrator:
             J=35.0 * MHZ, Delta_plus=35.0 * MHZ, Omega_m=0.033 * MHZ,
             Omega_q=0.099 * MHZ, kappa_m=0.5 * MHZ, kappa_q=0.5 * MHZ,
             omega_drive=1500.0 * MHZ, g_rp=7.0 * MHZ)
-        l0, l1, l2, omega = _split_periodic_liouvillian(p)
+        liouv, l1, l2, omega = _split_periodic_liouvillian(p)
+        l0 = liouv.matrix
         for t in (0.0, 1.7e-4, 5.3e-4):
             split = l0 + np.exp(-1j * omega * t) * l1 + np.exp(1j * omega * t) * l2
             direct = build_liouvillian(build_h_longitudinal(p, t),
@@ -481,10 +503,10 @@ class TestSteadyStatePeriodic:
         so the period average rho_0 spans the kernel of L0 + L1 S_1 + L2 T_-1.
         """
         from magnonblockade.dynamics import _split_periodic_liouvillian
-        from magnonblockade.observables import populations
 
         p = SystemParams.from_detunings(**{**OPT, "fock_dim": 4}, g_rp=0.3 * 35.0 * MHZ)
-        l0, l1, l2, omega = _split_periodic_liouvillian(p)
+        liouv, l1, l2, omega = _split_periodic_liouvillian(p)
+        l0 = liouv.matrix
         eye = np.eye(l0.shape[0])
         s_next = t_prev = np.zeros_like(l0)
         for k in range(8, 0, -1):
@@ -512,7 +534,8 @@ class TestPeriodicGeneratorProperties:
         from magnonblockade.dynamics import _rk4_steps, _split_periodic_liouvillian
 
         p = p.with_(g_rp=g_rp_mhz * MHZ, fock_dim=n)
-        l0, l1, l2, omega = _split_periodic_liouvillian(p)
+        liouv, l1, l2, omega = _split_periodic_liouvillian(p)
+        l0 = liouv.matrix
         d = p.space.total_dim
         trace_row = vec(np.eye(d))
         for part in (l0, l1, l2):

@@ -155,10 +155,18 @@ class TestBuildHNonHermitian:
             evals = np.linalg.eigvals(build_h_nonhermitian(p))
             assert np.all(evals.imag <= 1e-10)
 
-    def test_rejects_unequal_kappas(self):
-        p = params(kappa_q=0.5 * MHZ)
-        with pytest.raises(ValueError, match="kappa"):
-            build_h_nonhermitian(p)
+    def test_anti_hermitian_part_is_half_the_decay(self):
+        # unequal rates and a heating channel: -(1/2) sum gamma C'C with
+        # C = m at kappa_m (m_th + 1), m' at kappa_m m_th and sigma- at kappa_q
+        p = params(kappa_q=0.4 * MHZ, m_th=0.3)
+        space = p.space
+        m = embed_magnon(fock_annihilation(space), space)
+        sm = embed_qubit(qubit_lowering(), space)
+        decay = (p.kappa_m * (p.m_th + 1.0) * dagger(m) @ m
+                 + p.kappa_m * p.m_th * m @ dagger(m) + p.kappa_q * dagger(sm) @ sm)
+        h = build_h_nonhermitian(p)
+        assert np.abs((h - dagger(h)) / 2j + decay / 2.0).max() <= 1e-12 * p.kappa_m
+        assert np.abs((h + dagger(h)) / 2.0 - build_h_eff(p)).max() <= 1e-12 * p.J
 
 
 class TestCollapseChannels:

@@ -514,10 +514,33 @@ sweep.axis1.paired.params.Omega_m_over_2pi_MHz = 0.021 0.033
         "scenario = x\nmode = steady\noption.time_points = 5\n",
         "scenario = x\nmode = time_series\noption.kappa_t_max = 0\n",
         "scenario = x\nmode = time_series\noption.initial_state = e0\n",
+        # an axis with no values
+        "scenario = x\nmode = steady\nsweep.a.path = params.m_th\nsweep.a.linspace = 0 1 0\n",
+        "scenario = x\nmode = steady\nsweep.a.path = params.m_th\nsweep.a.linspace = 0 1 -3\n",
+        "scenario = x\nmode = steady\nsweep.a.path = params.m_th\nsweep.a.values =\n",
+        # one parameter swept twice
+        "scenario = x\nmode = steady\nsweep.a.path = params.J_over_2pi_MHz\n"
+        "sweep.a.values = 10 20\nsweep.b.path = params.J_over_2pi_MHz\nsweep.b.values = 30\n",
+        "scenario = x\nmode = steady\nsweep.a.path = params.J_over_2pi_MHz\n"
+        "sweep.a.values = 10 20\nsweep.a.paired.params.J_over_2pi_MHz = 30 40\n",
+        "scenario = x\nmode = steady\nsweep.a.path = params.J_over_2pi_MHz\n"
+        "sweep.a.values = 10 20\nsweep.a.paired.params.m_th = 0 1e-6\n"
+        "sweep.b.path = params.m_th\nsweep.b.values = 0\n",
+        # non-finite values
+        "scenario = x\nmode = steady\nparams.J_over_2pi_MHz = nan\n",
+        "scenario = x\nmode = steady\nparams.m_th = inf\n",
+        "scenario = x\nmode = steady\nsweep.a.path = params.m_th\nsweep.a.values = 0 nan\n",
+        "scenario = x\nmode = steady\nsweep.a.path = params.m_th\nsweep.a.linspace = 0 inf 3\n",
+        "scenario = x\nmode = steady\nsweep.a.path = params.J_over_2pi_MHz\n"
+        "sweep.a.values = 10 20\nsweep.a.paired.params.m_th = 0 -inf\n",
     ])
     def test_parse_errors(self, bad):
         with pytest.raises(ConfigError):
             parse_config(bad)
+
+    def test_non_finite_value_names_its_key(self):
+        with pytest.raises(ConfigError, match=r"params\.kappa_over_2pi_MHz must be a finite"):
+            parse_config("scenario = x\nmode = steady\nparams.kappa_over_2pi_MHz = nan\n")
 
     def test_bad_value_names_its_line(self):
         with pytest.raises(ConfigError, match=r"line 4: .*'abc'.*params\.J_over_2pi_MHz"):
@@ -582,6 +605,22 @@ sweep.axis1.values = 0 1
         code = cli_main(["converge", "fig2b", "--grid", "3", "--fock-dims", "4,6"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["converge", "fig2b", "--grid", "3", "--fock-dims", "4,x"],
+        ["converge", "fig2b", "--grid", "3", "--fock-dims", "2,4"],
+        ["converge", "fig2b", "--grid", "3", "--fock-dims", "4,4"],
+        ["converge", "fig2b", "--grid", "0"],
+        ["run", "fig2b", "--grid", "0"],
+        ["run", "fig2b", "--grid", "-3"],
+    ])
+    def test_bad_arguments_are_config_errors(self, argv, tmp_path, capsys):
+        if argv[0] == "run":
+            argv = [*argv, "--out", str(tmp_path / "out.csv")]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "Traceback" not in err
 
     def test_converge_command_reports_a_failed_solve(self, tmp_path, capsys):
         cfg = tmp_path / "undamped.cfg"
