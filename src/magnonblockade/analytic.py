@@ -284,7 +284,11 @@ def _ferrari_pair(y: float, b: float, c: float, d: float, f: float):
     return l1, l2
 
 
-def derivative_roots(r: float, residual_tol: float = 1e-8) -> RootPair:
+# the largest accepted |quartic(l)| of a radical root
+_ROOT_RESIDUAL_TOL = 1e-8
+
+
+def derivative_roots(r: float) -> RootPair:
     """Stationary points l1, l2 of the dimensionless correlation in radicals.
 
     Both roots are verified by back-substitution into the quartic; on failure
@@ -295,11 +299,11 @@ def derivative_roots(r: float, residual_tol: float = 1e-8) -> RootPair:
     candidates = _radical_root_candidates(r)
     if candidates:
         l1, l2, res = min(candidates, key=lambda cand: cand[2])
-        if res <= residual_tol:
+        if res <= _ROOT_RESIDUAL_TOL:
             return RootPair(l1=l1, l2=l2, r=r)
         numeric = derivative_roots_numeric(r)
         warnings.warn(
-            f"radical roots at r={r} have residual {res:.3e} > {residual_tol:.0e}; "
+            f"radical roots at r={r} have residual {res:.3e} > {_ROOT_RESIDUAL_TOL:.0e}; "
             f"radical ({l1:.12g}, {l2:.12g}) vs companion "
             f"({numeric.l1:.12g}, {numeric.l2:.12g}); using companion roots",
             RadicalRootWarning,

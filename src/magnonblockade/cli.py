@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .scenarios import (
     ConfigError,
@@ -19,6 +20,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 
+_GRID_HELP = "points on each linspace axis (a config error if the scenario has none)"
+
 
 def _load_config(target: str, grid: int | None, fock_dim: int | None):
     if os.path.exists(target):
@@ -29,7 +32,7 @@ def _load_config(target: str, grid: int | None, fock_dim: int | None):
     if grid is not None:
         cfg = cfg.with_grid(grid)
     if fock_dim is not None:
-        cfg = cfg.with_fock_dim(fock_dim)
+        cfg = replace(cfg, fock_dim=fock_dim)
     return cfg
 
 
@@ -89,7 +92,7 @@ def main(argv=None) -> int:
     run_p.add_argument("target", help="scenario name or path to a config file")
     run_p.add_argument("--out", help="output CSV path (default <scenario>.csv)")
     run_p.add_argument("--fock-dim", type=int, help="override the Fock truncation")
-    run_p.add_argument("--grid", type=int, help="override linspace axis density")
+    run_p.add_argument("--grid", type=int, help=_GRID_HELP)
     run_p.add_argument("--strict", action="store_true",
                        help="exit with status 2 if any grid point fails")
 
@@ -97,7 +100,7 @@ def main(argv=None) -> int:
     conv_p.add_argument("target", help="scenario name or path to a config file")
     conv_p.add_argument("--fock-dims", default="4,6,8",
                         help="comma-separated truncations to compare")
-    conv_p.add_argument("--grid", type=int, help="override linspace axis density")
+    conv_p.add_argument("--grid", type=int, help=_GRID_HELP)
 
     args = parser.parse_args(argv)
     try:

@@ -282,12 +282,12 @@ def _one_period_maps(p: SystemParams, steps_per_period: int = 64):
 
     A is the mean of the propagators at the RK4 samples t = h, 2h, ..., T, so
     A v is the period average of the trajectory that starts from v at drive
-    phase 0. A period takes ``steps_per_period`` steps, at least 50, and no
-    step exceeds ``_max_step``.
+    phase 0. A period takes ``steps_per_period`` steps, or more where a step
+    would exceed ``_max_step``.
     """
     liouv, l1, l2, omega = _split_periodic_liouvillian(p)
     period = 2.0 * math.pi / omega
-    n_sub = max(steps_per_period, 50, math.ceil(period / _max_step(p, liouv.hamiltonian)))
+    n_sub = max(steps_per_period, math.ceil(period / _max_step(p, liouv.hamiltonian)))
 
     def rhs(t, v):
         return (liouv.matrix + np.exp(-1j * omega * t) * l1 + np.exp(1j * omega * t) * l2) @ v

@@ -8,7 +8,7 @@ values convert via ``2*pi``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,9 +108,6 @@ class SystemParams:
             kappa_m=kappa_m, kappa_q=kappa_q,
             g_rp=g_rp, m_th=m_th, fock_dim=fock_dim,
         )
-
-    def with_(self, **kwargs) -> "SystemParams":
-        return replace(self, **kwargs)
 
 
 def _mode_operators(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:

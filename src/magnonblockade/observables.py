@@ -39,9 +39,12 @@ def partial_trace_qubit(rho: DensityMatrix) -> DensityMatrix:
 
 
 def populations(rho: DensityMatrix) -> np.ndarray:
-    """Fock populations P[n] = <n|rho_m|n> of the magnon mode."""
-    rm = partial_trace_qubit(rho) if rho.composite else rho
-    return np.diag(rm.matrix).real.copy()
+    """Fock populations P[n] = <n|rho_m|n> of the magnon mode: the diagonal of
+    rho, summed over the qubit for a composite state."""
+    diag = np.diag(rho.matrix).real
+    if rho.composite:
+        return diag.reshape(2, rho.space.fock_dim).sum(axis=0)
+    return diag.copy()
 
 
 def _magnon_moments(rho: DensityMatrix) -> tuple[float, float]:

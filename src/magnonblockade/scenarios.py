@@ -43,23 +43,29 @@ class ConfigError(ValueError):
     """Invalid scenario configuration."""
 
 
+# parameter key -> the model quantities it sets. A config sets each quantity
+# at most once: in params, on an axis or on a paired path.
 _PARAM_KEYS = {
-    "J_over_2pi_MHz",
-    "kappa_over_2pi_MHz",
-    "kappa_m_over_2pi_MHz",
-    "kappa_q_over_2pi_MHz",
-    "Omega_m_over_2pi_MHz",
-    "Omega_m_power_uW",
-    "Omega_q_over_Omega_m",
-    "Omega_q_over_2pi_MHz",
-    "Delta_plus_over_J",
-    "Delta_minus_over_Delta_plus",
-    "drive_freq_over_2pi_MHz",
-    "g_rp_over_J",
-    "m_th",
-    "T_mK",
-    "r_kappa_over_J",
+    "J_over_2pi_MHz": ("J",),
+    "kappa_over_2pi_MHz": ("kappa_m", "kappa_q"),
+    "kappa_m_over_2pi_MHz": ("kappa_m",),
+    "kappa_q_over_2pi_MHz": ("kappa_q",),
+    "Omega_m_over_2pi_MHz": ("Omega_m",),
+    "Omega_m_power_uW": ("Omega_m",),
+    "Omega_q_over_Omega_m": ("Omega_q",),
+    "Omega_q_over_2pi_MHz": ("Omega_q",),
+    "Delta_plus_over_J": ("Delta_plus",),
+    "Delta_minus_over_Delta_plus": ("Delta_minus",),
+    "drive_freq_over_2pi_MHz": ("omega_drive",),
+    "g_rp_over_J": ("g_rp",),
+    "m_th": ("m_th",),
+    "T_mK": ("m_th",),
+    "r_kappa_over_J": ("r",),
 }
+
+# the quantities a solve takes from the config; r = kappa/J is read by roots mode only
+_SYSTEM_QUANTITIES = frozenset({"J", "kappa_m", "kappa_q", "Omega_m", "Omega_q", "Delta_plus",
+                                "Delta_minus", "omega_drive", "g_rp", "m_th"})
 
 # initial-state name -> basis index i = q*N + n of the pure state it names
 _INITIAL_STATES = {"vacuum": 0, "g1": 1}
@@ -164,10 +170,20 @@ class ScenarioConfig:
             if key not in _PARAM_KEYS:
                 raise ConfigError(f"unknown parameter key {key!r}")
             _check_finite(f"params.{key}", (value,))
-        swept = [path for ax in self.axes for path in (ax.path, *ax.paired)]
-        for path in swept:
-            if swept.count(path) > 1:
-                raise ConfigError(f"{path} is swept by more than one axis or paired path")
+        given = [(f"params.{key}", key) for key in self.params]
+        given += [(f"{kind} {path}", path.split(".", 1)[1]) for ax in self.axes
+                  for kind, path in (("axis", ax.path), *(("paired", p) for p in ax.paired))]
+        unread = [setting for setting, key in given
+                  if not mode.quantities.issuperset(_PARAM_KEYS[key])]
+        if unread:
+            raise ConfigError(f"{self.mode} scenarios do not read {', '.join(unread)}")
+        setters: dict[str, list] = {}
+        for setting, key in given:
+            for quantity in _PARAM_KEYS[key]:
+                setters.setdefault(quantity, []).append(setting)
+        for quantity, settings in setters.items():
+            if len(settings) > 1:
+                raise ConfigError(f"{quantity} is set by {' and by '.join(settings)}")
         for key, value in self.options.items():
             if key not in _OPTIONS:
                 raise ConfigError(f"unknown option key {key!r}")
@@ -182,11 +198,11 @@ class ScenarioConfig:
         if self.fock_dim < 3:
             raise ConfigError(f"fock_dim must be >= 3, got {self.fock_dim}")
 
-    def with_fock_dim(self, n: int) -> "ScenarioConfig":
-        return replace(self, fock_dim=n)
-
     def with_grid(self, num: int) -> "ScenarioConfig":
-        """Re-densify every linspace-style axis to ``num`` points."""
+        """Re-densify every linspace-style axis to ``num`` points; a config
+        without one is a ConfigError."""
+        if all(ax.linspace is None for ax in self.axes):
+            raise ConfigError(f"{self.name} has no linspace axis to re-densify")
         return replace(self, axes=tuple(ax.with_num(num) for ax in self.axes))
 
     def grid_points(self) -> list[dict]:
@@ -202,27 +218,27 @@ class ScenarioConfig:
 
 
 def _system_params(user: dict, fock_dim: int) -> SystemParams:
-    """Resolve a user-unit parameter dict into internal SystemParams."""
+    """Resolve a user-unit parameter dict into internal SystemParams. A key
+    left over, such as a second key for a quantity already set, is a
+    ConfigError."""
     u = dict(user)
-    u.pop("r_kappa_over_J", None)
     try:
         j_mhz = u.pop("J_over_2pi_MHz")
     except KeyError:
         raise ConfigError("J_over_2pi_MHz is required") from None
     J = j_mhz * MHZ
-    kappa_common = u.pop("kappa_over_2pi_MHz", None)
-    kappa_m = u.pop("kappa_m_over_2pi_MHz", kappa_common)
-    kappa_q = u.pop("kappa_q_over_2pi_MHz", kappa_common)
-    if kappa_m is None or kappa_q is None:
+    if "kappa_over_2pi_MHz" in u:
+        kappa_m = kappa_q = u.pop("kappa_over_2pi_MHz")
+    elif "kappa_m_over_2pi_MHz" in u and "kappa_q_over_2pi_MHz" in u:
+        kappa_m, kappa_q = u.pop("kappa_m_over_2pi_MHz"), u.pop("kappa_q_over_2pi_MHz")
+    else:
         raise ConfigError("kappa_over_2pi_MHz (or the _m/_q pair) is required")
     if "Omega_m_power_uW" in u:
         Omega_m = rabi_from_power(u.pop("Omega_m_power_uW") * 1e-3)
-        u.pop("Omega_m_over_2pi_MHz", None)
     else:
         Omega_m = u.pop("Omega_m_over_2pi_MHz", 0.0) * MHZ
     if "Omega_q_over_2pi_MHz" in u:
         Omega_q = u.pop("Omega_q_over_2pi_MHz") * MHZ
-        u.pop("Omega_q_over_Omega_m", None)
     else:
         Omega_q = u.pop("Omega_q_over_Omega_m", 0.0) * Omega_m
     delta_plus = u.pop("Delta_plus_over_J", 1.0) * J
@@ -232,7 +248,6 @@ def _system_params(user: dict, fock_dim: int) -> SystemParams:
     if "T_mK" in u:
         omega_m_abs = omega_drive + delta_plus + delta_minus
         m_th = thermal_occupation(omega_m_abs, u.pop("T_mK") * 1e-3)
-        u.pop("m_th", None)
     else:
         m_th = u.pop("m_th", 0.0)
     if u:
@@ -374,6 +389,7 @@ def _roots_rows(user: dict, fock_dim: int, options: dict) -> list[dict]:
 class _Mode(NamedTuple):
     columns: tuple  # placed between the axis columns and "error"
     options: frozenset  # the option keys the mode reads
+    quantities: frozenset  # the model quantities it takes from the parameter keys
     rows: Callable  # (user, fock_dim, options) -> one dict per output row
     state: Callable | None  # (p, options) -> the state convergence_check compares
 
@@ -381,19 +397,21 @@ class _Mode(NamedTuple):
 _MODES = {
     "steady": _Mode(
         ("log10_g2", "log10_g2_analytic", *_POPULATIONS, "residual_inf"),
-        frozenset(), _steady_rows, lambda p, options: _static_state(p)[0]),
+        frozenset(), _SYSTEM_QUANTITIES, _steady_rows, lambda p, options: _static_state(p)[0]),
     "periodic": _Mode(
         ("log10_g2", *_POPULATIONS),
-        frozenset({"steps_per_period"}), _periodic_rows, _periodic_state),
+        frozenset({"steps_per_period"}), _SYSTEM_QUANTITIES, _periodic_rows, _periodic_state),
+    # roots mode sets kappa = r J and Omega_q/Omega_m = l + 1 itself
     "roots": _Mode(
         ("l1", "l2", "l1_numeric", "l2_numeric",
          "log10_g2_analytic_l1", "log10_g2_numeric_l1",
          "log10_g2_analytic_l2", "log10_g2_numeric_l2"),
-        frozenset(), _roots_rows, None),
+        frozenset(), _SYSTEM_QUANTITIES - {"kappa_m", "kappa_q", "Omega_q"} | {"r"},
+        _roots_rows, None),
     "time_series": _Mode(
         ("kappa_t", "log10_g2", *_POPULATIONS),
-        frozenset({"kappa_t_max", "time_points", "initial_state"}), _time_series_rows,
-        lambda p, options: _trajectory(p, options, 2).states[-1]),
+        frozenset({"kappa_t_max", "time_points", "initial_state"}), _SYSTEM_QUANTITIES,
+        _time_series_rows, lambda p, options: _trajectory(p, options, 2).states[-1]),
 }
 
 
@@ -520,11 +538,15 @@ class ConvergenceReport:
                 f"max relative change {self.max_rel_change:.3e} -> {status}{extra}")
 
 
-def convergence_check(cfg: ScenarioConfig, fock_dims, rel_tol: float = 1e-3) -> ConvergenceReport:
+# the largest accepted relative change of g2 between consecutive truncations
+_CONVERGENCE_RTOL = 1e-3
+
+
+def convergence_check(cfg: ScenarioConfig, fock_dims) -> ConvergenceReport:
     """Re-run representative grid points at each truncation and compare g2.
 
     Passes when the relative change between consecutive truncations stays
-    below ``rel_tol`` (0.1% by default). A point whose g2 is undefined (no
+    below ``_CONVERGENCE_RTOL`` (0.1%). A point whose g2 is undefined (no
     magnon population) is recorded as nan with an infinite change and fails.
     """
     fock_dims = sorted(fock_dims)
@@ -555,7 +577,7 @@ def convergence_check(cfg: ScenarioConfig, fock_dims, rel_tol: float = 1e-3) -> 
             change = abs(values[b] - values[a]) / max(abs(values[a]), 1e-300)
             # an undefined g2 cannot be shown to converge
             changes.append(math.inf if math.isnan(change) else change)
-        if len(changes) >= 2 and any(c2 > c1 * 1.001 and c2 > rel_tol
+        if len(changes) >= 2 and any(c2 > c1 * 1.001 and c2 > _CONVERGENCE_RTOL
                                      for c1, c2 in zip(changes, changes[1:])):
             non_monotone = True
         max_change = max(max_change, changes[-1])
@@ -563,7 +585,7 @@ def convergence_check(cfg: ScenarioConfig, fock_dims, rel_tol: float = 1e-3) -> 
 
     return ConvergenceReport(
         scenario=cfg.name, fock_dims=list(fock_dims), point_values=point_values,
-        max_rel_change=max_change, passed=max_change < rel_tol,
+        max_rel_change=max_change, passed=max_change < _CONVERGENCE_RTOL,
         non_monotone=non_monotone,
     )
 
@@ -572,9 +594,9 @@ def convergence_check(cfg: ScenarioConfig, fock_dims, rel_tol: float = 1e-3) -> 
 # built-in figure scenarios
 
 
-def built_in_scenarios(grid_1d: int = 201, grid_2d: int = 101,
-                       time_points: int = 201) -> list[ScenarioConfig]:
-    """One declarative config per reproduced dataset."""
+def built_in_scenarios() -> list[ScenarioConfig]:
+    """One declarative config per reproduced dataset; ``ScenarioConfig.with_grid``
+    changes the density of its linspace axes."""
     base20 = {"J_over_2pi_MHz": 20.0, "kappa_over_2pi_MHz": 1.0,
               "Omega_m_over_2pi_MHz": 0.1}
     opt35 = {"J_over_2pi_MHz": 35.0, "kappa_over_2pi_MHz": 0.5,
@@ -586,7 +608,7 @@ def built_in_scenarios(grid_1d: int = 201, grid_2d: int = 101,
                     "Delta_minus_over_Delta_plus": 0.0},
             axes=(SweepAxis("params.Delta_plus_over_J",
                             (0.7, 0.85, 1.0, 1.15, 1.3)),),
-            options={"kappa_t_max": 30.0, "time_points": time_points,
+            options={"kappa_t_max": 30.0, "time_points": 201,
                      "initial_state": "vacuum"},
             description="g2(t,t) relaxation for several Delta_plus/J at equal drives",
         ),
@@ -594,14 +616,14 @@ def built_in_scenarios(grid_1d: int = 201, grid_2d: int = 101,
             name="fig2b", mode="steady",
             params={**base20, "Omega_q_over_Omega_m": 1.0, "Delta_plus_over_J": 1.0},
             axes=(SweepAxis.from_linspace("params.Delta_minus_over_Delta_plus",
-                                          -1.0, 1.0, grid_1d),),
+                                          -1.0, 1.0, 201),),
             description="steady g2 versus detuning asymmetry Delta_minus/Delta_plus",
         ),
         ScenarioConfig(
             name="fig3", mode="steady",
             params={**base20, "Delta_minus_over_Delta_plus": 0.0},
             axes=(SweepAxis("params.Omega_q_over_Omega_m", (1.0, 2.0, 5.0, 10.0)),
-                  SweepAxis.from_linspace("params.Delta_plus_over_J", -2.0, 2.0, grid_1d)),
+                  SweepAxis.from_linspace("params.Delta_plus_over_J", -2.0, 2.0, 201)),
             description="steady g2 versus Delta_plus/J for several probe-to-drive ratios",
         ),
         ScenarioConfig(
@@ -609,7 +631,7 @@ def built_in_scenarios(grid_1d: int = 201, grid_2d: int = 101,
             params={"kappa_over_2pi_MHz": 1.0, "Omega_m_over_2pi_MHz": 0.1,
                     "Delta_plus_over_J": 1.0},
             axes=(SweepAxis("params.J_over_2pi_MHz", (14.0, 21.0, 28.0, 35.0)),
-                  SweepAxis.from_linspace("params.Omega_q_over_Omega_m", 0.5, 6.0, grid_1d)),
+                  SweepAxis.from_linspace("params.Omega_q_over_Omega_m", 0.5, 6.0, 201)),
             description="steady g2 versus probe-to-drive ratio for several couplings J",
         ),
         ScenarioConfig(
@@ -617,23 +639,23 @@ def built_in_scenarios(grid_1d: int = 201, grid_2d: int = 101,
             params={"J_over_2pi_MHz": 20.0, "Omega_m_over_2pi_MHz": 0.1,
                     "Delta_plus_over_J": 1.0},
             axes=(SweepAxis("params.kappa_over_2pi_MHz", (0.5, 1.0)),
-                  SweepAxis.from_linspace("params.Omega_q_over_Omega_m", 1.0, 6.0, grid_1d)),
+                  SweepAxis.from_linspace("params.Omega_q_over_Omega_m", 1.0, 6.0, 201)),
             description="numeric versus closed-form g2 over the probe-to-drive ratio",
         ),
         ScenarioConfig(
             name="fig6a", mode="steady",
             params={"Omega_m_over_2pi_MHz": 0.1, "Omega_q_over_Omega_m": 3.0,
                     "Delta_plus_over_J": 1.0},
-            axes=(SweepAxis.from_linspace("params.J_over_2pi_MHz", 5.0, 40.0, grid_2d),
-                  SweepAxis.from_linspace("params.kappa_over_2pi_MHz", 0.1, 1.2, grid_2d)),
+            axes=(SweepAxis.from_linspace("params.J_over_2pi_MHz", 5.0, 40.0, 101),
+                  SweepAxis.from_linspace("params.kappa_over_2pi_MHz", 0.1, 1.2, 101)),
             description="heatmap of steady g2 over coupling J and decay kappa",
         ),
         ScenarioConfig(
             name="fig6b", mode="steady",
             params={"J_over_2pi_MHz": 35.0, "Omega_q_over_Omega_m": 3.0,
                     "Delta_plus_over_J": 1.0},
-            axes=(SweepAxis.from_linspace("params.Omega_m_over_2pi_MHz", 0.005, 0.2, grid_2d),
-                  SweepAxis.from_linspace("params.kappa_over_2pi_MHz", 0.1, 1.2, grid_2d)),
+            axes=(SweepAxis.from_linspace("params.Omega_m_over_2pi_MHz", 0.005, 0.2, 101),
+                  SweepAxis.from_linspace("params.kappa_over_2pi_MHz", 0.1, 1.2, 101)),
             description="heatmap of steady g2 over drive strength and decay at J/2pi = 35 MHz",
         ),
         ScenarioConfig(
@@ -641,28 +663,28 @@ def built_in_scenarios(grid_1d: int = 201, grid_2d: int = 101,
             params={"kappa_over_2pi_MHz": 0.5, "Omega_q_over_Omega_m": 3.0,
                     "Delta_plus_over_J": 1.0},
             axes=(SweepAxis("params.J_over_2pi_MHz", (14.0, 21.0, 28.0, 35.0)),
-                  SweepAxis.from_linspace("params.Omega_m_over_2pi_MHz", 0.005, 0.2, grid_1d)),
+                  SweepAxis.from_linspace("params.Omega_m_over_2pi_MHz", 0.005, 0.2, 201)),
             description="steady g2 versus drive strength for several couplings J",
         ),
         ScenarioConfig(
             name="fig7b", mode="steady",
             params={**{k: v for k, v in opt35.items() if k != "kappa_over_2pi_MHz"},
                     "Omega_q_over_Omega_m": 3.0, "Delta_plus_over_J": 1.0},
-            axes=(SweepAxis.from_linspace("params.kappa_over_2pi_MHz", 0.2, 1.5, grid_1d),),
+            axes=(SweepAxis.from_linspace("params.kappa_over_2pi_MHz", 0.2, 1.5, 201),),
             description="steady g2 versus decay rate at the optimal drive point",
         ),
         ScenarioConfig(
             name="fig8a", mode="steady",
             params={**opt35, "Delta_plus_over_J": 1.0},
             axes=(SweepAxis("params.m_th", (1e-8, 1e-7, 1e-6)),
-                  SweepAxis.from_linspace("params.Omega_q_over_Omega_m", 1.0, 6.0, grid_1d)),
+                  SweepAxis.from_linspace("params.Omega_q_over_Omega_m", 1.0, 6.0, 201)),
             description="thermal-occupation effect on the optimal probe-to-drive ratio",
         ),
         ScenarioConfig(
             name="fig8b", mode="steady",
             params={**opt35, "Omega_q_over_Omega_m": 3.0, "Delta_plus_over_J": 1.0,
                     "drive_freq_over_2pi_MHz": 1500.0},
-            axes=(SweepAxis.from_linspace("params.T_mK", 1.0, 25.0, grid_1d),),
+            axes=(SweepAxis.from_linspace("params.T_mK", 1.0, 25.0, 201),),
             description="steady g2 versus environment temperature",
         ),
         ScenarioConfig(
@@ -670,7 +692,7 @@ def built_in_scenarios(grid_1d: int = 201, grid_2d: int = 101,
             params={**opt35, "Delta_plus_over_J": 1.0,
                     "drive_freq_over_2pi_MHz": 1500.0},
             axes=(SweepAxis("params.g_rp_over_J", (0.1, 0.2, 0.3)),
-                  SweepAxis.from_linspace("params.Omega_q_over_Omega_m", 2.5, 4.0, grid_1d)),
+                  SweepAxis.from_linspace("params.Omega_q_over_Omega_m", 2.5, 4.0, 201)),
             description="longitudinal-coupling effect on the optimal probe-to-drive ratio",
         ),
         ScenarioConfig(
@@ -680,21 +702,21 @@ def built_in_scenarios(grid_1d: int = 201, grid_2d: int = 101,
             axes=(SweepAxis("params.J_over_2pi_MHz", (14.0, 21.0, 28.0, 35.0),
                             paired={"params.Omega_m_over_2pi_MHz":
                                     (0.021, 0.025, 0.029, 0.033)}),
-                  SweepAxis.from_linspace("params.g_rp_over_J", 0.0, 0.5, grid_1d)),
+                  SweepAxis.from_linspace("params.g_rp_over_J", 0.0, 0.5, 201)),
             description="steady g2 versus longitudinal-to-transversal coupling ratio",
         ),
         ScenarioConfig(
             name="fig10", mode="roots",
             params={"J_over_2pi_MHz": 35.0, "Omega_m_over_2pi_MHz": 0.033,
                     "Delta_plus_over_J": 1.0},
-            axes=(SweepAxis.from_linspace("params.r_kappa_over_J", 0.005, 0.25, grid_1d),),
+            axes=(SweepAxis.from_linspace("params.r_kappa_over_J", 0.005, 0.25, 201),),
             description="optimal-ratio roots l1, l2 and analytic versus numeric g2 over r",
         ),
         ScenarioConfig(
             name="fig11", mode="time_series",
             params={**opt35, "Omega_q_over_Omega_m": 3.0, "Delta_plus_over_J": 1.0},
             axes=(),
-            options={"kappa_t_max": 30.0, "time_points": time_points,
+            options={"kappa_t_max": 30.0, "time_points": 201,
                      "initial_state": "g1"},
             description="population dynamics from a single-magnon initial state",
         ),
@@ -702,8 +724,8 @@ def built_in_scenarios(grid_1d: int = 201, grid_2d: int = 101,
     return scenarios
 
 
-def get_scenario(name: str, **kwargs) -> ScenarioConfig:
-    for cfg in built_in_scenarios(**kwargs):
+def get_scenario(name: str) -> ScenarioConfig:
+    for cfg in built_in_scenarios():
         if cfg.name == name:
             return cfg
     raise ConfigError(f"unknown scenario {name!r}")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ class TestSteadyAmplitudesGeneral:
                     getattr(closed, field), rel=1e-12)
 
     def test_no_drive_gives_empty_excited_sector(self):
-        amps = steady_amplitudes_general(self.fig5_params(0.0).with_(Omega_m=0.0, Omega_q=0.0))
+        amps = steady_amplitudes_general(replace(self.fig5_params(0.0), Omega_m=0.0, Omega_q=0.0))
         assert amps.c_e0 == amps.c_g1 == amps.c_e1 == amps.c_g2 == 0.0
 
     def test_arbitrary_detuning_solves_system(self):
@@ -103,7 +104,7 @@ class TestSteadyAmplitudesGeneral:
         assert np.abs(res).max() <= 1e-10
 
     def test_rejects_unequal_kappas(self):
-        p = self.fig5_params(2.0).with_(kappa_q=0.5 * MHZ)
+        p = replace(self.fig5_params(2.0), kappa_q=0.5 * MHZ)
         with pytest.raises(ValueError, match="kappa"):
             steady_amplitudes_general(p)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -369,7 +370,7 @@ class TestEvolveProperties:
     @settings(max_examples=20, deadline=None)
     @given(random_params(), st.integers(4, 6), st.integers(0, 2**32 - 1))
     def test_long_time_state_is_the_steady_state(self, p, n, seed):
-        p = p.with_(fock_dim=n)
+        p = replace(p, fock_dim=n)
         d = p.space.total_dim
         rho0 = DensityMatrix(random_density(np.random.default_rng(seed), d), p.space, True)
         t_end = 40.0 / min(p.kappa_m, p.kappa_q)
@@ -381,7 +382,7 @@ class TestEvolveProperties:
     @given(random_params(), st.integers(4, 5), st.floats(0.0, 0.5),
            st.sampled_from(["vacuum", "g1", "random"]), st.integers(0, 2**32 - 1))
     def test_propagated_states_stay_positive(self, p, n, g_rp_over_j, start, seed):
-        p = p.with_(fock_dim=n, g_rp=g_rp_over_j * p.J)
+        p = replace(p, fock_dim=n, g_rp=g_rp_over_j * p.J)
         d = p.space.total_dim
         if start == "random":
             rho0 = random_density(np.random.default_rng(seed), d)
@@ -476,7 +477,7 @@ class TestSteadyStatePeriodic:
     def test_continuity_to_static_problem(self):
         p = SystemParams.from_detunings(**OPT, g_rp=1e-8 * 35.0 * MHZ)
         rho_per = steady_state_periodic(p)
-        rho_stat = steady_state(build_liouvillian(build_h_eff(p.with_(g_rp=0.0)),
+        rho_stat = steady_state(build_liouvillian(build_h_eff(replace(p, g_rp=0.0)),
                                                   collapse_channels(p)))
         assert np.abs(rho_per.matrix - rho_stat.matrix).max() <= 1e-6
 
@@ -533,7 +534,7 @@ class TestPeriodicGeneratorProperties:
     def test_trace_and_hermiticity_preserved(self, p, g_rp_mhz, n, phase, seed):
         from magnonblockade.dynamics import _rk4_steps, _split_periodic_liouvillian
 
-        p = p.with_(g_rp=g_rp_mhz * MHZ, fock_dim=n)
+        p = replace(p, g_rp=g_rp_mhz * MHZ, fock_dim=n)
         liouv, l1, l2, omega = _split_periodic_liouvillian(p)
         l0 = liouv.matrix
         d = p.space.total_dim

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -114,8 +115,21 @@ class TestSystemParamsResolution:
 
     def test_direct_probe_frequency(self):
         u = {**self.BASE, "Omega_q_over_2pi_MHz": 0.5}
+        del u["Omega_q_over_Omega_m"]
         p = _system_params(u, 6)
         assert p.Omega_q == pytest.approx(0.5 * MHZ)
+
+    @pytest.mark.parametrize("extra", [
+        {"kappa_m_over_2pi_MHz": 2.0},
+        {"kappa_q_over_2pi_MHz": 2.0},
+        {"Omega_m_power_uW": 0.037},
+        {"Omega_q_over_2pi_MHz": 0.5},
+        {"m_th": 0.5, "T_mK": 1.0},
+        {"r_kappa_over_J": 0.05},
+    ])
+    def test_a_second_key_for_one_quantity_is_left_over(self, extra):
+        with pytest.raises(ConfigError, match="unused parameter keys"):
+            _system_params({**self.BASE, **extra}, 6)
 
     def test_missing_required_keys(self):
         with pytest.raises(ConfigError, match="J_over_2pi_MHz"):
@@ -147,6 +161,11 @@ class TestBuiltInScenarios:
     def test_options_are_read_by_their_mode(self):
         for cfg in built_in_scenarios():
             assert set(cfg.options) <= _MODES[cfg.mode].options
+
+    @pytest.mark.parametrize("name", ["fig2a", "fig11"])
+    def test_grid_needs_a_linspace_axis(self, name):
+        with pytest.raises(ConfigError, match=f"{name} has no linspace axis"):
+            get_scenario(name).with_grid(5)
 
     def test_grid_override_preserves_discrete_axes(self):
         cfg = get_scenario("fig3").with_grid(11)
@@ -232,6 +251,21 @@ sweep.axis2.values = 2.5 3.5
         )
         (row,) = run_scenario(undamped).rows
         assert row[-1].startswith("ValueError:") and "requires dissipation" in row[-1]
+
+    def test_steps_per_period_sets_the_step_count(self):
+        def row(steps):
+            cfg = ScenarioConfig(
+                name="periodic_steps", mode="periodic", fock_dim=3,
+                params={"J_over_2pi_MHz": 35.0, "kappa_over_2pi_MHz": 0.5,
+                        "Omega_m_over_2pi_MHz": 0.033, "Omega_q_over_Omega_m": 3.0,
+                        "g_rp_over_J": 0.3},
+                options={"steps_per_period": steps})
+            (only,) = run_scenario(cfg).rows
+            return only
+
+        assert row(10) != row(50)
+        assert row(40)[-1] == row(50)[-1] == ""
+        assert row(40)[0] != row(50)[0]
 
     def test_steady_mode_rejects_longitudinal_coupling(self):
         cfg = ScenarioConfig(
@@ -526,6 +560,36 @@ sweep.axis1.paired.params.Omega_m_over_2pi_MHz = 0.021 0.033
         "scenario = x\nmode = steady\nsweep.a.path = params.J_over_2pi_MHz\n"
         "sweep.a.values = 10 20\nsweep.a.paired.params.m_th = 0 1e-6\n"
         "sweep.b.path = params.m_th\nsweep.b.values = 0\n",
+        # two keys that set one quantity, in params, on axes or paired paths
+        "scenario = x\nmode = steady\nparams.kappa_over_2pi_MHz = 1\n"
+        "params.kappa_m_over_2pi_MHz = 2\n",
+        "scenario = x\nmode = steady\nparams.kappa_over_2pi_MHz = 1\n"
+        "params.kappa_q_over_2pi_MHz = 2\n",
+        "scenario = x\nmode = steady\nparams.Omega_m_over_2pi_MHz = 0.1\n"
+        "params.Omega_m_power_uW = 0.037\n",
+        "scenario = x\nmode = steady\nparams.Omega_q_over_Omega_m = 9\n"
+        "params.Omega_q_over_2pi_MHz = 0.5\n",
+        "scenario = x\nmode = steady\nparams.m_th = 0.5\nparams.T_mK = 1\n",
+        "scenario = x\nmode = steady\nparams.m_th = 0.5\n"
+        "sweep.a.path = params.T_mK\nsweep.a.values = 1 2\n",
+        "scenario = x\nmode = steady\nsweep.a.path = params.J_over_2pi_MHz\n"
+        "sweep.a.values = 10 20\nsweep.a.paired.params.kappa_m_over_2pi_MHz = 1 2\n"
+        "sweep.b.path = params.kappa_over_2pi_MHz\nsweep.b.values = 1\n",
+        # a params key that an axis sets again
+        "scenario = x\nmode = steady\nparams.Delta_plus_over_J = 0.5\n"
+        "sweep.a.path = params.Delta_plus_over_J\nsweep.a.values = 1\n",
+        "scenario = x\nmode = periodic\nparams.Omega_m_over_2pi_MHz = 0.1\n"
+        "sweep.a.path = params.J_over_2pi_MHz\nsweep.a.values = 14 35\n"
+        "sweep.a.paired.params.Omega_m_over_2pi_MHz = 0.021 0.033\n",
+        # a key the mode overwrites or does not read
+        "scenario = x\nmode = roots\nparams.kappa_over_2pi_MHz = 7\n",
+        "scenario = x\nmode = roots\nparams.Omega_q_over_Omega_m = 9\n",
+        "scenario = x\nmode = roots\nparams.Omega_q_over_2pi_MHz = 0.5\n",
+        "scenario = x\nmode = roots\nparams.kappa_m_over_2pi_MHz = 1\n",
+        "scenario = x\nmode = steady\nparams.r_kappa_over_J = 0.05\n",
+        "scenario = x\nmode = periodic\nsweep.a.path = params.r_kappa_over_J\n"
+        "sweep.a.values = 0.05\n",
+        "scenario = x\nmode = time_series\nparams.r_kappa_over_J = 0.05\n",
         # non-finite values
         "scenario = x\nmode = steady\nparams.J_over_2pi_MHz = nan\n",
         "scenario = x\nmode = steady\nparams.m_th = inf\n",
@@ -537,6 +601,20 @@ sweep.axis1.paired.params.Omega_m_over_2pi_MHz = 0.021 0.033
     def test_parse_errors(self, bad):
         with pytest.raises(ConfigError):
             parse_config(bad)
+
+    @pytest.mark.parametrize("lines, message", [
+        ("params.m_th = 0.5\nparams.T_mK = 1\n", "m_th is set by params.m_th and by params.T_mK"),
+        ("params.Delta_plus_over_J = 0.5\nsweep.a.path = params.Delta_plus_over_J\n"
+         "sweep.a.values = 1\n",
+         "Delta_plus is set by params.Delta_plus_over_J and by axis params.Delta_plus_over_J"),
+        ("sweep.a.path = params.J_over_2pi_MHz\nsweep.a.values = 10 20\n"
+         "sweep.a.paired.params.J_over_2pi_MHz = 30 40\n",
+         "J is set by axis params.J_over_2pi_MHz and by paired params.J_over_2pi_MHz"),
+        ("params.r_kappa_over_J = 0.05\n", "steady scenarios do not read params.r_kappa_over_J"),
+    ])
+    def test_conflicting_settings_name_their_keys(self, lines, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config("scenario = x\nmode = steady\n" + lines)
 
     def test_non_finite_value_names_its_key(self):
         with pytest.raises(ConfigError, match=r"params\.kappa_over_2pi_MHz must be a finite"):
@@ -613,6 +691,9 @@ sweep.axis1.values = 0 1
         ["converge", "fig2b", "--grid", "0"],
         ["run", "fig2b", "--grid", "0"],
         ["run", "fig2b", "--grid", "-3"],
+        ["run", "fig11", "--grid", "5"],
+        ["run", "fig2a", "--grid", "5"],
+        ["converge", "fig11", "--grid", "5"],
     ])
     def test_bad_arguments_are_config_errors(self, argv, tmp_path, capsys):
         if argv[0] == "run":
