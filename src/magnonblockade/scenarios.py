@@ -63,9 +63,11 @@ _PARAM_KEYS = {
     "r_kappa_over_J": ("r",),
 }
 
-# the quantities a solve takes from the config; r = kappa/J is read by roots mode only
-_SYSTEM_QUANTITIES = frozenset({"J", "kappa_m", "kappa_q", "Omega_m", "Omega_q", "Delta_plus",
-                                "Delta_minus", "omega_drive", "g_rp", "m_th"})
+# the quantities a static solve takes from the config; the longitudinal
+# coupling g_rp is read by the periodic and time-series modes, r = kappa/J by
+# roots mode only
+_STATIC_QUANTITIES = frozenset({"J", "kappa_m", "kappa_q", "Omega_m", "Omega_q", "Delta_plus",
+                                "Delta_minus", "omega_drive", "m_th"})
 
 # initial-state name -> basis index i = q*N + n of the pure state it names
 _INITIAL_STATES = {"vacuum": 0, "g1": 1}
@@ -82,7 +84,6 @@ _OPTIONS = {
     "time_points": _Option(201, "an integer >= 2", lambda v: v >= 2),
     "initial_state": _Option("vacuum", f"one of {sorted(_INITIAL_STATES)}",
                              lambda v: v in _INITIAL_STATES),
-    "steps_per_period": _Option(64, "an integer >= 1", lambda v: v >= 1),
 }
 
 # bool is an Integral too; it is rejected separately
@@ -269,7 +270,6 @@ def _analytic_applicable(user: dict) -> bool:
     return (
         abs(user.get("Delta_plus_over_J", 1.0) - 1.0) <= _RATIO_TOL
         and abs(user.get("Delta_minus_over_Delta_plus", 0.0)) <= _RATIO_TOL
-        and abs(user.get("g_rp_over_J", 0.0)) <= _RATIO_TOL
         and user.get("m_th", 0.0) == 0.0
         and "T_mK" not in user
         and "kappa_m_over_2pi_MHz" not in user
@@ -301,9 +301,6 @@ def _state_columns(rho: DensityMatrix) -> dict:
 
 def _static_state(p: SystemParams):
     """Steady state of the time-independent problem and its Liouvillian."""
-    if p.g_rp > 0.0:
-        raise ConfigError("g_rp_over_J > 0 needs mode = periodic; the static "
-                          "solve has no longitudinal coupling")
     liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
     return steady_state(liouv), liouv
 
@@ -312,7 +309,7 @@ def _periodic_state(p: SystemParams, options: dict) -> DensityMatrix:
     """Period-averaged state; without longitudinal coupling the static one."""
     if p.g_rp == 0.0:
         return _static_state(p)[0]
-    return steady_state_periodic(p, steps_per_period=options["steps_per_period"])
+    return steady_state_periodic(p)
 
 
 def _trajectory(p: SystemParams, options: dict, n_t: int):
@@ -397,20 +394,20 @@ class _Mode(NamedTuple):
 _MODES = {
     "steady": _Mode(
         ("log10_g2", "log10_g2_analytic", *_POPULATIONS, "residual_inf"),
-        frozenset(), _SYSTEM_QUANTITIES, _steady_rows, lambda p, options: _static_state(p)[0]),
+        frozenset(), _STATIC_QUANTITIES, _steady_rows, lambda p, options: _static_state(p)[0]),
     "periodic": _Mode(
         ("log10_g2", *_POPULATIONS),
-        frozenset({"steps_per_period"}), _SYSTEM_QUANTITIES, _periodic_rows, _periodic_state),
+        frozenset(), _STATIC_QUANTITIES | {"g_rp"}, _periodic_rows, _periodic_state),
     # roots mode sets kappa = r J and Omega_q/Omega_m = l + 1 itself
     "roots": _Mode(
         ("l1", "l2", "l1_numeric", "l2_numeric",
          "log10_g2_analytic_l1", "log10_g2_numeric_l1",
          "log10_g2_analytic_l2", "log10_g2_numeric_l2"),
-        frozenset(), _SYSTEM_QUANTITIES - {"kappa_m", "kappa_q", "Omega_q"} | {"r"},
+        frozenset(), _STATIC_QUANTITIES - {"kappa_m", "kappa_q", "Omega_q"} | {"r"},
         _roots_rows, None),
     "time_series": _Mode(
         ("kappa_t", "log10_g2", *_POPULATIONS),
-        frozenset({"kappa_t_max", "time_points", "initial_state"}), _SYSTEM_QUANTITIES,
+        frozenset({"kappa_t_max", "time_points", "initial_state"}), _STATIC_QUANTITIES | {"g_rp"},
         _time_series_rows, lambda p, options: _trajectory(p, options, 2).states[-1]),
 }
 

@@ -59,17 +59,13 @@ class TestConfigValidation:
         {"time_points": "5"},
         {"time_points": True},
         {"time_points": 1},
-        {"steps_per_period": 0.9},
-        {"steps_per_period": -5},
-        {"steps_per_period": 0},
-        {"steps_per_period": "64"},
     ])
     def test_integer_options(self, options):
         with pytest.raises(ConfigError, match="integer"):
             ScenarioConfig(name="x", mode="time_series", params={}, options=options)
 
     @pytest.mark.parametrize("mode, options, match", [
-        ("time_series", {"steps_per_period": 64}, "do not read"),
+        ("periodic", {"steps_per_period": 64}, "unknown option"),
         ("steady", {"kappa_t_max": 5.0}, "do not read"),
         ("periodic", {"initial_state": "g1"}, "do not read"),
         ("roots", {"time_points": 11}, "do not read"),
@@ -252,32 +248,6 @@ sweep.axis2.values = 2.5 3.5
         (row,) = run_scenario(undamped).rows
         assert row[-1].startswith("ValueError:") and "requires dissipation" in row[-1]
 
-    def test_steps_per_period_sets_the_step_count(self):
-        def row(steps):
-            cfg = ScenarioConfig(
-                name="periodic_steps", mode="periodic", fock_dim=3,
-                params={"J_over_2pi_MHz": 35.0, "kappa_over_2pi_MHz": 0.5,
-                        "Omega_m_over_2pi_MHz": 0.033, "Omega_q_over_Omega_m": 3.0,
-                        "g_rp_over_J": 0.3},
-                options={"steps_per_period": steps})
-            (only,) = run_scenario(cfg).rows
-            return only
-
-        assert row(10) != row(50)
-        assert row(40)[-1] == row(50)[-1] == ""
-        assert row(40)[0] != row(50)[0]
-
-    def test_steady_mode_rejects_longitudinal_coupling(self):
-        cfg = ScenarioConfig(
-            name="steady_grp", mode="steady", fock_dim=4,
-            params={"J_over_2pi_MHz": 35.0, "kappa_over_2pi_MHz": 0.5,
-                    "Omega_m_over_2pi_MHz": 0.033, "Omega_q_over_Omega_m": 3.0},
-            axes=(SweepAxis("params.g_rp_over_J", (0.0, 0.3)),),
-        )
-        errors = run_scenario(cfg).column("error")
-        assert errors[0] == ""
-        assert errors[1].startswith("ConfigError:") and "mode = periodic" in errors[1]
-
     def test_csv_round_trip(self):
         result = run_scenario(small_fig3())
         assert parse_csv(emit_csv(result)) == result
@@ -455,12 +425,11 @@ class TestConvergence:
         user = {"J_over_2pi_MHz": 35.0, "kappa_over_2pi_MHz": 0.5,
                 "Omega_m_over_2pi_MHz": 0.033, "Omega_q_over_Omega_m": 3.0,
                 "drive_freq_over_2pi_MHz": 1500.0, "g_rp_over_J": 0.3}
-        cfg = ScenarioConfig(name="periodic_point", mode="periodic", params=user,
-                             options={"steps_per_period": 64})
+        cfg = ScenarioConfig(name="periodic_point", mode="periodic", params=user)
         report = convergence_check(cfg, [3, 4])
         (values,) = report.point_values
         for n in (3, 4):
-            rho = steady_state_periodic(_system_params(user, n), steps_per_period=64)
+            rho = steady_state_periodic(_system_params(user, n))
             assert values[n] == g2_zero(rho)
 
     def test_time_series_mode_uses_the_final_state(self):
@@ -540,11 +509,8 @@ sweep.axis1.paired.params.Omega_m_over_2pi_MHz = 0.021 0.033
         "scenario = x\nmode = steady\nsweep.a.path = params.m_th\nsweep.a.values = 1 x\n",
         "scenario = x\nmode = time_series\noption.time_points = many\n",
         "scenario = x\nmode = time_series\noption.time_points = 2.5\n",
-        "scenario = x\nmode = periodic\noption.steps_per_period = 0.9\n",
         "scenario = x\nmode = time_series\noption.time_points = 0\n",
-        "scenario = x\nmode = periodic\noption.steps_per_period = -5\n",
-        "scenario = x\nmode = periodic\noption.steps_per_period = 0\n",
-        "scenario = x\nmode = time_series\noption.steps_per_period = 512\n",
+        "scenario = x\nmode = periodic\noption.steps_per_period = 64\n",
         "scenario = x\nmode = steady\noption.time_points = 5\n",
         "scenario = x\nmode = time_series\noption.kappa_t_max = 0\n",
         "scenario = x\nmode = time_series\noption.initial_state = e0\n",
@@ -590,6 +556,9 @@ sweep.axis1.paired.params.Omega_m_over_2pi_MHz = 0.021 0.033
         "scenario = x\nmode = periodic\nsweep.a.path = params.r_kappa_over_J\n"
         "sweep.a.values = 0.05\n",
         "scenario = x\nmode = time_series\nparams.r_kappa_over_J = 0.05\n",
+        "scenario = x\nmode = steady\nsweep.a.path = params.g_rp_over_J\n"
+        "sweep.a.values = 0 0.3\n",
+        "scenario = x\nmode = roots\nparams.g_rp_over_J = 0.3\n",
         # non-finite values
         "scenario = x\nmode = steady\nparams.J_over_2pi_MHz = nan\n",
         "scenario = x\nmode = steady\nparams.m_th = inf\n",
@@ -611,6 +580,7 @@ sweep.axis1.paired.params.Omega_m_over_2pi_MHz = 0.021 0.033
          "sweep.a.paired.params.J_over_2pi_MHz = 30 40\n",
          "J is set by axis params.J_over_2pi_MHz and by paired params.J_over_2pi_MHz"),
         ("params.r_kappa_over_J = 0.05\n", "steady scenarios do not read params.r_kappa_over_J"),
+        ("params.g_rp_over_J = 0.3\n", "steady scenarios do not read params.g_rp_over_J"),
     ])
     def test_conflicting_settings_name_their_keys(self, lines, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
