@@ -1,12 +1,29 @@
-"""Lindblad master-equation solvers: vectorized Liouvillian, direct steady
-state, fixed-step time evolution, and the period-averaged steady state of the
-periodically driven (longitudinal-coupling) problem. Both steady states are
-the unit-trace kernel vector of one generator, found by the same solve. Every
-trajectory is a power of one RK4 map: one step of the static generator, or
-the one-period propagator of the driven one.
+"""Lindblad master-equation solvers: the Liouvillian as a real matrix in a
+Hermitian basis, direct steady state, fixed-step time evolution,
+and the period-averaged steady state of the periodically driven
+(longitudinal-coupling) problem. Both steady states are the unit-trace kernel
+vector of one generator, found by the same solve. Every trajectory is a power
+of one RK4 map: one step of the static generator, or the one-period propagator
+of the driven one. Every solver works in float64.
 
-Vectorization is column-stacking: vec(rho) = rho.flatten(order='F'), so
-A rho B <-> (B^T kron A) vec(rho).
+Coordinates: a d x d Hermitian rho is the real vector x = (diagonal of rho,
+Re rho[i, j], Im rho[i, j]) with i < j in ``np.triu_indices`` order, its
+components in the orthogonal Hermitian basis E_ii, E_ij + E_ji,
+i(E_ij - E_ji). The first d coordinates are the populations and sum to the
+trace. A generator that maps Hermitian matrices to Hermitian matrices is a
+real matrix in this basis (Alicki & Lendi, Quantum Dynamical Semigroups and
+Applications, LNP 286; Kimura, Phys. Lett. A 314, 339 (2003)). The
+off-diagonal basis elements have norm sqrt(2), so singular values and
+max-norms differ from those of an orthonormal basis by at most that factor.
+The basis is not normalized because then every coefficient is 1, +-1j or
+1/2: the column-stacked entries of the model's generators pass to the real
+matrix and back without rounding. (Normalizing by 1/sqrt(2) rounds them;
+turning the pair by 45 degrees keeps dyadic coefficients but mixes Re and Im,
+and costs up to 1e-8 in log10 g2 at deep-blockade points.)
+
+The complex form is column-stacking: vec(rho) = rho.flatten(order='F') = U x
+for the U of ``_basis``, and A rho B <-> (B^T kron A) vec(rho).
+``Liouvillian.matrix`` gives L in that form.
 """
 
 from __future__ import annotations
@@ -14,10 +31,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import _TRACE_TOL, DensityMatrix, dagger
+from .hilbert import _TRACE_TOL, DensityMatrix, _check_densities, dagger
 from .model import SystemParams, _longitudinal_operator, _nonhermitian, build_h_eff, collapse_channels
 
 __all__ = [
@@ -36,7 +54,7 @@ __all__ = [
 
 
 _KERNEL_RTOL = 1e-10  # 1 / largest accepted cond(B); SVD kernel cutoff relative to sigma_max
-_RESIDUAL_TOL = 1e-10  # largest accepted max|gen vec(rho)| of a steady state
+_RESIDUAL_TOL = 1e-10  # largest accepted max|gen x| of a steady state in Hermitian coordinates
 
 
 class SteadyStateError(RuntimeError):
@@ -69,21 +87,91 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape(d, d, order="F")
 
 
+class _Basis(NamedTuple):
+    upper: tuple  # np.triu_indices(d, 1): the (i, j) of each off-diagonal coordinate pair
+    coords: np.ndarray  # (d^2, 2): the coordinates column-stacked entry v depends on
+    coefs: np.ndarray  # (d^2, 2): vec(rho)[v] = sum_s coefs[v, s] x[coords[v, s]], row v of U
+    norms: np.ndarray  # (d^2,): squared norm of each basis element, so x = U' vec(rho) / norms
+
+
+@functools.lru_cache(maxsize=None)
+def _basis(d: int) -> _Basis:
+    """Coordinate table of the Hermitian basis of d x d matrices: the nonzeros
+    of each row of U, at most two (a diagonal entry has one; its second slot
+    repeats the coordinate with coefficient 0)."""
+    rows, cols = np.triu_indices(d, 1)
+    n_pairs = rows.size
+    pair = np.zeros((d, d), dtype=np.intp)
+    pair[rows, cols] = pair[cols, rows] = np.arange(n_pairs)
+    b, a = np.divmod(np.arange(d * d), d)  # vec index v = a + d b holds rho[a, b]
+    diag = a == b
+    coords = np.stack([np.where(diag, a, d + pair[a, b]),
+                       np.where(diag, a, d + n_pairs + pair[a, b])], axis=1)
+    # rho[a, b] = x_re + 1j x_im for a < b, x_re - 1j x_im for a > b
+    coefs = np.stack([np.ones(d * d, dtype=complex),
+                      np.where(diag, 0.0, np.where(a < b, 1j, -1j))], axis=1)
+    norms = np.where(np.arange(d * d) < d, 1.0, 2.0)
+    for arr in (rows, cols, coords, coefs, norms):
+        arr.setflags(write=False)
+    return _Basis((rows, cols), coords, coefs, norms)
+
+
+def _coords(rho: np.ndarray) -> np.ndarray:
+    """Hermitian coordinates of a (..., d, d) stack of Hermitian matrices,
+    read from the diagonal and the upper triangle."""
+    rows, cols = _basis(rho.shape[-1]).upper
+    upper = rho[..., rows, cols]
+    return np.concatenate([np.diagonal(rho, axis1=-2, axis2=-1).real, upper.real, upper.imag],
+                          axis=-1)
+
+
+def _density(x: np.ndarray) -> np.ndarray:
+    """The (..., d, d) Hermitian matrices with Hermitian coordinates x."""
+    d = math.isqrt(x.shape[-1])
+    rows, cols = _basis(d).upper
+    n_pairs = rows.size
+    rho = np.zeros(x.shape[:-1] + (d, d), dtype=complex)
+    diag = np.arange(d)
+    rho[..., diag, diag] = x[..., :d]
+    upper = x[..., d:d + n_pairs] + 1j * x[..., d + n_pairs:]
+    rho[..., rows, cols] = upper
+    rho[..., cols, rows] = upper.conj()
+    return rho
+
+
 @dataclass(frozen=True)
 class Liouvillian:
-    """Master-equation generator as a D^2 x D^2 matrix on vectorized states."""
+    """Master-equation generator: ``real`` is the float64 D x D matrix of L in
+    Hermitian coordinates (D = d^2), the form every solver uses."""
 
-    matrix: np.ndarray
+    real: np.ndarray
     hamiltonian: np.ndarray = field(repr=False)
     channels: tuple = field(repr=False)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.real.shape[0]
 
     @property
     def hilbert_dim(self) -> int:
         return self.hamiltonian.shape[0]
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """L on column-stacked complex vectors, U ``real`` U^-1, derived on first access."""
+        basis = _basis(self.hilbert_dim)
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for s in (0, 1):
+            for t in (0, 1):
+                cols = basis.coords[:, t]
+                block = self.real[np.ix_(basis.coords[:, s], cols)] / basis.norms[cols]
+                out += basis.coefs[:, s, None] * block * basis.coefs[None, :, t].conj()
+        return out
+
+    def residual(self, rho: np.ndarray) -> float:
+        """max|L x| of the Hermitian d x d matrix ``rho`` in Hermitian coordinates x,
+        the quantity the steady-state solve checks."""
+        return float(np.abs(self.real @ _coords(rho)).max())
 
 
 @dataclass
@@ -98,15 +186,39 @@ class Trajectory:
     trace_drift: float
 
 
-def _two_sided_super(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> left rho + rho right in column-stacking convention."""
-    eye = np.eye(left.shape[0], dtype=complex)
-    return np.kron(eye, left) + np.kron(right.T, eye)
+def _superoperator_entries(k: np.ndarray, channels):
+    """Column-stacked (row, column, value) nonzeros of I kron K, conj(K) kron I
+    and each rate conj(C) kron C, in that order, as three arrays."""
+    d = k.shape[0]
+    span = d * np.arange(d)
+    a, c = np.nonzero(k)
+    kv = k[a, c]
+    # (K rho)[a, j] gets K[a, c] rho[c, j]; (rho K')[j, a] gets rho[j, c] conj(K[a, c])
+    rows = [(a[:, None] + span).ravel(), (a[:, None] * d + np.arange(d)).ravel()]
+    cols = [(c[:, None] + span).ravel(), (c[:, None] * d + np.arange(d)).ravel()]
+    vals = [np.repeat(kv, d), np.repeat(kv.conj(), d)]
+    for rate, op in channels:
+        # (C rho C')[a, b] gets C[a, c] rho[c, e] conj(C[b, e])
+        a, c = np.nonzero(op)
+        cv = op[a, c]
+        rows.append((a[:, None] + d * a).ravel())
+        cols.append((c[:, None] + d * c).ravel())
+        vals.append(rate * (cv[:, None] * cv.conj()).ravel())
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
 def build_liouvillian(h: np.ndarray, channels) -> Liouvillian:
-    """Assemble L with L vec(rho) = vec(K rho + rho K' + sum g C rho C') = vec(-i[H,rho]
-    + sum (g/2)(2 C rho C' - {C'C, rho})), where K = -i ``model._nonhermitian``."""
+    """Assemble L rho = K rho + rho K' + sum g C rho C' = -i[H, rho]
+    + sum (g/2)(2 C rho C' - {C'C, rho}), where K = -i ``model._nonhermitian``,
+    as the real matrix U^-1 L U in Hermitian coordinates.
+
+    Each nonzero of the column-stacked I kron K, conj(K) kron I and g conj(C)
+    kron C in a row for rho[a, b] with a <= b goes through the coordinate table
+    of ``_basis`` to at most four entries of the real matrix, where the
+    contributions are summed; no Kronecker product is formed. L preserves
+    Hermiticity, so the row for rho[b, a] is the conjugate of the row for
+    rho[a, b] and adds the same real parts.
+    """
     d = h.shape[0]
     if h.shape != (d, d):
         raise ValueError(f"Hamiltonian must be square, got {h.shape}")
@@ -116,37 +228,46 @@ def build_liouvillian(h: np.ndarray, channels) -> Liouvillian:
     for _, c in channels:
         if c.shape != (d, d):
             raise ValueError(f"channel operator shape {c.shape} does not match H {h.shape}")
-    k = -1j * _nonhermitian(h, channels)
-    lmat = _two_sided_super(k, dagger(k))
-    for rate, c in channels:
-        lmat += rate * np.kron(c.conj(), c)
-    return Liouvillian(matrix=lmat, hamiltonian=h, channels=tuple(channels))
+    rows, cols, vals = _superoperator_entries(-1j * _nonhermitian(h, channels), channels)
+    b, a = np.divmod(rows, d)
+    upper = a <= b
+    rows, cols, vals = rows[upper], cols[upper], vals[upper]
+    basis = _basis(d)
+    dim = d * d
+    # U^-1[k, row] = conj(U[row, k]) / norms[k]. For an off-diagonal coordinate the
+    # rows (a, b) and (b, a) add equal real parts at weight 1/2 each, so the upper
+    # row alone, at weight 1, gives both.
+    target = basis.coords[rows][:, :, None] * dim + basis.coords[cols][:, None, :]
+    coef = basis.coefs[rows].conj()[:, :, None] * basis.coefs[cols][:, None, :]
+    weight = coef * vals[:, None, None]
+    real = np.bincount(target.ravel(), weight.real.ravel(), minlength=dim * dim)
+    return Liouvillian(real=real.reshape(dim, dim), hamiltonian=h, channels=tuple(channels))
 
 
 @functools.lru_cache(maxsize=None)
 def _condition_probe(n: int) -> np.ndarray:
     """Fixed right-hand side for the condition estimate. Its magnitudes and
-    phases follow Weyl sequences of irrational steps, so it has no structure
+    signs follow Weyl sequences of irrational steps, so it has no structure
     in common with the Liouvillian and overlaps every near-null direction of
     the bordered matrix. (numpy.random would add several MB to the process.)"""
     k = np.arange(n)
     golden = (math.sqrt(5.0) - 1.0) / 2.0
-    probe = (1.5 + np.cos(k * math.sqrt(2.0))) * np.exp(2j * math.pi * golden * k)
+    probe = (1.5 + np.cos(k * math.sqrt(2.0))) * np.cos(2.0 * math.pi * golden * k)
     probe.setflags(write=False)
     return probe
 
 
-def _bordered_solve(lmat: np.ndarray, trace_row: np.ndarray) -> np.ndarray | None:
-    """Solve L v = 0, tr(v) = 1 with row 0 of L replaced by the trace row.
+def _bordered_solve(gen: np.ndarray, trace_row: np.ndarray) -> np.ndarray | None:
+    """Solve gen x = 0, tr(x) = 1 with row 0 of gen replaced by the trace row.
 
     Returns None when the bordered matrix B is singular or its condition
     number, estimated from below as ||B||_1 ||B^-1 p||_1 / ||p||_1 with the
     probe p solved alongside, exceeds 1/_KERNEL_RTOL.
     """
-    bordered = lmat.copy()
+    bordered = gen.copy()
     bordered[0] = trace_row
     n = bordered.shape[0]
-    rhs = np.zeros((n, 2), dtype=complex)
+    rhs = np.zeros((n, 2))
     rhs[0, 0] = 1.0
     rhs[:, 1] = _condition_probe(n)
     try:
@@ -157,17 +278,17 @@ def _bordered_solve(lmat: np.ndarray, trace_row: np.ndarray) -> np.ndarray | Non
             / np.abs(rhs[:, 1]).sum())
     if not cond <= 1.0 / _KERNEL_RTOL:
         return None
-    v = sol[:, 0]
-    correction = -(bordered @ v)
+    x = sol[:, 0]
+    correction = -(bordered @ x)
     correction[0] += 1.0
-    return v + np.linalg.solve(bordered, correction)
+    return x + np.linalg.solve(bordered, correction)
 
 
-def _svd_kernel(lmat: np.ndarray, trace_row: np.ndarray) -> np.ndarray:
+def _svd_kernel(gen: np.ndarray, trace_row: np.ndarray) -> np.ndarray:
     """Kernel vector with unit trace from a full SVD, after checking that the
     kernel is one-dimensional (singular values at or below ``_KERNEL_RTOL``
     relative to the largest)."""
-    _, sv, vh = np.linalg.svd(lmat)
+    _, sv, vh = np.linalg.svd(gen)
     multiplicity = int(np.sum(sv <= _KERNEL_RTOL * sv[0]))
     if multiplicity == 0:
         raise SteadyStateError(
@@ -176,26 +297,20 @@ def _svd_kernel(lmat: np.ndarray, trace_row: np.ndarray) -> np.ndarray:
         )
     if multiplicity > 1:
         raise DegenerateKernelError(multiplicity)
-    v = vh[-1].conj()
-    return v / (trace_row @ v)
-
-
-def _density_from_vec(v: np.ndarray) -> np.ndarray:
-    rho = unvec(v)
-    rho = (rho + rho.conj().T) / 2.0
-    return rho / np.trace(rho).real
+    return vh[-1] / (trace_row @ vh[-1])
 
 
 def _kernel_state(gen: np.ndarray, d: int) -> np.ndarray:
-    """Hermitized unit-trace d x d density matrix spanning the kernel of the
-    trace-annihilating generator ``gen`` (trace row zero).
+    """Unit-trace Hermitian coordinates x of the d x d density matrix spanning
+    the kernel of the real trace-annihilating generator ``gen`` (trace row
+    zero).
 
     Row 0 of ``gen`` is replaced by the trace row and the bordered system
-    B vec(rho) = e_0 is solved by one LU solve plus one step of iterative
+    B x = e_0 is solved by one LU solve plus one step of iterative
     refinement. B is nonsingular exactly when the kernel is one-dimensional. A
     fixed probe vector is solved in the same call to bound cond(B) from below;
-    the largest accepted estimate is 1/_KERNEL_RTOL. The residual
-    max|gen vec(rho)| must not exceed ``_RESIDUAL_TOL``.
+    the largest accepted estimate is 1/_KERNEL_RTOL. The residual max|gen x|
+    must not exceed ``_RESIDUAL_TOL``.
 
     Only if the solve fails, the estimate exceeds 1/_KERNEL_RTOL or the
     residual check fails does a full SVD count the singular values at or
@@ -203,17 +318,19 @@ def _kernel_state(gen: np.ndarray, d: int) -> np.ndarray:
     more than one raises DegenerateKernelError, and exactly one gives the
     state from the SVD null vector, under the same residual check.
     """
-    trace_row = vec(np.eye(d, dtype=complex))
-    v = _bordered_solve(gen, trace_row)
-    rho = None if v is None else _density_from_vec(v)
-    if rho is None or not np.abs(gen @ vec(rho)).max() <= _RESIDUAL_TOL:
-        rho = _density_from_vec(_svd_kernel(gen, trace_row))
-        residual = np.abs(gen @ vec(rho)).max()
+    trace_row = np.zeros(gen.shape[0])
+    trace_row[:d] = 1.0
+    x = _bordered_solve(gen, trace_row)
+    if x is not None:
+        x = x / x[:d].sum()
+    if x is None or not np.abs(gen @ x).max() <= _RESIDUAL_TOL:
+        x = _svd_kernel(gen, trace_row)
+        residual = np.abs(gen @ x).max()
         if not residual <= _RESIDUAL_TOL:
             raise SteadyStateError(
                 f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:.3e}"
             )
-    return rho
+    return x
 
 
 def steady_state(liouv: Liouvillian, *, space=None, composite: bool = True) -> DensityMatrix:
@@ -224,7 +341,7 @@ def steady_state(liouv: Liouvillian, *, space=None, composite: bool = True) -> D
     Liouvillians.
     """
     d = liouv.hilbert_dim
-    rho = _kernel_state(liouv.matrix, d)
+    rho = _density(_kernel_state(liouv.real, d))
     if space is None:
         from .hilbert import HilbertSpace
 
@@ -237,13 +354,23 @@ def steady_state(liouv: Liouvillian, *, space=None, composite: bool = True) -> D
     return DensityMatrix(rho, space, composite).validate()
 
 
-def _split_periodic_liouvillian(p: SystemParams):
-    """Static Liouvillian plus the e^{-iwt}/e^{+iwt} commutator parts of the
-    longitudinal coupling, where -i[a, rho] = (-i a) rho + rho (i a)."""
+def _periodic_parts(p: SystemParams):
+    """Static Liouvillian L0 and the parts L_c, L_s of the longitudinal coupling,
+    L(t) = L0 + cos(wt) L_c + sin(wt) L_s: with A = g_rp sigma+ sigma- m,
+    A e^{-iwt} + A' e^{iwt} = (A + A') cos(wt) + i(A' - A) sin(wt)."""
     liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
     a = p.g_rp * _longitudinal_operator(p.space)
-    l1, l2 = (_two_sided_super(-1j * x, 1j * x) for x in (a, dagger(a)))
-    return liouv, l1, l2, p.omega_drive
+    lc, ls = (build_liouvillian(x, []) for x in (a + dagger(a), 1j * (dagger(a) - a)))
+    return liouv, lc, ls, p.omega_drive
+
+
+def _split_periodic_liouvillian(p: SystemParams):
+    """``_periodic_parts`` as complex column-stacked harmonics,
+    L(t) = L0 + e^{-iwt} L1 + e^{iwt} L2 with L1 = (L_c + i L_s)/2 and
+    L2 = (L_c - i L_s)/2, the superoperators of -i[A, .] and -i[A', .]; the
+    form harmonic-expansion references of the periodic solve are written in."""
+    liouv, lc, ls, omega = _periodic_parts(p)
+    return liouv, (lc.matrix + 1j * ls.matrix) / 2, (lc.matrix - 1j * ls.matrix) / 2, omega
 
 
 def _max_step(p: SystemParams, h0: np.ndarray) -> float:
@@ -277,23 +404,24 @@ def _rk4_steps(rhs, v: np.ndarray, t0: float, t1: float, n: int):
 
 def _one_period_maps(p: SystemParams, steps_per_period: int = 64):
     """One-period propagator P, period-average map A, drive period T and RK4
-    step h of the longitudinally driven generator, from one RK4 pass on the
-    matrix equation V' = L(t) V with V(0) = I.
+    step h of the longitudinally driven generator in Hermitian coordinates,
+    from one RK4 pass on the matrix equation V' = L(t) V with V(0) = I.
 
     A is the mean of the propagators at the RK4 samples t = h, 2h, ..., T, so
-    A v is the period average of the trajectory that starts from v at drive
+    A x is the period average of the trajectory that starts from x at drive
     phase 0. A period takes ``steps_per_period`` steps, or more where a step
     would exceed ``_max_step``.
     """
-    liouv, l1, l2, omega = _split_periodic_liouvillian(p)
+    liouv, lc, ls, omega = _periodic_parts(p)
     period = 2.0 * math.pi / omega
     n_sub = max(steps_per_period, math.ceil(period / _max_step(p, liouv.hamiltonian)))
+    l0, lc, ls = liouv.real, lc.real, ls.real
 
     def rhs(t, v):
-        return (liouv.matrix + np.exp(-1j * omega * t) * l1 + np.exp(1j * omega * t) * l2) @ v
+        return (l0 + math.cos(omega * t) * lc + math.sin(omega * t) * ls) @ v
 
-    avg = np.zeros_like(liouv.matrix)
-    for prop in _rk4_steps(rhs, np.eye(liouv.dim, dtype=complex), 0.0, period, n_sub):
+    avg = np.zeros_like(l0)
+    for prop in _rk4_steps(rhs, np.eye(liouv.dim), 0.0, period, n_sub):
         avg += prop
     return prop, avg / n_sub, period, period / n_sub
 
@@ -309,7 +437,8 @@ def evolve(rho0: DensityMatrix, p: SystemParams, t_grid) -> Trajectory:
     (``Trajectory.times`` holds k T) and each reports the period average
     A P^k rho0 of ``_one_period_maps``, so the first sample is the average over
     the first period. Trace drift beyond ``hilbert._TRACE_TOL`` raises
-    TraceDriftError.
+    TraceDriftError; the samples before the first such one are checked as
+    density matrices in one stacked call.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     gaps = np.diff(t_grid)
@@ -330,36 +459,37 @@ def evolve(rho0: DensityMatrix, p: SystemParams, t_grid) -> Trajectory:
         liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
         step = _max_step(p, liouv.hamiltonian)
         n = max(1, math.ceil(dt / step))
-        eye = np.eye(liouv.dim, dtype=complex)
-        prop = next(_rk4_steps(lambda t, v: liouv.matrix @ v, eye, 0.0, dt / n, 1))
+        prop = next(_rk4_steps(lambda t, v: liouv.real @ v, np.eye(liouv.dim), 0.0, dt / n, 1))
         report, counts, times = None, n * np.arange(t_grid.size), t_grid
     powers = {m: np.linalg.matrix_power(prop, m) for m in set(np.diff(counts).tolist())}
 
-    space = p.space
-    v = vec(rho0.matrix).astype(complex)
-    states = []
-    drift = 0.0
-    for k in range(t_grid.size):
-        if k:
-            v = powers[counts[k] - counts[k - 1]] @ v
-        rho = unvec(v if report is None else report @ v)
-        rho = (rho + rho.conj().T) / 2.0
-        drift = max(drift, abs(np.trace(rho).real - 1.0))
-        if drift > _TRACE_TOL:
-            raise TraceDriftError(drift, _TRACE_TOL)
-        states.append(DensityMatrix(rho, space, True).validate())
-    return Trajectory(times=times, states=states, params=p, step=step, trace_drift=drift)
+    xs = np.empty((t_grid.size, prop.shape[0]))
+    xs[0] = _coords(rho0.matrix)
+    for k in range(1, t_grid.size):
+        xs[k] = powers[counts[k] - counts[k - 1]] @ xs[k - 1]
+    if report is not None:
+        xs = xs @ report.T
+    drift = np.abs(xs[:, :p.space.total_dim].sum(axis=1) - 1.0)
+    over = np.flatnonzero(drift > _TRACE_TOL)
+    stop = over[0] if over.size else t_grid.size
+    rhos = _density(xs[:stop])
+    _check_densities(rhos)
+    if over.size:
+        raise TraceDriftError(drift[stop], _TRACE_TOL)
+    states = [DensityMatrix(rho, p.space, True) for rho in rhos]
+    return Trajectory(times=times, states=states, params=p, step=step,
+                      trace_drift=float(drift.max()))
 
 
 def steady_state_periodic(p: SystemParams, steps_per_period: int = 64) -> DensityMatrix:
     """Period-averaged steady state under the time-dependent longitudinal coupling.
 
     With the maps of ``_one_period_maps``, the state at drive phase 0 is the
-    fixed point P v = v, found by ``_kernel_state`` as the kernel of
+    fixed point P x = x, found by ``_kernel_state`` as the kernel of
     G = (P - I)/T; dividing by the period T makes G approximate the
     period-averaged Liouvillian, so the kernel and residual tolerances mean
     what they mean for the static problem. The result is its period average
-    A v.
+    A x.
     """
     if p.g_rp <= 0.0:
         raise ValueError(f"periodic steady state requires g_rp > 0, got {p.g_rp}")
@@ -367,6 +497,6 @@ def steady_state_periodic(p: SystemParams, steps_per_period: int = 64) -> Densit
         raise ValueError("periodic steady state requires dissipation")
 
     prop, avg, period, _ = _one_period_maps(p, steps_per_period)
-    space = p.space
-    rho0 = _kernel_state((prop - np.eye(prop.shape[0])) / period, space.total_dim)
-    return DensityMatrix(_density_from_vec(avg @ vec(rho0)), space, True).validate()
+    d = p.space.total_dim
+    x = avg @ _kernel_state((prop - np.eye(prop.shape[0])) / period, d)
+    return DensityMatrix(_density(x / x[:d].sum()), p.space, True).validate()

@@ -77,6 +77,26 @@ def embed_magnon(op: np.ndarray, space: HilbertSpace) -> np.ndarray:
     return np.kron(np.eye(2, dtype=complex), op)
 
 
+def _check_densities(m: np.ndarray) -> None:
+    """Check each matrix of a (k, d, d) stack for hermiticity, unit trace and
+    numerical positive semidefiniteness against ``_HERM_TOL``, ``_TRACE_TOL``
+    and ``_EIG_FLOOR``, and raise the ValueError of the first one that fails."""
+    mh = m.conj().swapaxes(-1, -2)
+    herm = np.abs(m - mh).max(axis=(-2, -1))
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    lowest = np.linalg.eigvalsh((m + mh) / 2).min(axis=-1)
+    failed = np.flatnonzero((herm > _HERM_TOL) | (abs(tr - 1.0) > _TRACE_TOL)
+                            | (lowest < _EIG_FLOOR))
+    if not failed.size:
+        return
+    i = failed[0]
+    if herm[i] > _HERM_TOL:
+        raise ValueError(f"density matrix not Hermitian: max deviation {herm[i]:.3e}")
+    if abs(tr[i] - 1.0) > _TRACE_TOL:
+        raise ValueError(f"density matrix trace {tr[i]} deviates from 1 by {abs(tr[i] - 1.0):.3e}")
+    raise ValueError(f"density matrix has negative eigenvalue {lowest[i]:.3e}")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A density matrix together with the space it lives on.
@@ -99,15 +119,7 @@ class DensityMatrix:
         m = self.matrix
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"matrix shape {m.shape} does not match space dimension {self.dim}")
-        herm = np.abs(m - m.conj().T).max()
-        if herm > _HERM_TOL:
-            raise ValueError(f"density matrix not Hermitian: max deviation {herm:.3e}")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr} deviates from 1 by {abs(tr - 1.0):.3e}")
-        lowest = np.linalg.eigvalsh((m + m.conj().T) / 2).min()
-        if lowest < _EIG_FLOOR:
-            raise ValueError(f"density matrix has negative eigenvalue {lowest:.3e}")
+        _check_densities(m[None])
         return self
 
 

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .analytic import derivative_roots, derivative_roots_numeric, g2_analytic, g2_dimensionless
-from .dynamics import build_liouvillian, evolve, steady_state, steady_state_periodic, vec
+from .dynamics import build_liouvillian, evolve, steady_state, steady_state_periodic
 from .hilbert import DensityMatrix
 from .model import MHZ, SystemParams, build_h_eff, collapse_channels, rabi_from_power, thermal_occupation
 from .observables import UndefinedCorrelationError, g2_time_series, g2_zero, populations
@@ -68,6 +68,9 @@ _PARAM_KEYS = {
 # roots mode only
 _STATIC_QUANTITIES = frozenset({"J", "kappa_m", "kappa_q", "Omega_m", "Omega_q", "Delta_plus",
                                 "Delta_minus", "omega_drive", "m_th"})
+
+# the quantities every mode but roots needs a value for
+_REQUIRED = frozenset({"J", "kappa_m", "kappa_q"})
 
 # initial-state name -> basis index i = q*N + n of the pure state it names
 _INITIAL_STATES = {"vacuum": 0, "g1": 1}
@@ -198,6 +201,10 @@ class ScenarioConfig:
                                   f"they read {sorted(mode.options)}")
         if self.fock_dim < 3:
             raise ConfigError(f"fock_dim must be >= 3, got {self.fock_dim}")
+        for quantity in sorted(mode.required - setters.keys()):
+            keys = [key for key, quantities in _PARAM_KEYS.items() if quantity in quantities]
+            raise ConfigError(f"{self.mode} scenarios need {quantity}: set "
+                              f"{' or '.join(f'params.{key}' for key in keys)}")
 
     def with_grid(self, num: int) -> "ScenarioConfig":
         """Re-densify every linspace-style axis to ``num`` points; a config
@@ -223,17 +230,11 @@ def _system_params(user: dict, fock_dim: int) -> SystemParams:
     left over, such as a second key for a quantity already set, is a
     ConfigError."""
     u = dict(user)
-    try:
-        j_mhz = u.pop("J_over_2pi_MHz")
-    except KeyError:
-        raise ConfigError("J_over_2pi_MHz is required") from None
-    J = j_mhz * MHZ
+    J = u.pop("J_over_2pi_MHz") * MHZ
     if "kappa_over_2pi_MHz" in u:
         kappa_m = kappa_q = u.pop("kappa_over_2pi_MHz")
-    elif "kappa_m_over_2pi_MHz" in u and "kappa_q_over_2pi_MHz" in u:
-        kappa_m, kappa_q = u.pop("kappa_m_over_2pi_MHz"), u.pop("kappa_q_over_2pi_MHz")
     else:
-        raise ConfigError("kappa_over_2pi_MHz (or the _m/_q pair) is required")
+        kappa_m, kappa_q = u.pop("kappa_m_over_2pi_MHz"), u.pop("kappa_q_over_2pi_MHz")
     if "Omega_m_power_uW" in u:
         Omega_m = rabi_from_power(u.pop("Omega_m_power_uW") * 1e-3)
     else:
@@ -325,7 +326,7 @@ def _steady_rows(user: dict, fock_dim: int, options: dict) -> list[dict]:
     p = _system_params(user, fock_dim)
     rho, liouv = _static_state(p)
     rec = _state_columns(rho)
-    rec["residual_inf"] = _norm(float(np.abs(liouv.matrix @ vec(rho.matrix)).max()))
+    rec["residual_inf"] = _norm(liouv.residual(rho.matrix))
     if _analytic_applicable(user):
         rec["log10_g2_analytic"] = _norm(
             _log10_or_error(g2_analytic(p.J, p.kappa_m, p.Omega_m, p.Omega_q)[1])
@@ -361,10 +362,7 @@ def _time_series_rows(user: dict, fock_dim: int, options: dict) -> list[dict]:
 
 def _roots_rows(user: dict, fock_dim: int, options: dict) -> list[dict]:
     u = dict(user)
-    try:
-        r = u.pop("r_kappa_over_J")
-    except KeyError:
-        raise ConfigError("roots scenarios sweep params.r_kappa_over_J") from None
+    r = u.pop("r_kappa_over_J")
     radical = derivative_roots(r)
     numeric = derivative_roots_numeric(r)
     rec = {
@@ -387,6 +385,7 @@ class _Mode(NamedTuple):
     columns: tuple  # placed between the axis columns and "error"
     options: frozenset  # the option keys the mode reads
     quantities: frozenset  # the model quantities it takes from the parameter keys
+    required: frozenset  # those of them a config must set
     rows: Callable  # (user, fock_dim, options) -> one dict per output row
     state: Callable | None  # (p, options) -> the state convergence_check compares
 
@@ -394,21 +393,22 @@ class _Mode(NamedTuple):
 _MODES = {
     "steady": _Mode(
         ("log10_g2", "log10_g2_analytic", *_POPULATIONS, "residual_inf"),
-        frozenset(), _STATIC_QUANTITIES, _steady_rows, lambda p, options: _static_state(p)[0]),
+        frozenset(), _STATIC_QUANTITIES, _REQUIRED, _steady_rows,
+        lambda p, options: _static_state(p)[0]),
     "periodic": _Mode(
         ("log10_g2", *_POPULATIONS),
-        frozenset(), _STATIC_QUANTITIES | {"g_rp"}, _periodic_rows, _periodic_state),
+        frozenset(), _STATIC_QUANTITIES | {"g_rp"}, _REQUIRED, _periodic_rows, _periodic_state),
     # roots mode sets kappa = r J and Omega_q/Omega_m = l + 1 itself
     "roots": _Mode(
         ("l1", "l2", "l1_numeric", "l2_numeric",
          "log10_g2_analytic_l1", "log10_g2_numeric_l1",
          "log10_g2_analytic_l2", "log10_g2_numeric_l2"),
         frozenset(), _STATIC_QUANTITIES - {"kappa_m", "kappa_q", "Omega_q"} | {"r"},
-        _roots_rows, None),
+        frozenset({"J", "r"}), _roots_rows, None),
     "time_series": _Mode(
         ("kappa_t", "log10_g2", *_POPULATIONS),
         frozenset({"kappa_t_max", "time_points", "initial_state"}), _STATIC_QUANTITIES | {"g_rp"},
-        _time_series_rows, lambda p, options: _trajectory(p, options, 2).states[-1]),
+        _REQUIRED, _time_series_rows, lambda p, options: _trajectory(p, options, 2).states[-1]),
 }
 
 

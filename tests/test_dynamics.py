@@ -11,6 +11,9 @@ from magnonblockade.dynamics import (
     Liouvillian,
     SteadyStateError,
     TraceDriftError,
+    _basis,
+    _coords,
+    _density,
     build_liouvillian,
     evolve,
     steady_state,
@@ -27,6 +30,7 @@ from magnonblockade.hilbert import (
 )
 from magnonblockade.model import MHZ, SystemParams, build_h_eff, collapse_channels
 from magnonblockade.observables import g2_zero, populations
+from magnonblockade.scenarios import parse_config, run_scenario
 
 FIG2A = dict(J=20.0 * MHZ, Delta_plus=20.0 * MHZ, Omega_m=0.1 * MHZ,
              Omega_q=0.1 * MHZ, kappa_m=1.0 * MHZ, kappa_q=1.0 * MHZ)
@@ -123,6 +127,66 @@ class TestBuildLiouvillian:
             build_liouvillian(np.eye(4, dtype=complex), [(1.0, np.eye(6, dtype=complex))])
 
 
+def random_operator(rng, dim):
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+class TestHermitianBasis:
+    """The real generator is L in the coordinates of ``_basis``; its complex
+    view is checked against an assembly by dense Kronecker products."""
+
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    def test_complex_view_matches_kron_assembly(self, n):
+        rng = np.random.default_rng(n)
+        a = random_operator(rng, n)
+        h = a + a.conj().T
+        channels = [(0.7, random_operator(rng, n)), (0.2, random_operator(rng, n))]
+        eye = np.eye(n)
+        expected = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+        for rate, c in channels:
+            cdc = dagger(c) @ c
+            expected = expected + rate * (np.kron(c.conj(), c) - 0.5 * np.kron(eye, cdc)
+                                          - 0.5 * np.kron(cdc.T, eye))
+        assert np.abs(build_liouvillian(h, channels).matrix - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    def test_real_matrix_annihilates_the_trace(self, n):
+        rng = np.random.default_rng(n)
+        a = random_operator(rng, n)
+        liouv = build_liouvillian(a + dagger(a), [(0.7, random_operator(rng, n))])
+        assert liouv.real.dtype == np.float64 and liouv.real.shape == (n * n, n * n)
+        trace_row = np.zeros(n * n)
+        trace_row[:n] = 1.0
+        assert np.abs(trace_row @ liouv.real).max() <= 1e-12
+
+    def test_coordinates_round_trip(self):
+        rho = random_density(np.random.default_rng(3), 8)
+        rho = (rho + rho.conj().T) / 2
+        x = _coords(rho)
+        assert x.dtype == np.float64
+        assert np.abs(_density(x) - rho).max() <= 1e-15
+        basis = _basis(8)
+        assert np.abs((basis.coefs * x[basis.coords]).sum(axis=1) - vec(rho)).max() <= 1e-15
+
+    def test_solvers_never_read_the_complex_view(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a solver read Liouvillian.matrix")
+
+        monkeypatch.setattr(Liouvillian, "matrix", property(refuse))
+        p = fig2a_params(fock_dim=4)
+        steady_state(build_liouvillian(build_h_eff(p), collapse_channels(p)))
+        evolve(vacuum(p), p, np.linspace(0.0, 3.0 / p.kappa_m, 4))
+        p = SystemParams.from_detunings(**OPT, fock_dim=3, g_rp=0.3 * 35.0 * MHZ)
+        steady_state_periodic(p)
+        period = 2 * math.pi / p.omega_drive
+        evolve(vacuum(p), p, np.linspace(0.0, 4 * period, 3))
+        cfg = parse_config("scenario = t\nmode = steady\nfock_dim = 4\n"
+                           "params.J_over_2pi_MHz = 20\nparams.kappa_over_2pi_MHz = 1\n"
+                           "params.Omega_m_over_2pi_MHz = 0.1\n")
+        (row,) = run_scenario(cfg).rows
+        assert row[-1] == ""
+
+
 class TestSteadyState:
     def test_pure_decay_reaches_vacuum(self):
         p = fig2a_params(Omega_m=0.0, Omega_q=0.0)
@@ -161,7 +225,7 @@ class TestSteadyState:
     def test_missing_kernel_detected(self):
         p = fig2a_params()
         liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
-        shifted = Liouvillian(matrix=liouv.matrix - 0.5 * np.eye(liouv.dim),
+        shifted = Liouvillian(real=liouv.real - 0.5 * np.eye(liouv.dim),
                               hamiltonian=liouv.hamiltonian, channels=liouv.channels)
         with pytest.raises(SteadyStateError, match="no Liouvillian kernel"):
             steady_state(shifted)
@@ -356,7 +420,7 @@ class TestEvolve:
 
         def leaky(h, channels):
             liouv = build_liouvillian(h, channels)
-            return Liouvillian(matrix=liouv.matrix - leak * np.eye(liouv.dim),
+            return Liouvillian(real=liouv.real - leak * np.eye(liouv.dim),
                                hamiltonian=liouv.hamiltonian, channels=liouv.channels)
 
         monkeypatch.setattr(dynamics_mod, "build_liouvillian", leaky)

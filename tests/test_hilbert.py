@@ -6,6 +6,7 @@ import pytest
 from magnonblockade.hilbert import (
     DensityMatrix,
     HilbertSpace,
+    _check_densities,
     dagger,
     expectation,
     fock_annihilation,
@@ -180,6 +181,20 @@ class TestDensityMatrix:
         rho = np.diag([1.2, -0.2] + [0.0] * 10).astype(complex)
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityMatrix(rho, HilbertSpace(6)).validate()
+
+    def test_stacked_check_raises_what_validate_raises(self):
+        # a trajectory is checked in one call; it reports its first bad state
+        rng = np.random.default_rng(5)
+        stack = np.array([random_density(rng, 12) for _ in range(5)])
+        stack[2] = np.diag([1.2, -0.2] + [0.0] * 10)
+        stack[3, 0, 1] = 1e-3
+        with pytest.raises(ValueError) as per_state:
+            DensityMatrix(stack[2], HilbertSpace(6)).validate()
+        with pytest.raises(ValueError) as stacked:
+            _check_densities(stack)
+        assert "negative eigenvalue" in str(per_state.value)
+        assert str(stacked.value) == str(per_state.value)
+        _check_densities(stack[:2])
 
     def test_magnon_reduced_dimension(self):
         dm = DensityMatrix(np.eye(6, dtype=complex) / 6, HilbertSpace(6), composite=False)

@@ -79,6 +79,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=match):
             ScenarioConfig(name="x", mode=mode, params={}, options=options)
 
+    # a missing quantity is refused when the config is built, not per grid point
+    @pytest.mark.parametrize("mode, params, match", [
+        ("steady", {"kappa_over_2pi_MHz": 1.0}, "J_over_2pi_MHz"),
+        ("steady", {"J_over_2pi_MHz": 20.0}, "kappa"),
+        ("roots", {"J_over_2pi_MHz": 35.0, "Omega_m_over_2pi_MHz": 0.033,
+                   "Delta_plus_over_J": 1.0}, "r_kappa_over_J"),
+    ])
+    def test_missing_required_keys(self, mode, params, match):
+        with pytest.raises(ConfigError, match=match):
+            ScenarioConfig(name="x", mode=mode, params=params)
+
     def test_paired_length_mismatch(self):
         with pytest.raises(ConfigError, match="paired"):
             SweepAxis("params.J_over_2pi_MHz", (14.0, 35.0),
@@ -126,12 +137,6 @@ class TestSystemParamsResolution:
     def test_a_second_key_for_one_quantity_is_left_over(self, extra):
         with pytest.raises(ConfigError, match="unused parameter keys"):
             _system_params({**self.BASE, **extra}, 6)
-
-    def test_missing_required_keys(self):
-        with pytest.raises(ConfigError, match="J_over_2pi_MHz"):
-            _system_params({"kappa_over_2pi_MHz": 1.0}, 6)
-        with pytest.raises(ConfigError, match="kappa"):
-            _system_params({"J_over_2pi_MHz": 20.0}, 6)
 
 
 class TestBuiltInScenarios:
