@@ -30,10 +30,8 @@ from .hilbert import (
     DensityMatrix,
     HilbertSpace,
     dagger,
-    expectation,
     fock_annihilation,
     qubit_lowering,
-    tensor,
 )
 from .model import (
     MHZ,

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import _TRACE_TOL, DensityMatrix, _check_densities, dagger
+from .hilbert import _TRACE_TOL, DensityMatrix, _check_densities, _read_only, dagger
 from .model import SystemParams, _longitudinal_operator, _nonhermitian, build_h_eff, collapse_channels
 
 __all__ = [
@@ -111,8 +111,7 @@ def _basis(d: int) -> _Basis:
     coefs = np.stack([np.ones(d * d, dtype=complex),
                       np.where(diag, 0.0, np.where(a < b, 1j, -1j))], axis=1)
     norms = np.where(np.arange(d * d) < d, 1.0, 2.0)
-    for arr in (rows, cols, coords, coefs, norms):
-        arr.setflags(write=False)
+    rows, cols, coords, coefs, norms = _read_only(rows, cols, coords, coefs, norms)
     return _Basis((rows, cols), coords, coefs, norms)
 
 
@@ -186,25 +185,63 @@ class Trajectory:
     trace_drift: float
 
 
-def _superoperator_entries(k: np.ndarray, channels):
-    """Column-stacked (row, column, value) nonzeros of I kron K, conj(K) kron I
-    and each rate conj(C) kron C, in that order, as three arrays."""
-    d = k.shape[0]
+_PLAN_CACHE_SIZE = 8  # nonzero patterns whose plans are kept; a sweep uses one to three
+
+
+class _Plan(NamedTuple):
+    source: np.ndarray  # (n,): index into the values of ``_entry_values`` of each kept entry
+    coef: np.ndarray  # (n, 2, 2): conj(U[row, s]) U[col, t], the factor of each value in slot (s, t)
+    target: np.ndarray  # (4 n,): flat index of the real matrix each (entry, s, t) adds to
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _liouvillian_plan(d: int, pattern: bytes, channel_patterns: tuple) -> _Plan:
+    """Index plan of ``build_liouvillian`` for one nonzero pattern of K (d * d
+    booleans, row-major) and of each channel operator, in channel order: every
+    index computation of the build, which depends on the pattern alone.
+
+    The column-stacked nonzeros of I kron K, conj(K) kron I and each conj(C)
+    kron C come in that order; of them, those in a row for rho[a, b] with
+    a <= b are kept, and each goes through the coordinate table of ``_basis``
+    to four (row, column) slots of the real matrix.
+    """
     span = d * np.arange(d)
-    a, c = np.nonzero(k)
-    kv = k[a, c]
+    a, c = np.nonzero(np.frombuffer(pattern, dtype=bool).reshape(d, d))
+    n_k = a.size
     # (K rho)[a, j] gets K[a, c] rho[c, j]; (rho K')[j, a] gets rho[j, c] conj(K[a, c])
     rows = [(a[:, None] + span).ravel(), (a[:, None] * d + np.arange(d)).ravel()]
     cols = [(c[:, None] + span).ravel(), (c[:, None] * d + np.arange(d)).ravel()]
-    vals = [np.repeat(kv, d), np.repeat(kv.conj(), d)]
-    for rate, op in channels:
+    source = [np.repeat(np.arange(n_k), d), np.repeat(np.arange(n_k, 2 * n_k), d)]
+    offset = 2 * n_k
+    for channel in channel_patterns:
         # (C rho C')[a, b] gets C[a, c] rho[c, e] conj(C[b, e])
-        a, c = np.nonzero(op)
-        cv = op[a, c]
+        a, c = np.nonzero(np.frombuffer(channel, dtype=bool).reshape(d, d))
         rows.append((a[:, None] + d * a).ravel())
         cols.append((c[:, None] + d * c).ravel())
-        vals.append(rate * (cv[:, None] * cv.conj()).ravel())
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+        source.append(np.arange(offset, offset + a.size ** 2))
+        offset += a.size ** 2
+    rows, cols, source = (np.concatenate(x) for x in (rows, cols, source))
+    b, a = np.divmod(rows, d)
+    upper = a <= b
+    rows, cols, source = rows[upper], cols[upper], source[upper]
+    basis = _basis(d)
+    # U^-1[k, row] = conj(U[row, k]) / norms[k]. For an off-diagonal coordinate the
+    # rows (a, b) and (b, a) add equal real parts at weight 1/2 each, so the upper
+    # row alone, at weight 1, gives both.
+    target = basis.coords[rows][:, :, None] * (d * d) + basis.coords[cols][:, None, :]
+    coef = basis.coefs[rows].conj()[:, :, None] * basis.coefs[cols][:, None, :]
+    return _Plan(*_read_only(source, coef, target.ravel()))
+
+
+def _entry_values(k: np.ndarray, k_nonzero: np.ndarray, channels, nonzeros) -> np.ndarray:
+    """The values ``_Plan.source`` indexes: the nonzeros of K, their conjugates
+    and, per channel (g, C), g conj(C[b, e]) C[a, c] over pairs of nonzeros."""
+    kv = k[k_nonzero]
+    values = [kv, kv.conj()]
+    for (rate, op), nonzero in zip(channels, nonzeros):
+        cv = op[nonzero]
+        values.append(rate * (cv[:, None] * cv.conj()).ravel())
+    return np.concatenate(values)
 
 
 def build_liouvillian(h: np.ndarray, channels) -> Liouvillian:
@@ -213,11 +250,13 @@ def build_liouvillian(h: np.ndarray, channels) -> Liouvillian:
     as the real matrix U^-1 L U in Hermitian coordinates.
 
     Each nonzero of the column-stacked I kron K, conj(K) kron I and g conj(C)
-    kron C in a row for rho[a, b] with a <= b goes through the coordinate table
-    of ``_basis`` to at most four entries of the real matrix, where the
-    contributions are summed; no Kronecker product is formed. L preserves
-    Hermiticity, so the row for rho[b, a] is the conjugate of the row for
-    rho[a, b] and adds the same real parts.
+    kron C in a row for rho[a, b] with a <= b goes to at most four entries of
+    the real matrix, where the contributions are summed; no Kronecker product
+    is formed. L preserves Hermiticity, so the row for rho[b, a] is the
+    conjugate of the row for rho[a, b] and adds the same real parts. Where
+    each nonzero goes depends only on the nonzero patterns, so it comes from
+    the cached ``_liouvillian_plan``; a call forms the values, their products
+    with the plan's coefficients and one ``np.bincount``.
     """
     d = h.shape[0]
     if h.shape != (d, d):
@@ -228,19 +267,14 @@ def build_liouvillian(h: np.ndarray, channels) -> Liouvillian:
     for _, c in channels:
         if c.shape != (d, d):
             raise ValueError(f"channel operator shape {c.shape} does not match H {h.shape}")
-    rows, cols, vals = _superoperator_entries(-1j * _nonhermitian(h, channels), channels)
-    b, a = np.divmod(rows, d)
-    upper = a <= b
-    rows, cols, vals = rows[upper], cols[upper], vals[upper]
-    basis = _basis(d)
+    k = -1j * _nonhermitian(h, channels)
+    k_nonzero = k != 0
+    nonzeros = [c != 0 for _, c in channels]
+    plan = _liouvillian_plan(d, k_nonzero.tobytes(), tuple(x.tobytes() for x in nonzeros))
+    values = _entry_values(k, k_nonzero, channels, nonzeros)[plan.source]
+    weight = plan.coef * values[:, None, None]
     dim = d * d
-    # U^-1[k, row] = conj(U[row, k]) / norms[k]. For an off-diagonal coordinate the
-    # rows (a, b) and (b, a) add equal real parts at weight 1/2 each, so the upper
-    # row alone, at weight 1, gives both.
-    target = basis.coords[rows][:, :, None] * dim + basis.coords[cols][:, None, :]
-    coef = basis.coefs[rows].conj()[:, :, None] * basis.coefs[cols][:, None, :]
-    weight = coef * vals[:, None, None]
-    real = np.bincount(target.ravel(), weight.real.ravel(), minlength=dim * dim)
+    real = np.bincount(plan.target, weight.real.ravel(), minlength=dim * dim)
     return Liouvillian(real=real.reshape(dim, dim), hamiltonian=h, channels=tuple(channels))
 
 

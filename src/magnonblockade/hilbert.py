@@ -18,9 +18,7 @@ __all__ = [
     "DensityMatrix",
     "fock_annihilation",
     "qubit_lowering",
-    "tensor",
     "dagger",
-    "expectation",
     "embed_qubit",
     "embed_magnon",
 ]
@@ -58,11 +56,6 @@ def qubit_lowering() -> np.ndarray:
     return np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product in the fixed qubit (x) magnon ordering."""
-    return np.kron(a, b)
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
@@ -75,6 +68,13 @@ def embed_qubit(op: np.ndarray, space: HilbertSpace) -> np.ndarray:
 def embed_magnon(op: np.ndarray, space: HilbertSpace) -> np.ndarray:
     """Lift an NxN magnon operator to the composite space."""
     return np.kron(np.eye(2, dtype=complex), op)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: for those a cache hands to every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _check_densities(m: np.ndarray) -> None:
@@ -122,13 +122,3 @@ class DensityMatrix:
         _check_densities(m[None])
         return self
 
-
-def expectation(rho, op: np.ndarray) -> complex:
-    """Expectation value trace(rho @ op).
-
-    ``rho`` may be a DensityMatrix or a bare matrix of matching dimension.
-    """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    if m.shape != op.shape:
-        raise ValueError(f"dimension mismatch: state {m.shape} vs operator {op.shape}")
-    return complex(np.trace(m @ op))

@@ -7,6 +7,7 @@ values convert via ``2*pi``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -14,6 +15,7 @@ import numpy as np
 
 from .hilbert import (
     HilbertSpace,
+    _read_only,
     dagger,
     embed_magnon,
     embed_qubit,
@@ -110,9 +112,25 @@ class SystemParams:
         )
 
 
+_SPACE_CACHE_SIZE = 8  # truncations whose operators are kept; a sweep uses one or two
+
+
+@functools.lru_cache(maxsize=_SPACE_CACHE_SIZE)
 def _mode_operators(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Magnon annihilation m and qubit lowering sigma- on the composite space."""
-    return embed_magnon(fock_annihilation(space), space), embed_qubit(qubit_lowering(), space)
+    """Magnon annihilation m and qubit lowering sigma- on the composite space,
+    built once per space and read-only, since every call shares them."""
+    return _read_only(embed_magnon(fock_annihilation(space), space),
+                      embed_qubit(qubit_lowering(), space))
+
+
+@functools.lru_cache(maxsize=_SPACE_CACHE_SIZE)
+def _hamiltonian_terms(space: HilbertSpace) -> tuple[np.ndarray, ...]:
+    """The read-only operators ``build_h_eff`` weighs: sigma+sigma-, m'm,
+    m sigma+ + m' sigma-, m' + m and sigma+ + sigma-."""
+    m, sm = _mode_operators(space)
+    sp = dagger(sm)
+    md = dagger(m)
+    return _read_only(sp @ sm, md @ m, sp @ m + md @ sm, md + m, sp + sm)
 
 
 def _longitudinal_operator(space: HilbertSpace) -> np.ndarray:
@@ -128,14 +146,12 @@ def build_h_eff(p: SystemParams) -> np.ndarray:
         + Omega_m (m' + m) + Omega_q (sigma+ + sigma-),
     embedded on the composite space. The longitudinal coupling is ignored here.
     """
-    m, sm = _mode_operators(p.space)
-    sp = dagger(sm)
-    md = dagger(m)
-    h = (p.Delta_plus - p.Delta_minus) * (sp @ sm)
-    h = h + (p.Delta_plus + p.Delta_minus) * (md @ m)
-    h = h + p.J * (sp @ m + md @ sm)
-    h = h + p.Omega_m * (md + m)
-    h = h + p.Omega_q * (sp + sm)
+    qubit, magnon, hopping, magnon_drive, qubit_drive = _hamiltonian_terms(p.space)
+    h = (p.Delta_plus - p.Delta_minus) * qubit
+    h = h + (p.Delta_plus + p.Delta_minus) * magnon
+    h = h + p.J * hopping
+    h = h + p.Omega_m * magnon_drive
+    h = h + p.Omega_q * qubit_drive
     return h
 
 

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +17,7 @@ from magnonblockade.dynamics import (
     _basis,
     _coords,
     _density,
+    _liouvillian_plan,
     build_liouvillian,
     evolve,
     steady_state,
@@ -125,6 +129,41 @@ class TestBuildLiouvillian:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             build_liouvillian(np.eye(4, dtype=complex), [(1.0, np.eye(6, dtype=complex))])
+
+
+class TestLiouvillianPlanCache:
+    """A build that reuses a cached index plan gives the bits of a build from a
+    cleared cache, whatever the cache held before."""
+
+    @staticmethod
+    def cold(h, channels):
+        _liouvillian_plan.cache_clear()
+        return build_liouvillian(h, channels).real.tobytes()
+
+    @staticmethod
+    def warm(p, h, channels):
+        _liouvillian_plan.cache_clear()
+        build_liouvillian(build_h_eff(p), collapse_channels(p))
+        return build_liouvillian(h, channels).real.tobytes()
+
+    def test_same_pattern_other_values(self):
+        base = fig2a_params()
+        p = fig2a_params(J=31.0 * MHZ, Omega_q=0.4 * MHZ, kappa_m=0.7 * MHZ)
+        h, channels = build_h_eff(p), collapse_channels(p)
+        assert self.warm(base, h, channels) == self.cold(h, channels)
+        build_liouvillian(build_h_eff(base), collapse_channels(base))
+        assert _liouvillian_plan.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("change", [dict(Omega_q=0.0), dict(m_th=0.2), dict(kappa_q=0.0)])
+    def test_pattern_changes(self, change):
+        p = fig2a_params(**change)
+        h, channels = build_h_eff(p), collapse_channels(p)
+        assert self.warm(fig2a_params(), h, channels) == self.cold(h, channels)
+
+    def test_channel_order(self):
+        p = fig2a_params(m_th=0.2)
+        h, channels = build_h_eff(p), collapse_channels(p)[::-1]
+        assert self.warm(p, h, channels) == self.cold(h, channels)
 
 
 def random_operator(rng, dim):
@@ -291,6 +330,24 @@ class TestSteadyState:
         monkeypatch.setattr(dynamics_mod, "_bordered_solve", lambda *args: None)
         slow = steady_state(liouv)
         assert np.abs(fast.matrix - slow.matrix).max() <= 1e-10
+
+    def test_steady_solve_imports_no_scipy(self):
+        """Importing scipy.linalg adds about 300 ms and 29 MB to a process, so the
+        library, which needs only numpy, must not pull it in."""
+        code = ("import sys\n"
+                "import magnonblockade as mb\n"
+                "p = mb.SystemParams.from_detunings(J=20.0, Delta_plus=20.0, Omega_m=0.1,\n"
+                "                                   Omega_q=0.3, kappa_m=1.0, kappa_q=1.0)\n"
+                "mb.steady_state(mb.build_liouvillian(mb.build_h_eff(p), mb.collapse_channels(p)))\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        import magnonblockade
+
+        src = os.path.dirname(os.path.dirname(magnonblockade.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 @st.composite
@@ -566,6 +623,9 @@ class TestSteadyStatePeriodic:
         rho_k = S_k rho_{k-1} for k > 0 and rho_k = T_k rho_{k+1} for k < 0 with
         S_k = -(L0 - ikw + L1 S_{k+1})^-1 L2 and T_k = -(L0 - ikw + L2 T_{k-1})^-1 L1,
         so the period average rho_0 spans the kernel of L0 + L1 S_1 + L2 T_-1.
+        rho_0 comes from that matrix with row 0 replaced by the trace row, by
+        one LU solve plus one refinement step: the SVD null vector carried
+        about 1e-6 of rounding error in log10 g2, the size of the tolerance.
         """
         from magnonblockade.dynamics import _split_periodic_liouvillian
 
@@ -577,8 +637,11 @@ class TestSteadyStatePeriodic:
         for k in range(8, 0, -1):
             s_next = -np.linalg.solve(l0 - 1j * k * omega * eye + l1 @ s_next, l2)
             t_prev = -np.linalg.solve(l0 + 1j * k * omega * eye + l2 @ t_prev, l1)
-        null = np.linalg.svd(l0 + l1 @ s_next + l2 @ t_prev)[2][-1].conj()
-        rho = unvec(null)
+        bordered = l0 + l1 @ s_next + l2 @ t_prev
+        bordered[0] = vec(np.eye(p.space.total_dim))
+        e0 = eye[0]
+        x = np.linalg.solve(bordered, e0)
+        rho = unvec(x + np.linalg.solve(bordered, e0 - bordered @ x))
         rho = (rho + rho.conj().T) / 2.0
         ref = DensityMatrix(rho / np.trace(rho).real, p.space, True)
 

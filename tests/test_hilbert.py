@@ -8,10 +8,9 @@ from magnonblockade.hilbert import (
     HilbertSpace,
     _check_densities,
     dagger,
-    expectation,
+    embed_qubit,
     fock_annihilation,
     qubit_lowering,
-    tensor,
 )
 
 
@@ -62,6 +61,33 @@ class TestFockOperators:
         assert np.abs(comm - expected).max() <= 1e-12
         assert comm[n - 1, n - 1].real == pytest.approx(1 - n, rel=1e-14)
 
+    def test_fock_state_occupation(self):
+        n = 5
+        m = fock_annihilation(HilbertSpace(n))
+        rho = np.zeros((n, n), dtype=complex)
+        rho[2, 2] = 1.0
+        assert np.trace(rho @ dagger(m) @ m) == pytest.approx(2.0)
+
+    def test_vacuum_normally_ordered(self):
+        n = 4
+        m = fock_annihilation(HilbertSpace(n))
+        rho = np.zeros((n, n), dtype=complex)
+        rho[0, 0] = 1.0
+        assert np.trace(rho @ dagger(m) @ dagger(m) @ m @ m) == pytest.approx(0.0)
+
+    def test_coherent_state_occupation(self):
+        # oracle: explicit Fock expansion of |alpha>
+        n, alpha = 20, 0.3
+        amps = np.array([
+            math.exp(-abs(alpha) ** 2 / 2) * alpha**k / math.sqrt(math.factorial(k))
+            for k in range(n)
+        ])
+        rho = np.outer(amps, amps.conj()).astype(complex)
+        m = fock_annihilation(HilbertSpace(n))
+        value = np.trace(rho @ dagger(m) @ m)
+        assert value.real == pytest.approx(abs(alpha) ** 2, abs=1e-6)
+        assert abs(value.imag) < 1e-10
+
 
 class TestQubitOperators:
     def test_lowers_excited_state(self):
@@ -82,25 +108,11 @@ class TestQubitOperators:
         sm = qubit_lowering()
         assert np.allclose(dagger(sm) @ sm, np.diag([0.0, 1.0]))
 
-
-class TestTensor:
-    def test_identity_product(self):
-        out = tensor(np.eye(2), np.eye(5))
-        assert np.array_equal(out, np.eye(10))
-
     def test_qubit_projector_block_layout(self):
-        # (g, e) ordering: N zeros then N ones on the diagonal
+        # qubit (x) magnon with (g, e) ordering: N zeros then N ones on the diagonal
         sm = qubit_lowering()
-        out = tensor(dagger(sm) @ sm, np.eye(4))
+        out = embed_qubit(dagger(sm) @ sm, HilbertSpace(4))
         assert np.allclose(np.diag(out), [0, 0, 0, 0, 1, 1, 1, 1])
-
-    def test_mixed_product_property(self):
-        rng = np.random.default_rng(7)
-        a, c = random_operator(rng, 2), random_operator(rng, 2)
-        b, d = random_operator(rng, 3), random_operator(rng, 3)
-        lhs = tensor(a, b) @ tensor(c, d)
-        rhs = tensor(a @ c, b @ d)
-        assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 class TestDagger:
@@ -113,51 +125,6 @@ class TestDagger:
         rng = np.random.default_rng(13)
         a, b = random_operator(rng, 5), random_operator(rng, 5)
         assert np.allclose(dagger(a @ b), dagger(b) @ dagger(a), atol=1e-12)
-
-
-class TestExpectation:
-    def test_fock_state_occupation(self):
-        n = 5
-        m = fock_annihilation(HilbertSpace(n))
-        rho = np.zeros((n, n), dtype=complex)
-        rho[2, 2] = 1.0
-        assert expectation(rho, dagger(m) @ m) == pytest.approx(2.0)
-
-    def test_vacuum_normally_ordered(self):
-        n = 4
-        m = fock_annihilation(HilbertSpace(n))
-        rho = np.zeros((n, n), dtype=complex)
-        rho[0, 0] = 1.0
-        assert expectation(rho, dagger(m) @ dagger(m) @ m @ m) == pytest.approx(0.0)
-
-    def test_coherent_state_occupation(self):
-        # oracle: explicit Fock expansion of |alpha>
-        n, alpha = 20, 0.3
-        amps = np.array([
-            math.exp(-abs(alpha) ** 2 / 2) * alpha**k / math.sqrt(math.factorial(k))
-            for k in range(n)
-        ])
-        rho = np.outer(amps, amps.conj()).astype(complex)
-        m = fock_annihilation(HilbertSpace(n))
-        value = expectation(rho, dagger(m) @ m)
-        assert value.real == pytest.approx(abs(alpha) ** 2, abs=1e-6)
-        assert abs(value.imag) < 1e-10
-
-    def test_hermitian_gives_real(self):
-        rng = np.random.default_rng(17)
-        rho = random_density(rng, 8)
-        herm = random_operator(rng, 8)
-        herm = herm + dagger(herm)
-        assert abs(expectation(rho, herm).imag) < 1e-10
-
-    def test_identity_normalization(self):
-        rng = np.random.default_rng(19)
-        rho = random_density(rng, 12)
-        assert expectation(rho, np.eye(12, dtype=complex)) == pytest.approx(1.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            expectation(np.eye(4) / 4, np.eye(6))
 
 
 class TestDensityMatrix:

@@ -3,10 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from magnonblockade.hilbert import dagger, embed_magnon, embed_qubit, fock_annihilation, qubit_lowering
+from magnonblockade.hilbert import (
+    HilbertSpace,
+    dagger,
+    embed_magnon,
+    embed_qubit,
+    fock_annihilation,
+    qubit_lowering,
+)
 from magnonblockade.model import (
     MHZ,
     SystemParams,
+    _hamiltonian_terms,
+    _mode_operators,
     build_h_eff,
     build_h_longitudinal,
     build_h_nonhermitian,
@@ -214,6 +223,32 @@ class TestCollapseChannels:
             od = dagger(op)
             actual += (rate / 2) * (2 * op @ rho @ od - od @ op @ rho - rho @ od @ op)
         assert np.abs(actual - expected).max() <= 1e-12
+
+
+class TestCachedOperators:
+    """The operators built once per space are shared by every call, so they
+    are read-only, and a warm cache gives the bits of a cold one."""
+
+    def test_cached_operators_are_read_only(self):
+        space = HilbertSpace(4)
+        m, sm = _mode_operators(space)
+        assert _mode_operators(HilbertSpace(4))[0] is m
+        for op in (m, sm, collapse_channels(params(fock_dim=4))[0][1], *_hamiltonian_terms(space)):
+            with pytest.raises(ValueError, match="read-only"):
+                op[0, 1] = 5.0
+        assert np.array_equal(m, embed_magnon(fock_annihilation(space), space))
+        assert np.array_equal(sm, embed_qubit(qubit_lowering(), space))
+
+    def test_warm_matches_cleared(self):
+        p = params(m_th=0.1)
+        build_h_eff(params())
+        warm = build_h_eff(p), collapse_channels(p)
+        _mode_operators.cache_clear()
+        _hamiltonian_terms.cache_clear()
+        cold = build_h_eff(p), collapse_channels(p)
+        assert warm[0].tobytes() == cold[0].tobytes()
+        assert [(rate, op.tobytes()) for rate, op in warm[1]] == \
+            [(rate, op.tobytes()) for rate, op in cold[1]]
 
 
 class TestThermalOccupation:

@@ -8,8 +8,8 @@ import pytest
 
 from magnonblockade.analytic import g2_analytic
 from magnonblockade.cli import main as cli_main
-from magnonblockade.dynamics import evolve, steady_state_periodic
-from magnonblockade.model import MHZ, thermal_occupation
+from magnonblockade.dynamics import _liouvillian_plan, evolve, steady_state_periodic
+from magnonblockade.model import MHZ, _hamiltonian_terms, _mode_operators, thermal_occupation
 from magnonblockade.scenarios import (
     ConfigError,
     ScenarioConfig,
@@ -190,6 +190,34 @@ class TestRunScenario:
         csv_a = emit_csv(run_scenario(cfg))
         csv_b = emit_csv(run_scenario(cfg))
         assert csv_a == csv_b
+
+    def test_warm_caches_change_no_bytes(self):
+        # Omega_q = 0 and m_th > 0 switch the nonzero pattern of the generator mid-sweep
+        cfg = parse_config("""
+scenario = warm
+mode = steady
+fock_dim = 4
+params.J_over_2pi_MHz = 20
+params.kappa_over_2pi_MHz = 1
+params.Omega_m_over_2pi_MHz = 0.1
+params.Delta_plus_over_J = 1
+sweep.axis1.path = params.Omega_q_over_Omega_m
+sweep.axis1.values = 0 1 3
+sweep.axis2.path = params.m_th
+sweep.axis2.values = 0 0.01 0.1
+""")
+
+        def clear():
+            for cache in (_liouvillian_plan, _mode_operators, _hamiltonian_terms):
+                cache.cache_clear()
+
+        clear()
+        cold = emit_csv(run_scenario(cfg))
+        warm = emit_csv(run_scenario(cfg))
+        clear()
+        cleared = emit_csv(run_scenario(cfg))
+        assert len(cold.splitlines()) == 2 + 9  # comment, header and the grid
+        assert cold == warm == cleared
 
     def test_analytic_column_at_rounded_resonance(self):
         # linspace(0.1, 1.3, 5) puts the resonant point at 0.9999999999999999
