@@ -5,6 +5,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
+from collections import Counter
 from dataclasses import replace
 
 from .scenarios import (
@@ -43,20 +45,33 @@ def _cmd_list(_args) -> int:
     return EXIT_OK
 
 
+def _summary(n_points: int, wall: float, result) -> str:
+    """One line: points, wall time, points/s, the worst ``residual_inf`` (where
+    the mode reports it) and the failed points counted by error type."""
+    parts = [f"{n_points} points in {wall:.3g} s ({n_points / wall:.4g} points/s)"]
+    if "residual_inf" in result.columns:
+        residuals = [r for r in result.column("residual_inf") if r is not None]
+        parts.append(f"worst residual_inf {max(residuals):.3e}" if residuals
+                     else "worst residual_inf n/a")
+    errors = Counter(e.split(":", 1)[0] for e in result.column("error") if e)
+    parts.append("failures: " + (", ".join(f"{n} {kind}" for kind, n in sorted(errors.items()))
+                                 or "none"))
+    return "; ".join(parts)
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args.target, args.grid, args.fock_dim)
     out = args.out or cfg.output or f"{cfg.name}.csv"
     sidecar = out + ".diag.jsonl"
+    start = time.perf_counter()
     result = run_scenario(cfg, out=out, diagnostics_out=sidecar)
-    failures = [row for row in result.rows
-                if row[result.columns.index("error")]]
+    wall = time.perf_counter() - start
+    failures = [e for e in result.column("error") if e]
     print(f"{cfg.name}: {len(result.rows)} records -> {out} (diagnostics {sidecar})")
     if failures:
-        print(f"{len(failures)} point(s) failed; first error: "
-              f"{failures[0][result.columns.index('error')]}", file=sys.stderr)
-        if args.strict:
-            return EXIT_SOLVER
-    return EXIT_OK
+        print(f"{len(failures)} point(s) failed; first error: {failures[0]}", file=sys.stderr)
+    print(_summary(len(cfg.grid_points()), wall, result))
+    return EXIT_SOLVER if failures and args.strict else EXIT_OK
 
 
 def _cmd_converge(args) -> int:

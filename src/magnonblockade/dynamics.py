@@ -315,6 +315,9 @@ def _bordered_solve(gen: np.ndarray, trace_row: np.ndarray) -> np.ndarray | None
     x = sol[:, 0]
     correction = -(bordered @ x)
     correction[0] += 1.0
+    # This factorizes B a second time: numpy exposes no reuse of an LU
+    # factorization, and importing scipy.linalg for lu_factor would cost
+    # about 300 ms and 29 MB per process.
     return x + np.linalg.solve(bordered, correction)
 
 
@@ -398,15 +401,6 @@ def _periodic_parts(p: SystemParams):
     return liouv, lc, ls, p.omega_drive
 
 
-def _split_periodic_liouvillian(p: SystemParams):
-    """``_periodic_parts`` as complex column-stacked harmonics,
-    L(t) = L0 + e^{-iwt} L1 + e^{iwt} L2 with L1 = (L_c + i L_s)/2 and
-    L2 = (L_c - i L_s)/2, the superoperators of -i[A, .] and -i[A', .]; the
-    form harmonic-expansion references of the periodic solve are written in."""
-    liouv, lc, ls, omega = _periodic_parts(p)
-    return liouv, (lc.matrix + 1j * ls.matrix) / 2, (lc.matrix - 1j * ls.matrix) / 2, omega
-
-
 def _max_step(p: SystemParams, h0: np.ndarray) -> float:
     """Fixed RK4 step bound: resolves the decay scale and the Hamiltonian
     spectral span (for transient accuracy)."""
@@ -421,17 +415,37 @@ def _max_step(p: SystemParams, h0: np.ndarray) -> float:
     return min(bounds) if bounds else math.inf
 
 
-def _rk4_steps(rhs, v: np.ndarray, t0: float, t1: float, n: int):
-    """Yield the state after each of ``n`` equal RK4 steps of v' = rhs(t, v)
-    from t0 to t1; ``v`` may be a state vector or a matrix of them."""
+def _rk4_steps(gen, v: np.ndarray, t0: float, t1: float, n: int):
+    """Yield the state after each of ``n`` equal RK4 steps of the linear
+    equation v' = gen(t) v from t0 to t1; ``v`` may be a state vector or a
+    matrix of them, and is left unchanged.
+
+    ``gen`` is called once per distinct stage time: t0, then t + h/2 and t + h
+    per step, the last being the next step's t. The stages run in buffers
+    allocated once, in the operation order of the allocating form
+    k1 = L(t) v, k2 = L(t + h/2)(v + (h/2) k1), k3 = L(t + h/2)(v + (h/2) k2),
+    k4 = L(t + h)(v + h k3), v + (h/6)(((k1 + 2 k2) + 2 k3) + k4), so every
+    bit is the same; each yielded state is a new array.
+    """
     h = (t1 - t0) / n
+    half = h / 2.0
     t = t0
+    g_start = gen(t)
+    k1, k2, k3, k4, w = (np.empty(v.shape, np.result_type(g_start, v)) for _ in range(5))
     for _ in range(n):
-        k1 = rhs(t, v)
-        k2 = rhs(t + h / 2.0, v + (h / 2.0) * k1)
-        k3 = rhs(t + h / 2.0, v + (h / 2.0) * k2)
-        k4 = rhs(t + h, v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        g_mid, g_end = gen(t + half), gen(t + h)
+        np.matmul(g_start, v, out=k1)
+        np.add(v, np.multiply(half, k1, out=w), out=w)
+        np.matmul(g_mid, w, out=k2)
+        np.add(v, np.multiply(half, k2, out=w), out=w)
+        np.matmul(g_mid, w, out=k3)
+        np.add(v, np.multiply(h, k3, out=w), out=w)
+        np.matmul(g_end, w, out=k4)
+        np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+        np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
+        np.add(k1, k4, out=k1)
+        v = v + np.multiply(h / 6.0, k1, out=k1)
+        g_start = g_end
         t += h
         yield v
 
@@ -443,19 +457,28 @@ def _one_period_maps(p: SystemParams, steps_per_period: int = 64):
 
     A is the mean of the propagators at the RK4 samples t = h, 2h, ..., T, so
     A x is the period average of the trajectory that starts from x at drive
-    phase 0. A period takes ``steps_per_period`` steps, or more where a step
-    would exceed ``_max_step``.
+    phase 0. A period takes ``steps_per_period`` steps (at least 1, else
+    ValueError), or more where a step would exceed ``_max_step``. Each L(t) is
+    a copy of L0 with only the nonzeros of L_c and L_s rewritten.
     """
+    if steps_per_period < 1:
+        raise ValueError(f"steps_per_period must be at least 1, got {steps_per_period}")
     liouv, lc, ls, omega = _periodic_parts(p)
     period = 2.0 * math.pi / omega
     n_sub = max(steps_per_period, math.ceil(period / _max_step(p, liouv.hamiltonian)))
-    l0, lc, ls = liouv.real, lc.real, ls.real
+    l0 = liouv.real
+    # Elsewhere (l0 + cos lc) + sin ls only adds signed zeros to l0, which
+    # holds no -0.0 (np.bincount sums from +0.0), so the copy has the same bits.
+    varying = np.flatnonzero((lc.real != 0.0) | (ls.real != 0.0))
+    l0_v, lc_v, ls_v = (x.ravel()[varying] for x in (l0, lc.real, ls.real))
 
-    def rhs(t, v):
-        return (l0 + math.cos(omega * t) * lc + math.sin(omega * t) * ls) @ v
+    def gen(t):
+        lt = l0.copy()
+        lt.ravel()[varying] = l0_v + math.cos(omega * t) * lc_v + math.sin(omega * t) * ls_v
+        return lt
 
     avg = np.zeros_like(l0)
-    for prop in _rk4_steps(rhs, np.eye(liouv.dim), 0.0, period, n_sub):
+    for prop in _rk4_steps(gen, np.eye(liouv.dim), 0.0, period, n_sub):
         avg += prop
     return prop, avg / n_sub, period, period / n_sub
 
@@ -493,7 +516,7 @@ def evolve(rho0: DensityMatrix, p: SystemParams, t_grid) -> Trajectory:
         liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
         step = _max_step(p, liouv.hamiltonian)
         n = max(1, math.ceil(dt / step))
-        prop = next(_rk4_steps(lambda t, v: liouv.real @ v, np.eye(liouv.dim), 0.0, dt / n, 1))
+        prop = next(_rk4_steps(lambda t: liouv.real, np.eye(liouv.dim), 0.0, dt / n, 1))
         report, counts, times = None, n * np.arange(t_grid.size), t_grid
     powers = {m: np.linalg.matrix_power(prop, m) for m in set(np.diff(counts).tolist())}
 

@@ -18,6 +18,10 @@ from magnonblockade.dynamics import (
     _coords,
     _density,
     _liouvillian_plan,
+    _max_step,
+    _one_period_maps,
+    _periodic_parts,
+    _rk4_steps,
     build_liouvillian,
     evolve,
     steady_state,
@@ -63,6 +67,35 @@ def vacuum(p):
     rho = np.zeros((d, d), dtype=complex)
     rho[0, 0] = 1.0
     return DensityMatrix(rho, p.space, True)
+
+
+def split_periodic_liouvillian(p):
+    """``_periodic_parts`` as complex column-stacked harmonics,
+    L(t) = L0 + e^{-iwt} L1 + e^{iwt} L2 with L1 = (L_c + i L_s)/2 and
+    L2 = (L_c - i L_s)/2, the superoperators of -i[A, .] and -i[A', .]; the
+    form the harmonic-expansion references of the periodic solve are written in."""
+    liouv, lc, ls, omega = _periodic_parts(p)
+    return liouv, (lc.matrix + 1j * ls.matrix) / 2, (lc.matrix - 1j * ls.matrix) / 2, omega
+
+
+def textbook_rk4(gen, v, t0, t1, n):
+    """The states after each of n allocating RK4 steps of v' = gen(t) v."""
+    h = (t1 - t0) / n
+    t = t0
+    states = []
+    for _ in range(n):
+        k1 = gen(t) @ v
+        k2 = gen(t + h / 2.0) @ (v + (h / 2.0) * k1)
+        k3 = gen(t + h / 2.0) @ (v + (h / 2.0) * k2)
+        k4 = gen(t + h) @ (v + h * k3)
+        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+        states.append(v)
+    return states
+
+
+def identical(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestBuildLiouvillian:
@@ -427,14 +460,12 @@ class TestEvolve:
 
     def test_rk4_steps_drive_vectors_and_matrices(self):
         # one step count drives a state vector and the propagator matrix alike
-        from magnonblockade.dynamics import _rk4_steps
-
         p = fig2a_params(fock_dim=3)
         lmat = build_liouvillian(build_h_eff(p), collapse_channels(p)).matrix
         v0 = vec(vacuum(p).matrix)
-        states = list(_rk4_steps(lambda t, v: lmat @ v, v0, 0.0, 0.05, 5))
+        states = list(_rk4_steps(lambda t: lmat, v0, 0.0, 0.05, 5))
         assert len(states) == 5
-        for prop in _rk4_steps(lambda t, v: lmat @ v, np.eye(lmat.shape[0]), 0.0, 0.05, 5):
+        for prop in _rk4_steps(lambda t: lmat, np.eye(lmat.shape[0]), 0.0, 0.05, 5):
             pass
         assert np.abs(prop @ v0 - states[-1]).max() <= 1e-13
 
@@ -454,8 +485,6 @@ class TestEvolve:
 
     def test_powered_map_matches_stepwise_rk4(self):
         # the static trajectory is the per-step RK4 loop, taken as matrix powers
-        from magnonblockade.dynamics import _rk4_steps
-
         p = fig2a_params(fock_dim=4)
         lmat = build_liouvillian(build_h_eff(p), collapse_channels(p)).matrix
         t_grid = np.linspace(0.0, 3.0 / p.kappa_m, 7)
@@ -465,7 +494,7 @@ class TestEvolve:
         assert n > 1
         v = vec(vacuum(p).matrix)
         for state in traj.states[1:]:
-            for v in _rk4_steps(lambda t, x: lmat @ x, v, 0.0, dt, n):
+            for v in _rk4_steps(lambda t: lmat, v, 0.0, dt, n):
                 pass
             assert np.abs(state.matrix - unvec(v)).max() <= 1e-12
 
@@ -485,6 +514,91 @@ class TestEvolve:
         with pytest.raises(TraceDriftError) as err:
             evolve(vacuum(p), p, np.linspace(0.0, 9.0 / p.kappa_m, 3))
         assert err.value.drift > 1e-9
+
+
+class TestRk4Stepper:
+    """The in-place stepper against the allocating loop of ``textbook_rk4``,
+    bit for bit."""
+
+    @staticmethod
+    def periodic_generator(p):
+        """The full-matrix L(t) of the periodic pass and the drive period."""
+        liouv, lc, ls, omega = _periodic_parts(p)
+
+        def gen(t):
+            return liouv.real + math.cos(omega * t) * lc.real + math.sin(omega * t) * ls.real
+
+        return gen, 2.0 * math.pi / omega
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_one_period_maps_match_textbook_loop(self, n):
+        p = SystemParams.from_detunings(**OPT, fock_dim=n, g_rp=0.2 * 35.0 * MHZ)
+        prop, avg, period, step = _one_period_maps(p)
+        gen, ref_period = self.periodic_generator(p)
+        assert period == ref_period
+        n_sub = round(period / step)
+        states = textbook_rk4(gen, np.eye(prop.shape[0]), 0.0, period, n_sub)
+        total = np.zeros_like(prop)
+        for state in states:
+            total += state
+        assert identical(prop, states[-1])
+        assert identical(avg, total / n_sub)
+
+    def test_static_one_step_map_matches_textbook_loop(self):
+        # samples one RK4 step apart: each is the one-step map times the last
+        p = fig2a_params(fock_dim=4)
+        liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
+        dt = 0.75 * _max_step(p, liouv.hamiltonian)
+        traj = evolve(vacuum(p), p, dt * np.arange(4))
+        prop = textbook_rk4(lambda t: liouv.real, np.eye(liouv.dim), 0.0, dt, 1)[-1]
+        x = _coords(vacuum(p).matrix)
+        for state in traj.states[1:]:
+            x = prop @ x
+            assert identical(state.matrix, _density(x))
+
+    @pytest.mark.parametrize("shape", ["vector", "columns", "identity", "complex"])
+    def test_states_match_textbook_loop_and_input_is_kept(self, shape):
+        p = SystemParams.from_detunings(**OPT, fock_dim=3, g_rp=0.3 * 35.0 * MHZ)
+        gen, period = self.periodic_generator(p)
+        dim = p.space.total_dim ** 2
+        rng = np.random.default_rng(5)
+        v0 = {"vector": lambda: rng.normal(size=dim),
+              "columns": lambda: rng.normal(size=(dim, 3)),
+              "identity": lambda: np.eye(dim),
+              "complex": lambda: np.eye(dim, dtype=complex)}[shape]()
+        if shape == "complex":
+            liouv, l1, l2, omega = split_periodic_liouvillian(p)
+
+            def gen(t):
+                return liouv.matrix + np.exp(-1j * omega * t) * l1 + np.exp(1j * omega * t) * l2
+
+        kept = v0.copy()
+        v0.setflags(write=False)
+        states = list(_rk4_steps(gen, v0, 0.0, period / 8.0, 7))
+        for got, ref in zip(states, textbook_rk4(gen, kept, 0.0, period / 8.0, 7), strict=True):
+            assert identical(got, ref)
+        assert identical(v0, kept)
+        # every state a caller keeps is its own array
+        for i, state in enumerate(states):
+            assert not np.shares_memory(state, v0)
+            assert not any(np.shares_memory(state, other) for other in states[i + 1:])
+
+    def test_generator_called_once_per_distinct_stage_time(self):
+        p = fig2a_params(fock_dim=3)
+        lmat = build_liouvillian(build_h_eff(p), collapse_channels(p)).real
+        calls = []
+
+        def gen(t):
+            calls.append(t)
+            return lmat
+
+        list(_rk4_steps(gen, np.eye(lmat.shape[0]), 0.0, 0.3, 4))
+        h, t = 0.3 / 4, 0.0
+        expected = [t]
+        for _ in range(4):
+            expected += [t + h / 2.0, t + h]
+            t += h
+        assert calls == expected
 
 
 class TestEvolveProperties:
@@ -524,9 +638,7 @@ class TestEvolveAgainstAdaptiveIntegrator:
         """Vectorized states at ``t_eval``, one column each."""
         from scipy.integrate import solve_ivp
 
-        from magnonblockade.dynamics import _split_periodic_liouvillian
-
-        liouv, l1, l2, omega = _split_periodic_liouvillian(p)
+        liouv, l1, l2, omega = split_periodic_liouvillian(p)
         l0 = liouv.matrix
 
         def rhs(t, v):
@@ -573,14 +685,13 @@ class TestEvolveAgainstAdaptiveIntegrator:
     def test_split_generator_matches_longitudinal_hamiltonian(self):
         # the harmonic-split generator equals the Liouvillian rebuilt from the
         # instantaneous longitudinal Hamiltonian at every sampled phase
-        from magnonblockade.dynamics import _split_periodic_liouvillian
         from magnonblockade.model import build_h_longitudinal
 
         p = SystemParams.from_detunings(
             J=35.0 * MHZ, Delta_plus=35.0 * MHZ, Omega_m=0.033 * MHZ,
             Omega_q=0.099 * MHZ, kappa_m=0.5 * MHZ, kappa_q=0.5 * MHZ,
             omega_drive=1500.0 * MHZ, g_rp=7.0 * MHZ)
-        liouv, l1, l2, omega = _split_periodic_liouvillian(p)
+        liouv, l1, l2, omega = split_periodic_liouvillian(p)
         l0 = liouv.matrix
         for t in (0.0, 1.7e-4, 5.3e-4):
             split = l0 + np.exp(-1j * omega * t) * l1 + np.exp(1j * omega * t) * l2
@@ -607,6 +718,12 @@ class TestSteadyStatePeriodic:
         with pytest.raises(ValueError, match="g_rp"):
             steady_state_periodic(p)
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_rejects_step_count_below_one(self, steps):
+        p = SystemParams.from_detunings(**OPT, fock_dim=3, g_rp=0.1 * 35.0 * MHZ)
+        with pytest.raises(ValueError, match=f"steps_per_period must be at least 1, got {steps}"):
+            steady_state_periodic(p, steps_per_period=steps)
+
     def test_state_is_valid_density_matrix(self):
         p = SystemParams.from_detunings(**OPT, g_rp=0.1 * 35.0 * MHZ)
         rho = steady_state_periodic(p)
@@ -627,10 +744,8 @@ class TestSteadyStatePeriodic:
         one LU solve plus one refinement step: the SVD null vector carried
         about 1e-6 of rounding error in log10 g2, the size of the tolerance.
         """
-        from magnonblockade.dynamics import _split_periodic_liouvillian
-
         p = SystemParams.from_detunings(**{**OPT, "fock_dim": 4}, g_rp=0.3 * 35.0 * MHZ)
-        liouv, l1, l2, omega = _split_periodic_liouvillian(p)
+        liouv, l1, l2, omega = split_periodic_liouvillian(p)
         l0 = liouv.matrix
         eye = np.eye(l0.shape[0])
         s_next = t_prev = np.zeros_like(l0)
@@ -659,10 +774,8 @@ class TestPeriodicGeneratorProperties:
     @given(random_params(), st.floats(0.5, 15.0), st.integers(3, 4),
            st.floats(0.0, 2.0 * math.pi), st.integers(0, 2**32 - 1))
     def test_trace_and_hermiticity_preserved(self, p, g_rp_mhz, n, phase, seed):
-        from magnonblockade.dynamics import _rk4_steps, _split_periodic_liouvillian
-
         p = replace(p, g_rp=g_rp_mhz * MHZ, fock_dim=n)
-        liouv, l1, l2, omega = _split_periodic_liouvillian(p)
+        liouv, l1, l2, omega = split_periodic_liouvillian(p)
         l0 = liouv.matrix
         d = p.space.total_dim
         trace_row = vec(np.eye(d))
@@ -674,11 +787,11 @@ class TestPeriodicGeneratorProperties:
         image = unvec(lmat @ vec(a))
         assert np.abs(image - image.conj().T).max() <= 1e-12 * np.linalg.norm(lmat)
 
-        def rhs(t, v):
-            return (l0 + np.exp(-1j * omega * t) * l1 + np.exp(1j * omega * t) * l2) @ v
+        def gen(t):
+            return l0 + np.exp(-1j * omega * t) * l1 + np.exp(1j * omega * t) * l2
 
         period = 2.0 * math.pi / omega
-        for prop in _rk4_steps(rhs, np.eye(d * d, dtype=complex), 0.0, period, 64):
+        for prop in _rk4_steps(gen, np.eye(d * d, dtype=complex), 0.0, period, 64):
             pass
         gen = (prop - np.eye(d * d)) / period
         assert np.abs(trace_row @ gen).max() <= 1e-12 * np.linalg.norm(gen)

@@ -682,6 +682,31 @@ sweep.axis1.values = 0 1
         assert cli_main(["run", str(cfg), "--out", str(out), "--strict"]) == 2
         assert cli_main(["run", str(cfg), "--out", str(out)]) == 0
 
+    def test_run_ends_with_summary_line(self, tmp_path, capsys):
+        # kappa = 0 has a degenerate kernel: one failed point, grouped by error type
+        cfg = tmp_path / "mixed.cfg"
+        cfg.write_text("scenario = mixed\nmode = steady\nparams.J_over_2pi_MHz = 20\n"
+                       "params.Omega_m_over_2pi_MHz = 0.1\nparams.Omega_q_over_Omega_m = 1\n"
+                       "sweep.axis1.path = params.kappa_over_2pi_MHz\n"
+                       "sweep.axis1.values = 0 1 2\n")
+        out = tmp_path / "mixed.csv"
+        assert cli_main(["run", str(cfg), "--out", str(out)]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        worst = max(r for r in parse_csv(out.read_text()).column("residual_inf") if r is not None)
+        match = re.fullmatch(r"3 points in (\S+) s \((\S+) points/s\); "
+                             r"worst residual_inf (\S+); failures: 1 DegenerateKernelError", last)
+        assert match, last
+        assert float(match[2]) == pytest.approx(3 / float(match[1]), rel=1e-2)  # both rounded
+        assert match[3] == f"{worst:.3e}"
+
+    def test_summary_counts_points_not_rows(self, tmp_path, capsys):
+        # a time series writes one row per sample and reports no residual
+        out = tmp_path / "fig2a.csv"
+        assert cli_main(["run", "fig2a", "--fock-dim", "3", "--out", str(out)]) == 0
+        assert len(parse_csv(out.read_text()).rows) == 5 * 201
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert re.fullmatch(r"5 points in \S+ s \(\S+ points/s\); failures: none", last), last
+
     def test_converge_command(self, capsys):
         code = cli_main(["converge", "fig2b", "--grid", "3", "--fock-dims", "4,6"])
         assert code == 0
