@@ -47,7 +47,6 @@ from .observables import (
     g2_from_populations,
     g2_time_series,
     g2_zero,
-    partial_trace_qubit,
     populations,
 )
 from .scenarios import (

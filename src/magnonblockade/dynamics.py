@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -176,13 +177,16 @@ class Liouvillian:
 @dataclass
 class Trajectory:
     """Time-ordered density matrices plus solver metadata: each interval of
-    ``times`` stands for ceil(interval / ``step``) RK4 steps."""
+    ``times`` stands for ceil(interval / ``step``) RK4 steps. ``populations``
+    holds the magnon Fock populations of every state as one (samples, N)
+    array, as ``evolve`` fills it."""
 
     times: np.ndarray
     states: list
     params: SystemParams | None
     step: float
     trace_drift: float
+    populations: np.ndarray | None = field(default=None, repr=False)
 
 
 _PLAN_CACHE_SIZE = 8  # nonzero patterns whose plans are kept; a sweep uses one to three
@@ -457,12 +461,15 @@ def _one_period_maps(p: SystemParams, steps_per_period: int = 64):
 
     A is the mean of the propagators at the RK4 samples t = h, 2h, ..., T, so
     A x is the period average of the trajectory that starts from x at drive
-    phase 0. A period takes ``steps_per_period`` steps (at least 1, else
-    ValueError), or more where a step would exceed ``_max_step``. Each L(t) is
-    a copy of L0 with only the nonzeros of L_c and L_s rewritten.
+    phase 0. A period takes ``steps_per_period`` steps (an integer of at least
+    1, not a bool, else ValueError), or more where a step would exceed
+    ``_max_step``. Each L(t) is a copy of L0 with only the nonzeros of L_c and
+    L_s rewritten.
     """
-    if steps_per_period < 1:
-        raise ValueError(f"steps_per_period must be at least 1, got {steps_per_period}")
+    if (isinstance(steps_per_period, bool) or not isinstance(steps_per_period, numbers.Integral)
+            or steps_per_period < 1):
+        raise ValueError(
+            f"steps_per_period must be an integer of at least 1, got {steps_per_period!r}")
     liouv, lc, ls, omega = _periodic_parts(p)
     period = 2.0 * math.pi / omega
     n_sub = max(steps_per_period, math.ceil(period / _max_step(p, liouv.hamiltonian)))
@@ -518,24 +525,29 @@ def evolve(rho0: DensityMatrix, p: SystemParams, t_grid) -> Trajectory:
         n = max(1, math.ceil(dt / step))
         prop = next(_rk4_steps(lambda t: liouv.real, np.eye(liouv.dim), 0.0, dt / n, 1))
         report, counts, times = None, n * np.arange(t_grid.size), t_grid
-    powers = {m: np.linalg.matrix_power(prop, m) for m in set(np.diff(counts).tolist())}
+    intervals = np.diff(counts).tolist()
+    powers = {m: np.linalg.matrix_power(prop, m) for m in set(intervals)}
+    maps = [powers[m] for m in intervals]
 
     xs = np.empty((t_grid.size, prop.shape[0]))
     xs[0] = _coords(rho0.matrix)
-    for k in range(1, t_grid.size):
-        xs[k] = powers[counts[k] - counts[k - 1]] @ xs[k - 1]
+    for k, a in enumerate(maps, 1):
+        np.matmul(a, xs[k - 1], out=xs[k])
     if report is not None:
         xs = xs @ report.T
-    drift = np.abs(xs[:, :p.space.total_dim].sum(axis=1) - 1.0)
+    space = p.space
+    n, d = space.fock_dim, space.total_dim
+    drift = np.abs(xs[:, :d].sum(axis=1) - 1.0)
     over = np.flatnonzero(drift > _TRACE_TOL)
     stop = over[0] if over.size else t_grid.size
     rhos = _density(xs[:stop])
     _check_densities(rhos)
     if over.size:
         raise TraceDriftError(drift[stop], _TRACE_TOL)
-    states = [DensityMatrix(rho, p.space, True) for rho in rhos]
+    states = [DensityMatrix(rho, space, True) for rho in rhos]
+    # the diagonal of rho is the first d coordinates, qubit g then e
     return Trajectory(times=times, states=states, params=p, step=step,
-                      trace_drift=float(drift.max()))
+                      trace_drift=float(drift.max()), populations=xs[:, :n] + xs[:, n:d])
 
 
 def steady_state_periodic(p: SystemParams, steps_per_period: int = 64) -> DensityMatrix:

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import math
+import functools
 
 import numpy as np
 
-from .hilbert import DensityMatrix
+from .hilbert import DensityMatrix, _read_only
 
 __all__ = [
     "UndefinedCorrelationError",
-    "partial_trace_qubit",
     "populations",
     "g2_zero",
     "g2_time_series",
@@ -26,18 +25,6 @@ class UndefinedCorrelationError(ValueError):
     """g2(0) is undefined because the magnon occupation is at the noise floor."""
 
 
-def partial_trace_qubit(rho: DensityMatrix) -> DensityMatrix:
-    """Reduce a composite state to the magnon mode, rho_m = Tr_q[rho]."""
-    if not rho.composite:
-        raise ValueError("state is already magnon-reduced")
-    n = rho.space.fock_dim
-    if rho.matrix.shape[0] != 2 * n:
-        raise ValueError(f"dimension {rho.matrix.shape[0]} is not 2 x fock_dim")
-    blocks = rho.matrix.reshape(2, n, 2, n)
-    reduced = np.einsum("anam->nm", blocks)
-    return DensityMatrix(reduced, rho.space, composite=False)
-
-
 def populations(rho: DensityMatrix) -> np.ndarray:
     """Fock populations P[n] = <n|rho_m|n> of the magnon mode: the diagonal of
     rho, summed over the qubit for a composite state."""
@@ -47,12 +34,28 @@ def populations(rho: DensityMatrix) -> np.ndarray:
     return diag.copy()
 
 
-def _magnon_moments(rho: DensityMatrix) -> tuple[float, float]:
-    """(<m'm>, <m'm'mm>) = (sum n P_n, sum n(n-1) P_n): both operators are
-    diagonal in the Fock basis."""
-    pops = populations(rho)
-    n = np.arange(pops.size)
-    return float(n @ pops), float((n * (n - 1)) @ pops)
+@functools.cache
+def _moment_weights(levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """n and n(n-1) for the Fock levels n = 0 .. levels-1, read-only."""
+    n = np.arange(levels, dtype=float)
+    return _read_only(n, n * (n - 1.0))
+
+
+def _g2(pops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(<m'm>, g2) of a (..., N) stack of Fock populations, with
+    <m'm> = sum n P_n, <m'm'mm> = sum n(n-1) P_n (both operators are diagonal
+    in the Fock basis) and g2 = <m'm'mm> / <m'm>^2, NaN where <m'm> is below
+    the occupation floor.
+
+    Each moment is one dot product per state (``np.vecdot``, the BLAS dot of
+    ``n @ P``) and the square is ``np.float_power``, the C library's pow as in
+    Python's ``x ** 2``, so a value has the same bits in a stack of any shape.
+    """
+    n, pairs = _moment_weights(pops.shape[-1])
+    n1 = np.vecdot(pops, n)
+    g2 = np.divide(np.vecdot(pops, pairs), np.float_power(n1, 2),
+                   out=np.full(n1.shape, np.nan), where=n1 >= OCCUPATION_FLOOR)
+    return n1, g2
 
 
 def g2_zero(rho: DensityMatrix) -> float:
@@ -60,27 +63,18 @@ def g2_zero(rho: DensityMatrix) -> float:
     magnon-reduced state. Raises UndefinedCorrelationError when <m'm> is below
     the occupation floor (no drive).
     """
-    n1, n2 = _magnon_moments(rho)
+    n1, g2 = _g2(populations(rho))
     if n1 < OCCUPATION_FLOOR:
         raise UndefinedCorrelationError(
             f"<m'm> = {n1:.3e} below floor {OCCUPATION_FLOOR:.0e}; g2(0) undefined"
         )
-    return n2 / n1**2
+    return float(g2)
 
 
-def g2_time_series(traj) -> list[tuple[float, float]]:
-    """Pointwise g2(t,t) along a trajectory.
-
-    Points where the occupation is below the floor become NaN gaps instead of
-    raising.
-    """
-    out = []
-    for t, state in zip(traj.times, traj.states):
-        try:
-            out.append((float(t), g2_zero(state)))
-        except UndefinedCorrelationError:
-            out.append((float(t), math.nan))
-    return out
+def g2_time_series(traj) -> np.ndarray:
+    """g2(t,t) at each sample of a trajectory, from its stacked populations
+    ``traj.populations`` in one call: NaN where ``g2_zero`` would raise."""
+    return _g2(traj.populations)[1]
 
 
 def g2_from_populations(p: np.ndarray) -> float:

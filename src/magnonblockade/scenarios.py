@@ -106,6 +106,68 @@ def _norm(x: float) -> float:
     return float(f"{x:.11e}")
 
 
+_POW10 = np.array([float(10 ** k) for k in range(45)])  # exact up to 10^22, then rounded
+_SPLIT = 2.0 ** 27 + 1.0  # Dekker's splitting factor for float64
+
+
+def _two_prod(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker, without FMA)."""
+    p = a * b
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    c = _SPLIT * b
+    b_hi = c - (c - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _div_rem(n: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(q, r) with q = fl(n / d) and n = q d + r exactly."""
+    q = n / d
+    p, e = _two_prod(q, d)
+    return q, (n - p) - e
+
+
+def _norm_array(values: np.ndarray) -> list:
+    """``_norm`` of every value of an array, as nested lists, with the same bits.
+
+    For 1e-33 <= |x| < 1e12 the 12 significant digits are found without
+    formatting: with k = 11 - floor(log10 |x|), they are the integer M nearest
+    to h = fl(|x| 10^k), 1e11 < h < 1e12, which is within 2 ulp (2^-12) of the
+    exact product, so M is exact unless h is within 2^-10 of a half-integer.
+    Parsing the digits gives the double y nearest to M / 10^k; it is found as
+    M / 10^k1 / 10^k2 (k1 = min(k, 22), both powers exact) with the exact
+    remainder of each division carried into t = M / 10^k - y, and y moves one
+    ulp towards t where |t| exceeds half the gap to the next double on that
+    side. Every other value (a near-half h, |t| within 1e-9 of that half gap,
+    zero, nan, inf, |x| out of range) is formatted and parsed as by ``_norm``.
+    """
+    x = np.asarray(values, dtype=float)
+    a = np.abs(x)
+    with np.errstate(all="ignore"):
+        k = 11.0 - np.floor(np.log10(a))
+        exact = (k >= 0.0) & (k <= 44.0)
+        k = np.where(exact, k, 0.0).astype(np.intp)
+        h = a * _POW10[k]
+        m = np.rint(h)
+        exact &= (h > 1e11) & (h < 1e12) & (np.abs(h - m) < 0.5 - 2.0 ** -10)
+        k1 = np.minimum(k, 22)
+        q, r1 = _div_rem(m, _POW10[k1])
+        y, r2 = _div_rem(q, _POW10[k - k1])
+        t = (r2 + r1 / _POW10[k1]) / _POW10[k - k1]
+        half = np.spacing(y) / 2.0
+        half = np.where((t < 0.0) & (np.frexp(y)[0] == 0.5), half / 2.0, half)
+        exact &= np.abs(np.abs(t) - half) > 1e-9 * half
+        y = np.where(np.abs(t) > half, np.nextafter(y, np.where(t > 0.0, np.inf, 0.0)), y)
+    out = np.copysign(y, x)
+    other = np.flatnonzero(~exact)
+    if other.size:
+        rest = x.ravel()[other].tolist()
+        out.ravel()[other] = np.fromiter(
+            map(float, (" %.11e" * len(rest) % tuple(rest)).split()), float, len(rest))
+    return out.tolist()
+
+
 @dataclass(frozen=True)
 class SweepAxis:
     """One sweep dimension: a dotted parameter path plus its grid values.
@@ -322,7 +384,12 @@ def _trajectory(p: SystemParams, options: dict, n_t: int):
     return evolve(_initial_state(options["initial_state"], p), p, t_grid)
 
 
-def _steady_rows(user: dict, fock_dim: int, options: dict) -> list[dict]:
+def _one_row(rec: dict) -> dict:
+    """The columns of a mode that emits one row per grid point."""
+    return {col: [value] for col, value in rec.items()}
+
+
+def _steady_rows(user: dict, fock_dim: int, options: dict) -> dict:
     p = _system_params(user, fock_dim)
     rho, liouv = _static_state(p)
     rec = _state_columns(rho)
@@ -333,11 +400,11 @@ def _steady_rows(user: dict, fock_dim: int, options: dict) -> list[dict]:
         )
     else:
         rec["log10_g2_analytic"] = None
-    return [rec]
+    return _one_row(rec)
 
 
-def _periodic_rows(user: dict, fock_dim: int, options: dict) -> list[dict]:
-    return [_state_columns(_periodic_state(_system_params(user, fock_dim), options))]
+def _periodic_rows(user: dict, fock_dim: int, options: dict) -> dict:
+    return _one_row(_state_columns(_periodic_state(_system_params(user, fock_dim), options)))
 
 
 def _initial_state(name: str, p: SystemParams) -> DensityMatrix:
@@ -348,19 +415,28 @@ def _initial_state(name: str, p: SystemParams) -> DensityMatrix:
     return DensityMatrix(rho, p.space, True)
 
 
-def _time_series_rows(user: dict, fock_dim: int, options: dict) -> list[dict]:
+def _time_series_rows(user: dict, fock_dim: int, options: dict) -> dict:
+    """One row per sample, built column by column from the trajectory's
+    arrays: log10 g2 is empty where g2 is NaN (undriven) or not positive, and
+    a level at or above fock_dim is empty."""
     p = _system_params(user, fock_dim)
     traj = _trajectory(p, options, options["time_points"])
-    rows = []
-    for (t, g2), state in zip(g2_time_series(traj), traj.states):
-        row = {"kappa_t": _norm(p.kappa_m * t),
-               "log10_g2": None if math.isnan(g2) or g2 <= 0.0 else _norm(math.log10(g2))}
-        row.update(_population_columns(state))
-        rows.append(row)
-    return rows
+    g2 = g2_time_series(traj)
+    positive = g2 > 0.0
+    log10_g2 = np.zeros(g2.size)
+    # math.log10, not np.log10: numpy's SIMD log10 differs from the C
+    # library's in the last bit for some inputs
+    log10_g2[positive] = np.fromiter(map(math.log10, g2[positive].tolist()), float)
+    levels = min(fock_dim, len(_POPULATIONS))
+    kappa_t, log10_g2, *pops = _norm_array(
+        np.vstack([p.kappa_m * traj.times, log10_g2, traj.populations[:, :levels].T]))
+    log10_g2 = np.array(log10_g2, dtype=object)
+    log10_g2[~positive] = None
+    pops += [[None] * g2.size] * (len(_POPULATIONS) - levels)
+    return {"kappa_t": kappa_t, "log10_g2": log10_g2.tolist(), **dict(zip(_POPULATIONS, pops))}
 
 
-def _roots_rows(user: dict, fock_dim: int, options: dict) -> list[dict]:
+def _roots_rows(user: dict, fock_dim: int, options: dict) -> dict:
     u = dict(user)
     r = u.pop("r_kappa_over_J")
     radical = derivative_roots(r)
@@ -378,7 +454,7 @@ def _roots_rows(user: dict, fock_dim: int, options: dict) -> list[dict]:
         point["Omega_q_over_Omega_m"] = l + 1.0
         rho, _ = _static_state(_system_params(point, fock_dim))
         rec[f"log10_g2_numeric_{tag}"] = _norm(_log10_or_error(g2_zero(rho)))
-    return [rec]
+    return _one_row(rec)
 
 
 class _Mode(NamedTuple):
@@ -386,7 +462,7 @@ class _Mode(NamedTuple):
     options: frozenset  # the option keys the mode reads
     quantities: frozenset  # the model quantities it takes from the parameter keys
     required: frozenset  # those of them a config must set
-    rows: Callable  # (user, fock_dim, options) -> one dict per output row
+    rows: Callable  # (user, fock_dim, options) -> {column: one value per output row}
     state: Callable | None  # (p, options) -> the state convergence_check compares
 
 
@@ -441,30 +517,35 @@ def run_scenario(cfg: ScenarioConfig, out: str | None = None,
     points = cfg.grid_points()
     columns = axis_keys + list(mode.columns) + ["error"]
 
-    def work(user: dict) -> tuple[list[dict], float, str]:
-        axis_cols = {k: _norm(user[k]) for k in axis_keys}
+    residual = columns.index("residual_inf") if "residual_inf" in columns else None
+
+    def work(user: dict) -> tuple[list[tuple], float, str]:
+        """The point's output rows as tuples in ``columns`` order, its wall
+        time and its error message."""
+        axis_cols = [_norm(user[k]) for k in axis_keys]
         start = time.perf_counter()
         try:
-            recs = [{**axis_cols, **rec, "error": ""}
-                    for rec in mode.rows(user, cfg.fock_dim, options)]
-            return recs, time.perf_counter() - start, ""
+            cols = mode.rows(user, cfg.fock_dim, options)
+            n = len(cols[mode.columns[0]])
+            table = [[v] * n for v in axis_cols] + [cols[c] for c in mode.columns] + [[""] * n]
+            return list(zip(*table)), time.perf_counter() - start, ""
         except Exception as exc:  # recorded in-band, never silently dropped
             message = f"{type(exc).__name__}: {exc}"
-            return [{**axis_cols, "error": message}], time.perf_counter() - start, message
+            row = (*axis_cols, *[None] * len(mode.columns), message)
+            return [row], time.perf_counter() - start, message
 
     outcomes = [work(u) for u in points]
 
     rows = []
     diag_lines = []
     for idx, (recs, wall, err) in enumerate(outcomes):
-        for rec in recs:
-            rows.append(tuple(rec.get(c) for c in columns))
+        rows += recs
         diag = {"index": idx,
                 "axes": {k: points[idx][k] for k in axis_keys},
                 "wall_time_s": round(wall, 6),
                 "error": err}
-        if recs and "residual_inf" in recs[0]:
-            diag["residual_inf"] = recs[0]["residual_inf"]
+        if residual is not None and not err:
+            diag["residual_inf"] = recs[0][residual]
         diag_lines.append(json.dumps(diag, sort_keys=True))
 
     result = SweepResult(scenario=cfg.name, columns=columns, rows=rows)

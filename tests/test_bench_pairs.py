@@ -1,0 +1,79 @@
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(__file__), "..", "tools", "bench_pairs.py")
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+BETTER = {"points_per_s": "higher", "point_ms_p50": "lower"}
+
+
+def result(points_per_s, p50, correct=True):
+    return {"correct": correct, "attempted": 5, "failed": 0 if correct else 5,
+            "metrics": {"points_per_s": {"value": points_per_s, "unit": "points/s"},
+                        "point_ms_p50": {"value": p50, "unit": "ms"}}}
+
+
+def pairs_of(parent, change):
+    return [{"parent": result(*a), "change": result(*b)} for a, b in zip(parent, change)]
+
+
+def test_better_directions_come_from_the_benchmark_file():
+    better = bench_pairs.end_to_end()
+    assert better["points_per_s"] == "higher"
+    assert better["point_ms_p50"] == "lower"
+    assert list(better)[:2] == ["points_per_s", "point_ms_p50"]
+
+
+def test_parent_runs_first_in_odd_pairs():
+    assert [bench_pairs.order(i) for i in (1, 2, 3)] == [
+        ("parent", "change"), ("change", "parent"), ("parent", "change")]
+
+
+def test_summary_medians_quartiles_and_wins():
+    pairs = pairs_of(parent=[(50, 15.0), (54, 14.0), (52, 16.0), (60, 10.0)],
+                     change=[(70, 10.0), (72, 9.0), (52, 11.0), (58, 12.0)])
+    lines = bench_pairs.summary(pairs, BETTER)
+    assert lines[0] == ("points_per_s (higher is better): parent median 53 [51.5, 55.5]; "
+                        "change median 64 [56.5, 70.5]; change/parent 1.208; "
+                        "won: change 2, parent 1 of 4")
+    assert lines[1] == ("point_ms_p50 (lower is better): parent median 14.5 [13, 15.25]; "
+                        "change median 10.5 [9.75, 11.25]; change/parent 0.724; "
+                        "won: change 3, parent 1 of 4")
+
+
+def test_summary_of_one_pair_and_missing_metrics():
+    pairs = pairs_of(parent=[(50, 15.0)], change=[(60, 12.0)])
+    pairs[0]["change"]["metrics"].pop("point_ms_p50")
+    lines = bench_pairs.summary(pairs, BETTER)
+    assert lines == ["points_per_s (higher is better): parent median 50 [50, 50]; "
+                     "change median 60 [60, 60]; change/parent 1.200; "
+                     "won: change 1, parent 0 of 1"]
+
+
+def test_pair_line_names_the_order_and_incorrect_runs():
+    results = {"parent": result(50, 15.0), "change": result(60, 12.0, correct=False)}
+    assert bench_pairs.pair_line(2, results, BETTER) == (
+        "pair 2 (change first); points_per_s 50 -> 60; point_ms_p50 15 -> 12; change incorrect")
+
+
+@pytest.mark.parametrize("incorrect, status", [(None, 0), (3, 1)])
+def test_main_alternates_and_fails_on_an_incorrect_run(monkeypatch, capsys, incorrect, status):
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append((checkout, workload, seed, seconds))
+        return result(50 if checkout == "old" else 60, 10.0, correct=len(calls) != incorrect)
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    argv = ["old", "new", "--workload", "time_series", "--pairs", "2", "--seed", "7",
+            "--seconds", "3"]
+    assert bench_pairs.main(argv) == status
+    assert calls == [("old", "time_series", 7, 3), ("new", "time_series", 7, 3),
+                     ("new", "time_series", 7, 3), ("old", "time_series", 7, 3)]
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("pair 1 (parent first); points_per_s 50 -> 60")
+    assert "won: change 2, parent 0 of 2" in out[2]

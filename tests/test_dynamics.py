@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -718,10 +719,11 @@ class TestSteadyStatePeriodic:
         with pytest.raises(ValueError, match="g_rp"):
             steady_state_periodic(p)
 
-    @pytest.mark.parametrize("steps", [0, -3])
+    @pytest.mark.parametrize("steps", [0, -3, 64.5, True])
     def test_rejects_step_count_below_one(self, steps):
         p = SystemParams.from_detunings(**OPT, fock_dim=3, g_rp=0.1 * 35.0 * MHZ)
-        with pytest.raises(ValueError, match=f"steps_per_period must be at least 1, got {steps}"):
+        message = f"steps_per_period must be an integer of at least 1, got {steps!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             steady_state_periodic(p, steps_per_period=steps)
 
     def test_state_is_valid_density_matrix(self):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,13 +8,22 @@ from magnonblockade.dynamics import build_liouvillian, evolve, steady_state
 from magnonblockade.hilbert import DensityMatrix, HilbertSpace, dagger, fock_annihilation
 from magnonblockade.model import MHZ, SystemParams, build_h_eff, collapse_channels
 from magnonblockade.observables import (
+    OCCUPATION_FLOOR,
     UndefinedCorrelationError,
     g2_from_populations,
     g2_time_series,
     g2_zero,
-    partial_trace_qubit,
     populations,
 )
+
+
+def partial_trace_qubit(rho: DensityMatrix) -> DensityMatrix:
+    """Reduce a composite state to the magnon mode, rho_m = Tr_q[rho]."""
+    if not rho.composite:
+        raise ValueError("state is already magnon-reduced")
+    n = rho.space.fock_dim
+    blocks = rho.matrix.reshape(2, n, 2, n)
+    return DensityMatrix(np.einsum("anam->nm", blocks), rho.space, composite=False)
 
 
 def composite_dm(matrix, n):
@@ -164,30 +174,74 @@ class TestG2TimeSeries:
         kappa = p.kappa_m
         t_grid = np.linspace(0.0, 30.0 / kappa, 61)
         traj = evolve(vacuum(p), p, t_grid)
-        series = g2_time_series(traj)
-        tail = [g2 for t, g2 in series if kappa * t >= 20.0]
+        tail = g2_time_series(traj)[kappa * traj.times >= 20.0]
         assert all(math.log10(v) == pytest.approx(-2.0, abs=0.2) for v in tail)
 
     def test_bunching_asymptote_above_one(self):
         p = fig2a_params(Delta_plus=0.7 * 20.0 * MHZ)
         kappa = p.kappa_m
         traj = evolve(vacuum(p), p, np.linspace(0.0, 30.0 / kappa, 31))
-        series = g2_time_series(traj)
-        assert series[-1][1] > 1.0
+        assert g2_time_series(traj)[-1] > 1.0
 
     def test_constant_input_gives_constant_series(self):
         p = fig2a_params()
         rho_ss = steady_state(build_liouvillian(build_h_eff(p), collapse_channels(p)))
         traj = evolve(rho_ss, p, np.linspace(0.0, 2.0 / p.kappa_m, 9))
-        series = g2_time_series(traj)
-        values = [g2 for _, g2 in series]
-        assert max(values) - min(values) <= 1e-6 * values[0]
+        values = g2_time_series(traj)
+        assert values.max() - values.min() <= 1e-6 * values[0]
 
     def test_undefined_points_become_gaps(self):
         p = fig2a_params(Omega_m=0.0, Omega_q=0.0)
         traj = evolve(vacuum(p), p, np.linspace(0.0, 1.0 / p.kappa_m, 5))
+        assert np.isnan(g2_time_series(traj)).all()
+
+
+def g2_or_nan(state):
+    try:
+        return g2_zero(state)
+    except UndefinedCorrelationError:
+        return math.nan
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestStackedG2:
+    """g2_time_series and g2_zero share one stacked core, so they agree bit for bit."""
+
+    @pytest.mark.parametrize("kwargs", [{}, {"Delta_plus": 0.7 * 20.0 * MHZ},
+                                        {"fock_dim": 3}, {"Omega_m": 0.0, "Omega_q": 0.0}])
+    def test_series_equals_g2_zero_of_each_state(self, kwargs):
+        p = fig2a_params(**kwargs)
+        traj = evolve(vacuum(p), p, np.linspace(0.0, 10.0 / p.kappa_m, 41))
         series = g2_time_series(traj)
-        assert all(math.isnan(g2) for _, g2 in series)
+        reference = [g2_or_nan(state) for state in traj.states]
+        assert same_bits(series, reference)
+        assert math.isnan(series[0])  # the vacuum has no occupation
+
+    def test_populations_are_those_of_the_states(self):
+        p = fig2a_params()
+        traj = evolve(vacuum(p), p, np.linspace(0.0, 10.0 / p.kappa_m, 21))
+        assert same_bits(traj.populations, [populations(state) for state in traj.states])
+
+    def test_nan_only_below_the_occupation_floor(self):
+        below = np.nextafter(OCCUPATION_FLOOR, 0.0)
+        p1 = np.array([0.0, below, OCCUPATION_FLOOR, np.nextafter(OCCUPATION_FLOOR, 1.0),
+                       2.0 * OCCUPATION_FLOOR, 1e-3])
+        stack = np.zeros((p1.size, 5))
+        stack[:, 1] = p1
+        stack[-1, 2] = 1e-5  # <m'm> of the others is P1 alone
+        stack[:, 0] = 1.0 - stack.sum(axis=1)
+        series = g2_time_series(SimpleNamespace(populations=stack))
+        assert np.isnan(series).tolist() == [True, True, False, False, False, False]
+        assert series[-1] > 0.0
+        states = [magnon_dm(np.diag(row), 5) for row in stack]
+        assert same_bits(series, [g2_or_nan(state) for state in states])
+        for state in states[:2]:
+            with pytest.raises(UndefinedCorrelationError):
+                g2_zero(state)
 
 
 class TestG2FromPopulations:

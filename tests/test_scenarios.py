@@ -2,11 +2,13 @@ import json
 import math
 import os
 import re
+import resource
 
 import numpy as np
 import pytest
 
 from magnonblockade.analytic import g2_analytic
+from magnonblockade.cli import _keep_freed_memory
 from magnonblockade.cli import main as cli_main
 from magnonblockade.dynamics import _liouvillian_plan, evolve, steady_state_periodic
 from magnonblockade.model import MHZ, _hamiltonian_terms, _mode_operators, thermal_occupation
@@ -22,8 +24,17 @@ from magnonblockade.scenarios import (
     parse_csv,
     run_scenario,
 )
-from magnonblockade.observables import g2_zero
-from magnonblockade.scenarios import _MODES, _initial_state, _system_params
+from magnonblockade.observables import UndefinedCorrelationError, g2_zero, populations
+from magnonblockade.scenarios import (
+    _MODES,
+    _POPULATIONS,
+    _initial_state,
+    _norm,
+    _norm_array,
+    _system_params,
+    _time_series_rows,
+    _trajectory,
+)
 
 
 def small_fig3(num=5):
@@ -629,6 +640,15 @@ sweep.axis1.paired.params.Omega_m_over_2pi_MHz = 0.021 0.033
 
 
 class TestCli:
+    def test_freed_memory_is_reused_without_page_faults(self):
+        _keep_freed_memory()
+        np.ones(1 << 18)  # 2 MiB, grows the heap once
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            a, b = np.ones(1 << 17), np.ones(1 << 17)
+            del a, b
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
     def test_list(self, capsys):
         assert cli_main(["list"]) == 0
         out = capsys.readouterr().out
@@ -749,3 +769,83 @@ sweep.axis1.values = 0 1
         captured = capsys.readouterr()
         assert "FAIL" in captured.out
         assert "Traceback" not in captured.err
+
+
+FIG2A_USER = {"J_over_2pi_MHz": 20.0, "kappa_over_2pi_MHz": 1.0, "Omega_m_over_2pi_MHz": 0.1,
+              "Omega_q_over_Omega_m": 1.0, "Delta_minus_over_Delta_plus": 0.0,
+              "Delta_plus_over_J": 1.04858}
+
+
+def per_state_rows(user, fock_dim, options):
+    """The time-series rows built one state at a time from populations,
+    g2_zero and _norm."""
+    p = _system_params(user, fock_dim)
+    traj = _trajectory(p, options, options["time_points"])
+    rows = []
+    for t, state in zip(traj.times, traj.states):
+        try:
+            g2 = g2_zero(state)
+            log10_g2 = _norm(math.log10(g2)) if g2 > 0.0 else None
+        except UndefinedCorrelationError:
+            log10_g2 = None
+        pops = populations(state)
+        row = {"kappa_t": _norm(p.kappa_m * float(t)), "log10_g2": log10_g2}
+        row.update({col: _norm(float(pops[n])) if n < fock_dim else None
+                    for n, col in enumerate(_POPULATIONS)})
+        rows.append(row)
+    return rows
+
+
+class TestTimeSeriesRows:
+    # (g1 at fock_dim 3 or 4 fails the positivity check of evolve at these parameters)
+    @pytest.mark.parametrize("fock_dim, initial_state", [(3, "vacuum"), (6, "vacuum"), (6, "g1")])
+    def test_columns_equal_per_state_rows(self, fock_dim, initial_state):
+        options = {"kappa_t_max": 30.0, "time_points": 61, "initial_state": initial_state}
+        cols = _time_series_rows(FIG2A_USER, fock_dim, options)
+        rows = [dict(zip(cols, values)) for values in zip(*cols.values())]
+        assert rows == per_state_rows(FIG2A_USER, fock_dim, options)
+        assert all(isinstance(v, float) for col in cols.values() for v in col if v is not None)
+        if fock_dim == 3:
+            assert cols["P3"] == [None] * 61
+        # g2 of the vacuum is undefined and that of |g, 1> is 0: no log10 either way
+        assert cols["log10_g2"][0] is None
+        assert all(v is not None for v in cols["log10_g2"][1:])
+
+    def test_undriven_series_has_no_log10_g2(self):
+        user = dict(FIG2A_USER, Omega_m_over_2pi_MHz=0.0)
+        options = {"kappa_t_max": 5.0, "time_points": 11, "initial_state": "vacuum"}
+        assert _time_series_rows(user, 4, options)["log10_g2"] == [None] * 11
+
+
+def norm_bits(values):
+    return np.array(values, dtype=float).view(np.int64)
+
+
+class TestNormArray:
+    """_norm_array rounds whole arrays to the CSV's 12 digits with the bits of _norm."""
+
+    def test_random_magnitudes(self):
+        rng = np.random.default_rng(7)
+        x = rng.random(20000) * 10.0 ** rng.uniform(-40, 14, 20000) * rng.choice([-1, 1], 20000)
+        assert np.array_equal(norm_bits(_norm_array(x)), norm_bits([_norm(v) for v in x]))
+
+    def test_decimal_ties_and_powers_of_ten(self):
+        rng = np.random.default_rng(11)
+        values = []
+        for k in range(45):
+            digits = rng.integers(10**11, 10**12, 50).astype(float)
+            tie = (digits + 0.5) / float(10**k)
+            values += [tie, np.nextafter(tie, np.inf), np.nextafter(tie, -np.inf)]
+            power = float(f"1e{11 - k}")
+            values.append(np.array([power, np.nextafter(power, 0.0), np.nextafter(power, 2.0)]))
+        x = np.concatenate(values)
+        assert np.array_equal(norm_bits(_norm_array(x)), norm_bits([_norm(v) for v in x]))
+
+    def test_special_values_and_shape(self):
+        x = np.array([[0.0, -0.0, np.inf, -np.inf, 5e-324, 1.7e308],
+                      [1e-33, 1e-34, 1e11, 1e12, 30.0, -1e-11]])
+        out = _norm_array(x)
+        assert len(out) == 2 and len(out[0]) == 6
+        assert np.array_equal(norm_bits(out), norm_bits([[_norm(v) for v in row] for row in x]))
+        assert math.isnan(_norm_array(np.array([np.nan]))[0])
+
