@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import ctypes
 import os
 import sys
 import time
@@ -24,28 +23,6 @@ EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 
 _GRID_HELP = "points on each linspace axis (a config error if the scenario has none)"
-
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
-
-
-def _keep_freed_memory() -> None:
-    """Let the grid points of a sweep reuse the memory the previous one freed.
-
-    A point allocates and frees a few dense D x D temporaries (about 0.5 MB
-    at N = 6). Under glibc's dynamic thresholds, whether freeing them hands
-    the top of the heap back to the system, so that the next point faults
-    the pages in again (about 50 page faults per N = 6 steady point), depends
-    on everything the process allocated before, down to how much source it
-    compiled at import. Fixed thresholds (blocks below 16 MiB from the heap,
-    which is trimmed only above 32 MiB free) make every point reuse the same
-    pages. Does nothing without glibc's mallopt.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, 16 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 32 << 20)
 
 
 def _load_config(target: str, grid: int | None, fock_dim: int | None):
@@ -86,7 +63,6 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args.target, args.grid, args.fock_dim)
     out = args.out or cfg.output or f"{cfg.name}.csv"
     sidecar = out + ".diag.jsonl"
-    _keep_freed_memory()
     start = time.perf_counter()
     result = run_scenario(cfg, out=out, diagnostics_out=sidecar)
     wall = time.perf_counter() - start

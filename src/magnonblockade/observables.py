@@ -47,8 +47,8 @@ def _g2(pops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     in the Fock basis) and g2 = <m'm'mm> / <m'm>^2, NaN where <m'm> is below
     the occupation floor.
 
-    Each moment is one dot product per state (``np.vecdot``, the BLAS dot of
-    ``n @ P``) and the square is ``np.float_power``, the C library's pow as in
+    Each moment is one dot product per state (``np.vecdot``, numpy >= 2.0, the
+    BLAS dot of ``n @ P``) and the square is ``np.float_power``, the C library's pow as in
     Python's ``x ** 2``, so a value has the same bits in a stack of any shape.
     """
     n, pairs = _moment_weights(pops.shape[-1])
@@ -73,8 +73,12 @@ def g2_zero(rho: DensityMatrix) -> float:
 
 def g2_time_series(traj) -> np.ndarray:
     """g2(t,t) at each sample of a trajectory, from its stacked populations
-    ``traj.populations`` in one call: NaN where ``g2_zero`` would raise."""
-    return _g2(traj.populations)[1]
+    ``traj.populations`` (gathered from ``traj.states`` where a trajectory was
+    built without them) in one call: NaN where ``g2_zero`` would raise."""
+    pops = traj.populations
+    if pops is None:
+        pops = np.array([populations(state) for state in traj.states])
+    return _g2(pops)[1]
 
 
 def g2_from_populations(p: np.ndarray) -> float:

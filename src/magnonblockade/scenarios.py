@@ -106,66 +106,14 @@ def _norm(x: float) -> float:
     return float(f"{x:.11e}")
 
 
-_POW10 = np.array([float(10 ** k) for k in range(45)])  # exact up to 10^22, then rounded
-_SPLIT = 2.0 ** 27 + 1.0  # Dekker's splitting factor for float64
-
-
-def _two_prod(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker, without FMA)."""
-    p = a * b
-    c = _SPLIT * a
-    a_hi = c - (c - a)
-    c = _SPLIT * b
-    b_hi = c - (c - b)
-    a_lo, b_lo = a - a_hi, b - b_hi
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
-def _div_rem(n: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(q, r) with q = fl(n / d) and n = q d + r exactly."""
-    q = n / d
-    p, e = _two_prod(q, d)
-    return q, (n - p) - e
-
-
 def _norm_array(values: np.ndarray) -> list:
-    """``_norm`` of every value of an array, as nested lists, with the same bits.
-
-    For 1e-33 <= |x| < 1e12 the 12 significant digits are found without
-    formatting: with k = 11 - floor(log10 |x|), they are the integer M nearest
-    to h = fl(|x| 10^k), 1e11 < h < 1e12, which is within 2 ulp (2^-12) of the
-    exact product, so M is exact unless h is within 2^-10 of a half-integer.
-    Parsing the digits gives the double y nearest to M / 10^k; it is found as
-    M / 10^k1 / 10^k2 (k1 = min(k, 22), both powers exact) with the exact
-    remainder of each division carried into t = M / 10^k - y, and y moves one
-    ulp towards t where |t| exceeds half the gap to the next double on that
-    side. Every other value (a near-half h, |t| within 1e-9 of that half gap,
-    zero, nan, inf, |x| out of range) is formatted and parsed as by ``_norm``.
-    """
+    """``_norm`` of every value of an array, as nested lists: the whole block
+    is formatted in one ``%`` operation and parsed back, so each value goes
+    through the same text as in ``_norm``."""
     x = np.asarray(values, dtype=float)
-    a = np.abs(x)
-    with np.errstate(all="ignore"):
-        k = 11.0 - np.floor(np.log10(a))
-        exact = (k >= 0.0) & (k <= 44.0)
-        k = np.where(exact, k, 0.0).astype(np.intp)
-        h = a * _POW10[k]
-        m = np.rint(h)
-        exact &= (h > 1e11) & (h < 1e12) & (np.abs(h - m) < 0.5 - 2.0 ** -10)
-        k1 = np.minimum(k, 22)
-        q, r1 = _div_rem(m, _POW10[k1])
-        y, r2 = _div_rem(q, _POW10[k - k1])
-        t = (r2 + r1 / _POW10[k1]) / _POW10[k - k1]
-        half = np.spacing(y) / 2.0
-        half = np.where((t < 0.0) & (np.frexp(y)[0] == 0.5), half / 2.0, half)
-        exact &= np.abs(np.abs(t) - half) > 1e-9 * half
-        y = np.where(np.abs(t) > half, np.nextafter(y, np.where(t > 0.0, np.inf, 0.0)), y)
-    out = np.copysign(y, x)
-    other = np.flatnonzero(~exact)
-    if other.size:
-        rest = x.ravel()[other].tolist()
-        out.ravel()[other] = np.fromiter(
-            map(float, (" %.11e" * len(rest) % tuple(rest)).split()), float, len(rest))
-    return out.tolist()
+    flat = x.ravel().tolist()
+    parsed = map(float, (" %.11e" * len(flat) % tuple(flat)).split())
+    return np.fromiter(parsed, float, len(flat)).reshape(x.shape).tolist()
 
 
 @dataclass(frozen=True)

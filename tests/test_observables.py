@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from magnonblockade.dynamics import build_liouvillian, evolve, steady_state
+from magnonblockade.dynamics import Trajectory, build_liouvillian, evolve, steady_state
 from magnonblockade.hilbert import DensityMatrix, HilbertSpace, dagger, fock_annihilation
 from magnonblockade.model import MHZ, SystemParams, build_h_eff, collapse_channels
 from magnonblockade.observables import (
@@ -225,6 +225,14 @@ class TestStackedG2:
         p = fig2a_params()
         traj = evolve(vacuum(p), p, np.linspace(0.0, 10.0 / p.kappa_m, 21))
         assert same_bits(traj.populations, [populations(state) for state in traj.states])
+
+    def test_trajectory_without_populations_gathers_them_from_its_states(self):
+        p = fig2a_params()
+        traj = evolve(vacuum(p), p, np.linspace(0.0, 10.0 / p.kappa_m, 21))
+        bare = Trajectory(times=traj.times, states=traj.states, params=p, step=traj.step,
+                          trace_drift=traj.trace_drift)
+        assert bare.populations is None
+        assert same_bits(g2_time_series(bare), g2_time_series(traj))
 
     def test_nan_only_below_the_occupation_floor(self):
         below = np.nextafter(OCCUPATION_FLOOR, 0.0)

