@@ -3,8 +3,7 @@ Hermitian basis, direct steady state, fixed-step time evolution,
 and the period-averaged steady state of the periodically driven
 (longitudinal-coupling) problem. Both steady states are the unit-trace kernel
 vector of one generator, found by the same solve. Every trajectory is a power
-of one RK4 map: one step of the static generator, or the one-period propagator
-of the driven one. Every solver works in float64.
+of one RK4 step of the static generator. Every solver works in float64.
 
 Coordinates: a d x d Hermitian rho is the real vector x = (diagonal of rho,
 Re rho[i, j], Im rho[i, j]) with i < j in ``np.triu_indices`` order, its
@@ -36,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import _TRACE_TOL, DensityMatrix, _check_densities, _read_only, dagger
+from .hilbert import _TRACE_TOL, DensityMatrix, HilbertSpace, _check_densities, _read_only, dagger
 from .model import SystemParams, _longitudinal_operator, _nonhermitian, build_h_eff, collapse_channels
 
 __all__ = [
@@ -146,7 +145,6 @@ class Liouvillian:
 
     real: np.ndarray
     hamiltonian: np.ndarray = field(repr=False)
-    channels: tuple = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -279,7 +277,7 @@ def build_liouvillian(h: np.ndarray, channels) -> Liouvillian:
     weight = plan.coef * values[:, None, None]
     dim = d * d
     real = np.bincount(plan.target, weight.real.ravel(), minlength=dim * dim)
-    return Liouvillian(real=real.reshape(dim, dim), hamiltonian=h, channels=tuple(channels))
+    return Liouvillian(real=real.reshape(dim, dim), hamiltonian=h)
 
 
 @functools.lru_cache(maxsize=None)
@@ -374,25 +372,13 @@ def _kernel_state(gen: np.ndarray, d: int) -> np.ndarray:
     return x
 
 
-def steady_state(liouv: Liouvillian, *, space=None, composite: bool = True) -> DensityMatrix:
-    """Unique steady state from the Liouvillian kernel, by ``_kernel_state``.
-
-    By default the state is labelled as living on a composite qubit(x)magnon
-    space of dimension 2N; pass ``space``/``composite`` for bare-mode
-    Liouvillians.
-    """
+def steady_state(liouv: Liouvillian) -> DensityMatrix:
+    """Unique steady state from the Liouvillian kernel, by ``_kernel_state``,
+    on the composite qubit(x)magnon space of dimension 2N."""
     d = liouv.hilbert_dim
-    rho = _density(_kernel_state(liouv.real, d))
-    if space is None:
-        from .hilbert import HilbertSpace
-
-        if composite and d % 2:
-            raise ValueError(f"odd dimension {d} cannot be a composite space")
-        space = HilbertSpace(d // 2) if composite else HilbertSpace(d)
-    expected = space.total_dim if composite else space.fock_dim
-    if expected != d:
-        raise ValueError(f"space dimension {expected} does not match Liouvillian {d}")
-    return DensityMatrix(rho, space, composite).validate()
+    if d % 2:
+        raise ValueError(f"odd dimension {d} cannot be a composite space")
+    return DensityMatrix(_density(_kernel_state(liouv.real, d)), HilbertSpace(d // 2)).validate()
 
 
 def _periodic_parts(p: SystemParams):
@@ -455,9 +441,9 @@ def _rk4_steps(gen, v: np.ndarray, t0: float, t1: float, n: int):
 
 
 def _one_period_maps(p: SystemParams, steps_per_period: int = 64):
-    """One-period propagator P, period-average map A, drive period T and RK4
-    step h of the longitudinally driven generator in Hermitian coordinates,
-    from one RK4 pass on the matrix equation V' = L(t) V with V(0) = I.
+    """One-period propagator P, period-average map A and drive period T of the
+    longitudinally driven generator in Hermitian coordinates, from one RK4
+    pass of step h on the matrix equation V' = L(t) V with V(0) = I.
 
     A is the mean of the propagators at the RK4 samples t = h, 2h, ..., T, so
     A x is the period average of the trajectory that starts from x at drive
@@ -487,54 +473,39 @@ def _one_period_maps(p: SystemParams, steps_per_period: int = 64):
     avg = np.zeros_like(l0)
     for prop in _rk4_steps(gen, np.eye(liouv.dim), 0.0, period, n_sub):
         avg += prop
-    return prop, avg / n_sub, period, period / n_sub
+    return prop, avg / n_sub, period
 
 
 def evolve(rho0: DensityMatrix, p: SystemParams, t_grid) -> Trajectory:
-    """States of the master equation on a uniform ``t_grid`` starting at 0,
-    each a power of one fixed RK4 map applied to ``rho0``.
-
-    Without longitudinal coupling the map is one RK4 step of the static
-    Liouvillian; each grid interval takes ceil(spacing / ``Trajectory.step``)
-    equal steps, with ``step`` the ``_max_step`` bound. With g_rp > 0 the
-    samples are snapped to the nearest whole number k of drive periods
-    (``Trajectory.times`` holds k T) and each reports the period average
-    A P^k rho0 of ``_one_period_maps``, so the first sample is the average over
-    the first period. Trace drift beyond ``hilbert._TRACE_TOL`` raises
-    TraceDriftError; the samples before the first such one are checked as
-    density matrices in one stacked call.
+    """States of the master equation on a uniform, finite ``t_grid`` starting
+    at 0, each a power of one RK4 step of the static Liouvillian applied to
+    ``rho0``: each grid interval takes ceil(spacing / ``Trajectory.step``)
+    equal steps, with ``step`` the ``_max_step`` bound. The longitudinal
+    coupling makes the generator time-dependent, so g_rp > 0 is a ValueError.
+    Trace drift beyond ``hilbert._TRACE_TOL`` raises TraceDriftError; the
+    samples before the first such one are checked as density matrices in one
+    stacked call.
     """
+    if p.g_rp > 0.0:
+        raise ValueError(f"evolve requires g_rp = 0 (a static generator), got {p.g_rp}")
     t_grid = np.asarray(t_grid, dtype=float)
     gaps = np.diff(t_grid)
     # the relative 1e-9 admits the rounding of np.linspace grids
-    if (t_grid[0] != 0.0 or gaps.size == 0 or gaps.min() <= 0.0
-            or gaps.max() - gaps.min() > 1e-9 * gaps.max()):
+    if (not np.isfinite(t_grid).all() or t_grid[0] != 0.0 or gaps.size == 0
+            or gaps.min() <= 0.0 or gaps.max() - gaps.min() > 1e-9 * gaps.max()):
         raise ValueError("t_grid must start at 0 and increase in equal steps")
     rho0.validate()
     dt = t_grid[-1] / gaps.size
+    liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
+    step = _max_step(p, liouv.hamiltonian)
+    n = max(1, math.ceil(dt / step))
+    one_step = next(_rk4_steps(lambda t: liouv.real, np.eye(liouv.dim), 0.0, dt / n, 1))
+    interval = np.linalg.matrix_power(one_step, n)
 
-    if p.g_rp > 0.0:
-        prop, report, period, step = _one_period_maps(p)
-        counts = np.floor(t_grid / period + 0.5).astype(int)
-        if np.diff(counts).min() < 1:
-            raise ValueError(f"t_grid spacing {dt:.3e} is below the drive period {period:.3e}")
-        times = counts * period
-    else:
-        liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
-        step = _max_step(p, liouv.hamiltonian)
-        n = max(1, math.ceil(dt / step))
-        prop = next(_rk4_steps(lambda t: liouv.real, np.eye(liouv.dim), 0.0, dt / n, 1))
-        report, counts, times = None, n * np.arange(t_grid.size), t_grid
-    intervals = np.diff(counts).tolist()
-    powers = {m: np.linalg.matrix_power(prop, m) for m in set(intervals)}
-    maps = [powers[m] for m in intervals]
-
-    xs = np.empty((t_grid.size, prop.shape[0]))
+    xs = np.empty((t_grid.size, liouv.dim))
     xs[0] = _coords(rho0.matrix)
-    for k, a in enumerate(maps, 1):
-        np.matmul(a, xs[k - 1], out=xs[k])
-    if report is not None:
-        xs = xs @ report.T
+    for k in range(1, t_grid.size):
+        np.matmul(interval, xs[k - 1], out=xs[k])
     space = p.space
     n, d = space.fock_dim, space.total_dim
     drift = np.abs(xs[:, :d].sum(axis=1) - 1.0)
@@ -544,9 +515,9 @@ def evolve(rho0: DensityMatrix, p: SystemParams, t_grid) -> Trajectory:
     _check_densities(rhos)
     if over.size:
         raise TraceDriftError(drift[stop], _TRACE_TOL)
-    states = [DensityMatrix(rho, space, True) for rho in rhos]
+    states = [DensityMatrix(rho, space) for rho in rhos]
     # the diagonal of rho is the first d coordinates, qubit g then e
-    return Trajectory(times=times, states=states, params=p, step=step,
+    return Trajectory(times=t_grid, states=states, params=p, step=step,
                       trace_drift=float(drift.max()), populations=xs[:, :n] + xs[:, n:d])
 
 
@@ -565,7 +536,7 @@ def steady_state_periodic(p: SystemParams, steps_per_period: int = 64) -> Densit
     if min(p.kappa_m, p.kappa_q) <= 0.0:
         raise ValueError("periodic steady state requires dissipation")
 
-    prop, avg, period, _ = _one_period_maps(p, steps_per_period)
+    prop, avg, period = _one_period_maps(p, steps_per_period)
     d = p.space.total_dim
     x = avg @ _kernel_state((prop - np.eye(prop.shape[0])) / period, d)
-    return DensityMatrix(_density(x / x[:d].sum()), p.space, True).validate()
+    return DensityMatrix(_density(x / x[:d].sum()), p.space).validate()

@@ -99,26 +99,17 @@ def _check_densities(m: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A density matrix together with the space it lives on.
-
-    ``composite`` distinguishes full qubit(x)magnon states from magnon-reduced
-    ones (after tracing out the qubit).
-    """
+    """A density matrix of the composite qubit(x)magnon space it lives on."""
 
     matrix: np.ndarray
     space: HilbertSpace
-    composite: bool = True
-
-    @property
-    def dim(self) -> int:
-        return self.space.total_dim if self.composite else self.space.fock_dim
 
     def validate(self) -> "DensityMatrix":
         """Check hermiticity, unit trace and numerical positive semidefiniteness
         against ``_HERM_TOL``, ``_TRACE_TOL`` and ``_EIG_FLOOR``."""
         m = self.matrix
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"matrix shape {m.shape} does not match space dimension {self.dim}")
+        d = self.space.total_dim
+        if m.shape != (d, d):
+            raise ValueError(f"matrix shape {m.shape} does not match space dimension {d}")
         _check_densities(m[None])
         return self
-

@@ -27,11 +27,8 @@ class UndefinedCorrelationError(ValueError):
 
 def populations(rho: DensityMatrix) -> np.ndarray:
     """Fock populations P[n] = <n|rho_m|n> of the magnon mode: the diagonal of
-    rho, summed over the qubit for a composite state."""
-    diag = np.diag(rho.matrix).real
-    if rho.composite:
-        return diag.reshape(2, rho.space.fock_dim).sum(axis=0)
-    return diag.copy()
+    rho, summed over the qubit."""
+    return np.diag(rho.matrix).real.reshape(2, rho.space.fock_dim).sum(axis=0)
 
 
 @functools.cache
@@ -59,9 +56,9 @@ def _g2(pops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def g2_zero(rho: DensityMatrix) -> float:
-    """Equal-time second-order correlation <m'm'mm> / <m'm>^2 of a composite or
-    magnon-reduced state. Raises UndefinedCorrelationError when <m'm> is below
-    the occupation floor (no drive).
+    """Equal-time second-order correlation <m'm'mm> / <m'm>^2 of a state.
+    Raises UndefinedCorrelationError when <m'm> is below the occupation floor
+    (no drive).
     """
     n1, g2 = _g2(populations(rho))
     if n1 < OCCUPATION_FLOOR:

@@ -64,8 +64,8 @@ _PARAM_KEYS = {
 }
 
 # the quantities a static solve takes from the config; the longitudinal
-# coupling g_rp is read by the periodic and time-series modes, r = kappa/J by
-# roots mode only
+# coupling g_rp is read by the periodic mode only, r = kappa/J by roots mode
+# only
 _STATIC_QUANTITIES = frozenset({"J", "kappa_m", "kappa_q", "Omega_m", "Omega_q", "Delta_plus",
                                 "Delta_minus", "omega_drive", "m_th"})
 
@@ -360,7 +360,7 @@ def _initial_state(name: str, p: SystemParams) -> DensityMatrix:
     rho = np.zeros((d, d), dtype=complex)
     i = _INITIAL_STATES[name]
     rho[i, i] = 1.0
-    return DensityMatrix(rho, p.space, True)
+    return DensityMatrix(rho, p.space)
 
 
 def _time_series_rows(user: dict, fock_dim: int, options: dict) -> dict:
@@ -431,7 +431,7 @@ _MODES = {
         frozenset({"J", "r"}), _roots_rows, None),
     "time_series": _Mode(
         ("kappa_t", "log10_g2", *_POPULATIONS),
-        frozenset({"kappa_t_max", "time_points", "initial_state"}), _STATIC_QUANTITIES | {"g_rp"},
+        frozenset({"kappa_t_max", "time_points", "initial_state"}), _STATIC_QUANTITIES,
         _REQUIRED, _time_series_rows, lambda p, options: _trajectory(p, options, 2).states[-1]),
 }
 

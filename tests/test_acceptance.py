@@ -288,23 +288,32 @@ def test_criterion_09_property_suite():
     """Independent-oracle properties: coherent and thermal limits, solver
     cross-validation, generator consistency, trajectory invariants, and
     truncation convergence."""
-    from magnonblockade.hilbert import HilbertSpace, dagger, fock_annihilation
+    from magnonblockade.hilbert import (
+        HilbertSpace,
+        dagger,
+        embed_magnon,
+        embed_qubit,
+        fock_annihilation,
+        qubit_lowering,
+    )
 
     checks = {}
 
-    # coherent limit: driven damped mode (J = 0) is Poissonian
-    n = 20
-    space = HilbertSpace(n)
-    m = fock_annihilation(space)
+    # the magnon beside an idle qubit (J = 0, undriven, decaying to |g>); N = 10
+    # is the smallest truncation that holds both limits below to 1e-6
+    space = HilbertSpace(10)
+    m = embed_magnon(fock_annihilation(space), space)
     kappa = 1.0 * MHZ
+    idle_qubit = (kappa, embed_qubit(qubit_lowering(), space))
+
+    # coherent limit: driven damped mode is Poissonian
     h = 0.05 * kappa * (m + dagger(m))
-    rho_c = steady_state(build_liouvillian(h, [(kappa, m)]), space=space, composite=False)
+    rho_c = steady_state(build_liouvillian(h, [(kappa, m), idle_qubit]))
     checks["coherent g2=1"] = abs(g2_zero(rho_c) - 1.0) <= 1e-6
 
     # thermal limit: occupation-0.1 bath state is bunched
-    channels = [(kappa * 1.1, m), (kappa * 0.1, dagger(m))]
-    rho_t = steady_state(build_liouvillian(np.zeros_like(m), channels),
-                         space=space, composite=False)
+    channels = [(kappa * 1.1, m), (kappa * 0.1, dagger(m)), idle_qubit]
+    rho_t = steady_state(build_liouvillian(np.zeros_like(m), channels))
     checks["thermal g2=2"] = abs(g2_zero(rho_t) - 2.0) <= 1e-6
 
     # kernel steady state vs long-time integration on the ratio-sweep points
@@ -317,7 +326,7 @@ def test_criterion_09_property_suite():
             d = p.space.total_dim
             rho0 = np.zeros((d, d), dtype=complex)
             rho0[0, 0] = 1.0
-            traj = evolve(DensityMatrix(rho0, p.space, True), p,
+            traj = evolve(DensityMatrix(rho0, p.space), p,
                           np.array([0.0, 40.0 / p.kappa_m]))
             rel = abs(g2_zero(traj.states[-1]) - g2_zero(rho_ss)) / g2_zero(rho_ss)
             worst = max(worst, rel)

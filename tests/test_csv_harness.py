@@ -45,8 +45,8 @@ def test_error_tag_and_missing_file_are_differences(tmp_path, capsys):
     write(tmp_path / "a", "only.csv", BASE)
     assert not csv_harness.compare(str(tmp_path / "a"), str(tmp_path / "b"))
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "only: missing on one side"
-    assert "1 changed, 1 outside residual_inf" in out[1]
+    assert out[1] == "only: missing on one side"
+    assert "1 changed, 1 outside residual_inf" in out[2]
     report = csv_harness.compare_csv(str(tmp_path / "a" / "s.csv"), str(tmp_path / "b" / "s.csv"))
     assert report["max_abs"]["log10_g2"] == math.inf
 
@@ -56,3 +56,14 @@ def test_row_count_mismatch_is_reported(tmp_path, capsys):
     write(tmp_path / "b", "s.csv", BASE[:2])
     assert csv_harness.main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     assert "columns or row count differ" in capsys.readouterr().out
+
+
+def test_thread_count_mismatch_is_a_difference(tmp_path, capsys):
+    for side, threads in (("a", "1"), ("b", "default")):
+        write(tmp_path / side, "s.csv", BASE)
+        (tmp_path / side / "threads.txt").write_text(threads + "\n")
+    assert csv_harness.main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"OPENBLAS_NUM_THREADS: 1 in {tmp_path / 'a'}, default in {tmp_path / 'b'}"
+    assert out[1].startswith("thread counts differ")
+    assert "3 rows, 0 changed" in out[2]

@@ -35,7 +35,9 @@ from magnonblockade.hilbert import (
     HilbertSpace,
     dagger,
     embed_magnon,
+    embed_qubit,
     fock_annihilation,
+    qubit_lowering,
 )
 from magnonblockade.model import MHZ, SystemParams, build_h_eff, collapse_channels
 from magnonblockade.observables import g2_zero, populations
@@ -67,7 +69,13 @@ def vacuum(p):
     d = p.space.total_dim
     rho = np.zeros((d, d), dtype=complex)
     rho[0, 0] = 1.0
-    return DensityMatrix(rho, p.space, True)
+    return DensityMatrix(rho, p.space)
+
+
+def idle_qubit(space, rate):
+    """The decay channel of an undriven, uncoupled qubit, which leaves it in
+    |g> and the magnon's steady state unchanged."""
+    return rate, embed_qubit(qubit_lowering(), space)
 
 
 def split_periodic_liouvillian(p):
@@ -77,6 +85,13 @@ def split_periodic_liouvillian(p):
     form the harmonic-expansion references of the periodic solve are written in."""
     liouv, lc, ls, omega = _periodic_parts(p)
     return liouv, (lc.matrix + 1j * ls.matrix) / 2, (lc.matrix - 1j * ls.matrix) / 2, omega
+
+
+def one_period_steps(p, steps_per_period=64):
+    """The RK4 steps of one drive period in ``_one_period_maps``: the given
+    count, or more where a step would exceed ``_max_step``."""
+    period = 2.0 * math.pi / p.omega_drive
+    return max(steps_per_period, math.ceil(period / _max_step(p, build_h_eff(p))))
 
 
 def textbook_rk4(gen, v, t0, t1, n):
@@ -251,8 +266,6 @@ class TestHermitianBasis:
         evolve(vacuum(p), p, np.linspace(0.0, 3.0 / p.kappa_m, 4))
         p = SystemParams.from_detunings(**OPT, fock_dim=3, g_rp=0.3 * 35.0 * MHZ)
         steady_state_periodic(p)
-        period = 2 * math.pi / p.omega_drive
-        evolve(vacuum(p), p, np.linspace(0.0, 4 * period, 3))
         cfg = parse_config("scenario = t\nmode = steady\nfock_dim = 4\n"
                            "params.J_over_2pi_MHz = 20\nparams.kappa_over_2pi_MHz = 1\n"
                            "params.Omega_m_over_2pi_MHz = 0.1\n")
@@ -270,15 +283,15 @@ class TestSteadyState:
         assert np.abs(rho.matrix - expected).max() <= 1e-10
 
     def test_driven_cavity_coherent_state(self):
-        # magnon-only driven damped oscillator: <m> = -2i Omega/kappa, g2 = 1
-        n = 20
-        space = HilbertSpace(n)
-        m = fock_annihilation(space)
+        # driven damped magnon beside an idle, decaying qubit:
+        # <m> = -2i Omega/kappa, g2 = 1; N = 5 is the smallest truncation
+        # within the bounds
+        space = HilbertSpace(5)
+        m = embed_magnon(fock_annihilation(space), space)
         kappa = 1.0 * MHZ
         omega_d = 0.05 * kappa
         h = omega_d * (m + dagger(m))
-        rho = steady_state(build_liouvillian(h, [(kappa, m)]),
-                           space=space, composite=False)
+        rho = steady_state(build_liouvillian(h, [(kappa, m), idle_qubit(space, kappa)]))
         amp = np.trace(rho.matrix @ m)
         assert amp == pytest.approx(-2j * omega_d / kappa, abs=1e-9)
         assert g2_zero(rho) == pytest.approx(1.0, abs=1e-6)
@@ -299,7 +312,7 @@ class TestSteadyState:
         p = fig2a_params()
         liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
         shifted = Liouvillian(real=liouv.real - 0.5 * np.eye(liouv.dim),
-                              hamiltonian=liouv.hamiltonian, channels=liouv.channels)
+                              hamiltonian=liouv.hamiltonian)
         with pytest.raises(SteadyStateError, match="no Liouvillian kernel"):
             steady_state(shifted)
 
@@ -426,7 +439,7 @@ class TestEvolve:
     def test_free_evolution_is_constant(self):
         p = SystemParams.from_detunings(J=0.0, Delta_plus=0.0, omega_drive=0.0)
         rng = np.random.default_rng(2)
-        rho0 = DensityMatrix(random_density(rng, p.space.total_dim), p.space, True)
+        rho0 = DensityMatrix(random_density(rng, p.space.total_dim), p.space)
         traj = evolve(rho0, p, np.linspace(0.0, 1.0, 5))
         for state in traj.states:
             assert np.abs(state.matrix - rho0.matrix).max() <= 1e-12
@@ -478,11 +491,17 @@ class TestEvolve:
             evolve(vacuum(p), p, np.array([0.0, 0.2, 0.2]))
         with pytest.raises(ValueError, match="t_grid"):
             evolve(vacuum(p), p, np.array([0.0, 0.1, 0.3]))
-        # with g_rp > 0 every sample needs its own whole drive period
-        p = SystemParams.from_detunings(**OPT, fock_dim=3, g_rp=3.5 * MHZ)
-        period = 2 * math.pi / p.omega_drive
+        # a grid that is not finite is rejected, not propagated or overflowed
         with pytest.raises(ValueError, match="t_grid"):
-            evolve(vacuum(p), p, np.linspace(0.0, 5 * period, 11))
+            evolve(vacuum(p), p, [0.0, math.nan, 2.0])
+        with pytest.raises(ValueError, match="t_grid"):
+            evolve(vacuum(p), p, [0.0, 1.0, math.inf])
+
+    def test_rejects_longitudinal_coupling(self):
+        # g_rp > 0 makes the generator time-dependent; evolve steps a static one
+        p = SystemParams.from_detunings(**OPT, fock_dim=3, g_rp=3.5 * MHZ)
+        with pytest.raises(ValueError, match="g_rp"):
+            evolve(vacuum(p), p, np.linspace(0.0, 1.0 / p.kappa_m, 3))
 
     def test_powered_map_matches_stepwise_rk4(self):
         # the static trajectory is the per-step RK4 loop, taken as matrix powers
@@ -508,7 +527,7 @@ class TestEvolve:
         def leaky(h, channels):
             liouv = build_liouvillian(h, channels)
             return Liouvillian(real=liouv.real - leak * np.eye(liouv.dim),
-                               hamiltonian=liouv.hamiltonian, channels=liouv.channels)
+                               hamiltonian=liouv.hamiltonian)
 
         monkeypatch.setattr(dynamics_mod, "build_liouvillian", leaky)
         p = fig2a_params(fock_dim=3)
@@ -534,10 +553,10 @@ class TestRk4Stepper:
     @pytest.mark.parametrize("n", [3, 4])
     def test_one_period_maps_match_textbook_loop(self, n):
         p = SystemParams.from_detunings(**OPT, fock_dim=n, g_rp=0.2 * 35.0 * MHZ)
-        prop, avg, period, step = _one_period_maps(p)
+        prop, avg, period = _one_period_maps(p)
         gen, ref_period = self.periodic_generator(p)
         assert period == ref_period
-        n_sub = round(period / step)
+        n_sub = one_period_steps(p)
         states = textbook_rk4(gen, np.eye(prop.shape[0]), 0.0, period, n_sub)
         total = np.zeros_like(prop)
         for state in states:
@@ -608,17 +627,17 @@ class TestEvolveProperties:
     def test_long_time_state_is_the_steady_state(self, p, n, seed):
         p = replace(p, fock_dim=n)
         d = p.space.total_dim
-        rho0 = DensityMatrix(random_density(np.random.default_rng(seed), d), p.space, True)
+        rho0 = DensityMatrix(random_density(np.random.default_rng(seed), d), p.space)
         t_end = 40.0 / min(p.kappa_m, p.kappa_q)
         traj = evolve(rho0, p, np.array([0.0, t_end]))
         rho_ss = steady_state(build_liouvillian(build_h_eff(p), collapse_channels(p)))
         assert np.abs(traj.states[-1].matrix - rho_ss.matrix).max() <= 1e-8
 
     @settings(max_examples=15, deadline=None)
-    @given(random_params(), st.integers(4, 5), st.floats(0.0, 0.5),
+    @given(random_params(), st.integers(4, 5),
            st.sampled_from(["vacuum", "g1", "random"]), st.integers(0, 2**32 - 1))
-    def test_propagated_states_stay_positive(self, p, n, g_rp_over_j, start, seed):
-        p = replace(p, fock_dim=n, g_rp=g_rp_over_j * p.J)
+    def test_propagated_states_stay_positive(self, p, n, start, seed):
+        p = replace(p, fock_dim=n)
         d = p.space.total_dim
         if start == "random":
             rho0 = random_density(np.random.default_rng(seed), d)
@@ -627,7 +646,7 @@ class TestEvolveProperties:
             i = ("vacuum", "g1").index(start)  # |g,0> and |g,1>
             rho0[i, i] = 1.0
         t_end = 5.0 / min(p.kappa_m, p.kappa_q)
-        traj = evolve(DensityMatrix(rho0, p.space, True), p, np.linspace(0.0, t_end, 6))
+        traj = evolve(DensityMatrix(rho0, p.space), p, np.linspace(0.0, t_end, 6))
         for state in traj.states:
             assert np.linalg.eigvalsh(state.matrix).min() >= -1e-9
 
@@ -662,26 +681,19 @@ class TestEvolveAgainstAdaptiveIntegrator:
         assert np.abs(traj.states[-1].matrix - ref).max() <= 1e-7
 
     def test_time_dependent_evolution_matches(self):
-        # g_rp > 0: each sample is snapped to a whole number of drive periods and
-        # is the average over the period that starts there, taken at the RK4
-        # right-endpoint samples
+        # the one-period propagator P against the state at t = T, and the
+        # period-average map A against the mean over the RK4 right-endpoint
+        # samples h, 2h, ..., T, both from vacuum at drive phase 0
         p = SystemParams.from_detunings(
             J=35.0 * MHZ, Delta_plus=35.0 * MHZ, Omega_m=0.033 * MHZ,
             Omega_q=0.099 * MHZ, kappa_m=0.5 * MHZ, kappa_q=0.5 * MHZ,
             omega_drive=1500.0 * MHZ, g_rp=3.5 * MHZ, fock_dim=4)
-        period = 2 * math.pi / p.omega_drive
-        t_grid = np.linspace(0.0, 0.5 / p.kappa_m, 6)
-        traj = evolve(vacuum(p), p, t_grid)
-        k = np.round(traj.times / period)
-        assert np.abs(traj.times - k * period).max() <= 1e-12 * period
-        assert np.abs(traj.times - t_grid).max() <= period / 2
-        n_sub = round(period / traj.step)
-        offsets = traj.step * np.arange(1, n_sub + 1)
-        t_eval = np.concatenate([t + offsets for t in traj.times])
-        ys = self.scipy_states(p, t_eval, vacuum(p).matrix)
-        means = ys.reshape(ys.shape[0], len(traj.times), n_sub).mean(axis=2)
-        for state, mean in zip(traj.states, means.T):
-            assert np.abs(state.matrix - unvec(mean)).max() <= 1e-9
+        prop, avg, period = _one_period_maps(p)
+        n_sub = one_period_steps(p)
+        ys = self.scipy_states(p, period * np.arange(1, n_sub + 1) / n_sub, vacuum(p).matrix)
+        x0 = _coords(vacuum(p).matrix)
+        assert np.abs(_density(prop @ x0) - unvec(ys[:, -1])).max() <= 1e-9
+        assert np.abs(_density(avg @ x0) - unvec(ys.mean(axis=1))).max() <= 1e-9
 
     def test_split_generator_matches_longitudinal_hamiltonian(self):
         # the harmonic-split generator equals the Liouvillian rebuilt from the
@@ -760,7 +772,7 @@ class TestSteadyStatePeriodic:
         x = np.linalg.solve(bordered, e0)
         rho = unvec(x + np.linalg.solve(bordered, e0 - bordered @ x))
         rho = (rho + rho.conj().T) / 2.0
-        ref = DensityMatrix(rho / np.trace(rho).real, p.space, True)
+        ref = DensityMatrix(rho / np.trace(rho).real, p.space)
 
         got = steady_state_periodic(p, steps_per_period=512)
         assert populations(got)[1] == pytest.approx(populations(ref)[1], rel=1e-9)

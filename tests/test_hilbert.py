@@ -162,8 +162,3 @@ class TestDensityMatrix:
         assert "negative eigenvalue" in str(per_state.value)
         assert str(stacked.value) == str(per_state.value)
         _check_densities(stack[:2])
-
-    def test_magnon_reduced_dimension(self):
-        dm = DensityMatrix(np.eye(6, dtype=complex) / 6, HilbertSpace(6), composite=False)
-        assert dm.dim == 6
-        dm.validate()

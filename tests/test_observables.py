@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from magnonblockade.dynamics import Trajectory, build_liouvillian, evolve, steady_state
-from magnonblockade.hilbert import DensityMatrix, HilbertSpace, dagger, fock_annihilation
+from magnonblockade.hilbert import (
+    DensityMatrix,
+    HilbertSpace,
+    dagger,
+    embed_magnon,
+    embed_qubit,
+    fock_annihilation,
+    qubit_lowering,
+)
 from magnonblockade.model import MHZ, SystemParams, build_h_eff, collapse_channels
 from magnonblockade.observables import (
     OCCUPATION_FLOOR,
@@ -17,28 +25,17 @@ from magnonblockade.observables import (
 )
 
 
-def partial_trace_qubit(rho: DensityMatrix) -> DensityMatrix:
-    """Reduce a composite state to the magnon mode, rho_m = Tr_q[rho]."""
-    if not rho.composite:
-        raise ValueError("state is already magnon-reduced")
-    n = rho.space.fock_dim
-    blocks = rho.matrix.reshape(2, n, 2, n)
-    return DensityMatrix(np.einsum("anam->nm", blocks), rho.space, composite=False)
-
-
-def composite_dm(matrix, n):
-    return DensityMatrix(np.asarray(matrix, dtype=complex), HilbertSpace(n), True)
-
-
 def magnon_dm(matrix, n):
-    return DensityMatrix(np.asarray(matrix, dtype=complex), HilbertSpace(n), False)
+    """The composite state of a magnon in ``matrix`` beside a qubit in |g>."""
+    ground = np.diag([1.0, 0.0])
+    return DensityMatrix(np.kron(ground, np.asarray(matrix, dtype=complex)), HilbertSpace(n))
 
 
 def vacuum(p):
     d = p.space.total_dim
     rho = np.zeros((d, d), dtype=complex)
     rho[0, 0] = 1.0
-    return DensityMatrix(rho, p.space, True)
+    return DensityMatrix(rho, p.space)
 
 
 def fig2a_params(**kwargs):
@@ -62,47 +59,6 @@ def thermal_magnon(m_th, n):
     return magnon_dm(np.diag(weights), n)
 
 
-class TestPartialTrace:
-    def test_product_state(self):
-        n = 4
-        rng = np.random.default_rng(31)
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        sigma = a @ a.conj().T
-        sigma /= np.trace(sigma)
-        excited = np.diag([0.0, 1.0]).astype(complex)
-        rho = composite_dm(np.kron(excited, sigma), n)
-        reduced = partial_trace_qubit(rho)
-        assert not reduced.composite
-        assert np.abs(reduced.matrix - sigma).max() <= 1e-14
-
-    def test_maximally_entangled_pair(self):
-        n = 4
-        psi = np.zeros(2 * n, dtype=complex)
-        psi[0] = 1 / math.sqrt(2)      # |g,0>
-        psi[n + 1] = 1 / math.sqrt(2)  # |e,1>
-        rho = composite_dm(np.outer(psi, psi.conj()), n)
-        reduced = partial_trace_qubit(rho)
-        assert np.allclose(np.diag(reduced.matrix).real, [0.5, 0.5, 0.0, 0.0], atol=1e-14)
-        assert np.abs(reduced.matrix - np.diag(np.diag(reduced.matrix))).max() <= 1e-14
-
-    def test_commutes_with_magnon_observables(self):
-        n = 5
-        rng = np.random.default_rng(33)
-        a = rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n))
-        rho_mat = a @ a.conj().T
-        rho_mat /= np.trace(rho_mat)
-        rho = composite_dm(rho_mat, n)
-        m = fock_annihilation(HilbertSpace(n))
-        n_op = dagger(m) @ m
-        full = np.trace(rho.matrix @ np.kron(np.eye(2), n_op))
-        reduced = np.trace(partial_trace_qubit(rho).matrix @ n_op)
-        assert abs(full - reduced) <= 1e-12
-
-    def test_rejects_already_reduced(self):
-        with pytest.raises(ValueError):
-            partial_trace_qubit(magnon_dm(np.eye(4) / 4, 4))
-
-
 class TestPopulations:
     def test_sum_to_one_and_nonnegative(self):
         p = fig2a_params()
@@ -110,6 +66,21 @@ class TestPopulations:
         pops = populations(rho)
         assert pops.sum() == pytest.approx(1.0, abs=1e-8)
         assert pops.min() >= -1e-9
+
+    def test_magnon_marginal_of_composite_states(self):
+        # P[n] sums the qubit out: of a product with an excited qubit and of an
+        # entangled pair
+        n = 4
+        rng = np.random.default_rng(31)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        sigma = a @ a.conj().T
+        sigma /= np.trace(sigma)
+        product = DensityMatrix(np.kron(np.diag([0.0, 1.0]), sigma), HilbertSpace(n))
+        assert np.abs(populations(product) - np.diag(sigma).real).max() <= 1e-15
+        psi = np.zeros(2 * n, dtype=complex)
+        psi[0] = psi[n + 1] = 1 / math.sqrt(2)  # |g,0> and |e,1>
+        pair = DensityMatrix(np.outer(psi, psi.conj()), HilbertSpace(n))
+        assert np.abs(populations(pair) - [0.5, 0.5, 0.0, 0.0]).max() <= 1e-15
 
 
 class TestG2Zero:
@@ -127,14 +98,15 @@ class TestG2Zero:
         assert g2_zero(thermal_magnon(0.1, 20)) == pytest.approx(2.0, abs=1e-6)
 
     def test_thermal_dissipator_steady_state(self):
-        # the m_th dissipator alone relaxes the mode to the thermal state
-        n = 20
-        space = HilbertSpace(n)
-        m = fock_annihilation(space)
+        # the m_th dissipator alone relaxes the mode to the thermal state, beside
+        # an idle qubit that decays to |g>; N = 10 is the smallest truncation
+        # within the bound
+        space = HilbertSpace(10)
+        m = embed_magnon(fock_annihilation(space), space)
         kappa, m_th = 1.0 * MHZ, 0.1
-        channels = [(kappa * (m_th + 1), m), (kappa * m_th, dagger(m))]
-        rho = steady_state(build_liouvillian(np.zeros_like(m), channels),
-                           space=space, composite=False)
+        channels = [(kappa * (m_th + 1), m), (kappa * m_th, dagger(m)),
+                    (kappa, embed_qubit(qubit_lowering(), space))]
+        rho = steady_state(build_liouvillian(np.zeros_like(m), channels))
         assert g2_zero(rho) == pytest.approx(2.0, abs=1e-6)
 
     def test_vacuum_raises(self):
@@ -155,11 +127,6 @@ class TestG2Zero:
             u = np.diag(np.exp(1j * theta * np.arange(n)))
             rotated = u @ rho @ u.conj().T
             assert g2_zero(magnon_dm(rotated, n)) == pytest.approx(base, rel=1e-12)
-
-    def test_composite_equals_reduced(self):
-        p = fig2a_params()
-        rho = steady_state(build_liouvillian(build_h_eff(p), collapse_channels(p)))
-        assert g2_zero(rho) == pytest.approx(g2_zero(partial_trace_qubit(rho)), rel=1e-12)
 
     def test_single_excitation_support_is_zero(self):
         n = 6

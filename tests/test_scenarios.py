@@ -310,25 +310,6 @@ sweep.axis2.values = 2.5 3.5
         assert result.rows[0][result.columns.index("log10_g2")] is None
         assert result.rows[0][result.columns.index("error")] == ""
 
-    def test_longitudinal_time_series_is_snapped_to_whole_periods(self):
-        cfg = ScenarioConfig(
-            name="ts_longitudinal", mode="time_series", fock_dim=4,
-            params={"J_over_2pi_MHz": 35.0, "kappa_over_2pi_MHz": 0.5,
-                    "Omega_m_over_2pi_MHz": 0.033, "Omega_q_over_Omega_m": 3.0,
-                    "drive_freq_over_2pi_MHz": 1500.0, "g_rp_over_J": 0.3},
-            options={"kappa_t_max": 5.0, "time_points": 11},
-        )
-        result = run_scenario(cfg)
-        assert len(result.rows) == 11
-        assert all(err == "" for err in result.column("error"))
-        kappa_period = 2.0 * math.pi * 0.5 / 1500.0  # kappa_m T, T = 1/(1500 MHz)
-        kts = np.array(result.column("kappa_t"))
-        k = np.round(kts / kappa_period)
-        assert np.all(np.diff(k) >= 1)
-        # the CSV keeps 12 significant digits
-        assert np.abs(kts - k * kappa_period).max() <= 1e-10
-        assert np.abs(kts - np.linspace(0.0, 5.0, 11)).max() <= kappa_period / 2
-
     def test_roots_mode_consistency(self):
         cfg = get_scenario("fig10").with_grid(8)
         result = run_scenario(cfg)
@@ -514,6 +495,10 @@ sweep.axis1.path = params.Delta_plus_over_J
 sweep.axis1.linspace = 0.5 1.5 3
 """
 
+# a complete time_series config, valid as it stands
+TIME_SERIES = ("scenario = x\nmode = time_series\nparams.J_over_2pi_MHz = 20\n"
+               "params.kappa_over_2pi_MHz = 1\n")
+
 
 class TestConfigParsing:
     def test_parse_round_trip_fields(self):
@@ -601,6 +586,11 @@ sweep.axis1.paired.params.Omega_m_over_2pi_MHz = 0.021 0.033
         "scenario = x\nmode = steady\nsweep.a.path = params.g_rp_over_J\n"
         "sweep.a.values = 0 0.3\n",
         "scenario = x\nmode = roots\nparams.g_rp_over_J = 0.3\n",
+        # time series evolve a static generator: g_rp anywhere is an error
+        TIME_SERIES + "params.g_rp_over_J = 0.3\n",
+        TIME_SERIES + "sweep.a.path = params.g_rp_over_J\nsweep.a.values = 0 0.3\n",
+        TIME_SERIES + "sweep.a.path = params.Omega_m_over_2pi_MHz\nsweep.a.values = 0.1 0.2\n"
+        "sweep.a.paired.params.g_rp_over_J = 0 0.3\n",
         # non-finite values
         "scenario = x\nmode = steady\nparams.J_over_2pi_MHz = nan\n",
         "scenario = x\nmode = steady\nparams.m_th = inf\n",

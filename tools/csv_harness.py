@@ -9,12 +9,14 @@ built-in scenario with a linspace axis at ``--grid 7``, and fig2a and fig11
 as they are. The program comes from ``src/`` of this checkout, or from the
 ``src`` directory named by ``--src`` (a checkout of the parent commit, say).
 Cells depend on the BLAS thread count, so run both sides with the same
-``OPENBLAS_NUM_THREADS``.
+``OPENBLAS_NUM_THREADS``; ``run`` records its value, or ``default`` when it
+is unset, in DIR/threads.txt.
 
-``compare`` prints one line per CSV: the rows changed, the rows changed
-outside ``residual_inf``, the largest |difference| in each log10 column and
-the largest relative |difference| in P0-P3. It exits with status 1 if any
-row differs or a CSV is missing on one side.
+``compare`` prints both recorded thread counts, then one line per CSV: the
+rows changed, the rows changed outside ``residual_inf``, the largest
+|difference| in each log10 column and the largest relative |difference| in
+P0-P3. It exits with status 1 if the thread counts differ, any row differs or
+a CSV is missing on one side.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import sys
 GRID = 7
 _POPULATIONS = ("P0", "P1", "P2", "P3")
 _RESIDUAL = "residual_inf"
+_THREADS = "threads.txt"
 
 
 def run(out_dir: str, src: str) -> None:
@@ -36,6 +39,8 @@ def run(out_dir: str, src: str) -> None:
     from magnonblockade.scenarios import built_in_scenarios
 
     os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, _THREADS), "w") as fh:
+        fh.write(os.environ.get("OPENBLAS_NUM_THREADS", "default") + "\n")
     for cfg in built_in_scenarios():
         grid = ["--grid", str(GRID)] if any(ax.linspace is not None for ax in cfg.axes) else []
         path = os.path.join(out_dir, f"{cfg.name}.csv")
@@ -105,10 +110,24 @@ def _line(name: str, report: dict | None) -> str:
     return "; ".join(parts)
 
 
+def threads(directory: str) -> str:
+    """The OPENBLAS_NUM_THREADS value ``run`` recorded in ``directory``."""
+    try:
+        with open(os.path.join(directory, _THREADS)) as fh:
+            return fh.read().strip()
+    except FileNotFoundError:
+        return "not recorded"
+
+
 def compare(dir_a: str, dir_b: str) -> bool:
-    """Print one line per CSV in either directory; True if all rows agree."""
+    """Print the thread counts and one line per CSV in either directory; True
+    if the thread counts and all rows agree."""
+    counts = [threads(d) for d in (dir_a, dir_b)]
+    print(f"OPENBLAS_NUM_THREADS: {counts[0]} in {dir_a}, {counts[1]} in {dir_b}")
+    same = counts[0] == counts[1]
+    if not same:
+        print("thread counts differ: the CSVs are not comparable byte for byte")
     names = sorted({f for d in (dir_a, dir_b) for f in os.listdir(d) if f.endswith(".csv")})
-    same = True
     for name in names:
         paths = [os.path.join(d, name) for d in (dir_a, dir_b)]
         report = compare_csv(*paths) if all(map(os.path.exists, paths)) else None
