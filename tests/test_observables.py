@@ -25,6 +25,12 @@ from magnonblockade.observables import (
 )
 
 
+def partial_trace_qubit(rho: DensityMatrix) -> np.ndarray:
+    """The magnon's reduced density matrix rho_m = Tr_q[rho] of a composite state."""
+    n = rho.space.fock_dim
+    return np.einsum("anam->nm", rho.matrix.reshape(2, n, 2, n))
+
+
 def magnon_dm(matrix, n):
     """The composite state of a magnon in ``matrix`` beside a qubit in |g>."""
     ground = np.diag([1.0, 0.0])
@@ -59,6 +65,46 @@ def thermal_magnon(m_th, n):
     return magnon_dm(np.diag(weights), n)
 
 
+class TestPartialTrace:
+    # populations(rho) is the diagonal of Tr_q[rho]: both are checked against
+    # states whose magnon marginal is known
+    def test_product_state(self):
+        n = 4
+        rng = np.random.default_rng(31)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        sigma = a @ a.conj().T
+        sigma /= np.trace(sigma)
+        excited = np.diag([0.0, 1.0]).astype(complex)
+        rho = DensityMatrix(np.kron(excited, sigma), HilbertSpace(n))
+        assert np.abs(partial_trace_qubit(rho) - sigma).max() <= 1e-14
+        assert np.abs(populations(rho) - np.diag(sigma).real).max() <= 1e-15
+
+    def test_maximally_entangled_pair(self):
+        n = 4
+        psi = np.zeros(2 * n, dtype=complex)
+        psi[0] = 1 / math.sqrt(2)      # |g,0>
+        psi[n + 1] = 1 / math.sqrt(2)  # |e,1>
+        rho = DensityMatrix(np.outer(psi, psi.conj()), HilbertSpace(n))
+        reduced = partial_trace_qubit(rho)
+        assert np.allclose(np.diag(reduced).real, [0.5, 0.5, 0.0, 0.0], atol=1e-14)
+        assert np.abs(reduced - np.diag(np.diag(reduced))).max() <= 1e-14
+        assert np.abs(populations(rho) - [0.5, 0.5, 0.0, 0.0]).max() <= 1e-15
+
+    def test_commutes_with_magnon_observables(self):
+        n = 5
+        rng = np.random.default_rng(33)
+        a = rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n))
+        rho_mat = a @ a.conj().T
+        rho_mat /= np.trace(rho_mat)
+        rho = DensityMatrix(rho_mat, HilbertSpace(n))
+        m = fock_annihilation(HilbertSpace(n))
+        n_op = dagger(m) @ m
+        full = np.trace(rho.matrix @ np.kron(np.eye(2), n_op))
+        reduced = np.trace(partial_trace_qubit(rho) @ n_op)
+        assert abs(full - reduced) <= 1e-12
+        assert abs(full - populations(rho) @ np.arange(n)) <= 1e-12
+
+
 class TestPopulations:
     def test_sum_to_one_and_nonnegative(self):
         p = fig2a_params()
@@ -66,21 +112,6 @@ class TestPopulations:
         pops = populations(rho)
         assert pops.sum() == pytest.approx(1.0, abs=1e-8)
         assert pops.min() >= -1e-9
-
-    def test_magnon_marginal_of_composite_states(self):
-        # P[n] sums the qubit out: of a product with an excited qubit and of an
-        # entangled pair
-        n = 4
-        rng = np.random.default_rng(31)
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        sigma = a @ a.conj().T
-        sigma /= np.trace(sigma)
-        product = DensityMatrix(np.kron(np.diag([0.0, 1.0]), sigma), HilbertSpace(n))
-        assert np.abs(populations(product) - np.diag(sigma).real).max() <= 1e-15
-        psi = np.zeros(2 * n, dtype=complex)
-        psi[0] = psi[n + 1] = 1 / math.sqrt(2)  # |g,0> and |e,1>
-        pair = DensityMatrix(np.outer(psi, psi.conj()), HilbertSpace(n))
-        assert np.abs(populations(pair) - [0.5, 0.5, 0.0, 0.0]).max() <= 1e-15
 
 
 class TestG2Zero:
@@ -127,6 +158,13 @@ class TestG2Zero:
             u = np.diag(np.exp(1j * theta * np.arange(n)))
             rotated = u @ rho @ u.conj().T
             assert g2_zero(magnon_dm(rotated, n)) == pytest.approx(base, rel=1e-12)
+
+    def test_composite_equals_reduced(self):
+        # g2 reads only the magnon marginal: the same beside a qubit in |g>
+        p = fig2a_params()
+        rho = steady_state(build_liouvillian(build_h_eff(p), collapse_channels(p)))
+        reduced = magnon_dm(partial_trace_qubit(rho), p.fock_dim)
+        assert g2_zero(rho) == pytest.approx(g2_zero(reduced), rel=1e-12)
 
     def test_single_excitation_support_is_zero(self):
         n = 6
