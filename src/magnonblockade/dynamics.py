@@ -2,8 +2,12 @@
 Hermitian basis, direct steady state, fixed-step time evolution,
 and the period-averaged steady state of the periodically driven
 (longitudinal-coupling) problem. Both steady states are the unit-trace kernel
-vector of one generator, found by the same solve. Every trajectory is a power
-of one RK4 step of the static generator. Every solver works in float64.
+vector of a generator. The static generator is block tridiagonal when the
+coordinates are grouped by excitation number, and its kernel is found by
+block elimination in that ordering; the periodic generator is dense, and its
+kernel comes from a bordered LU solve of the whole matrix, which is also the
+static fallback. Every trajectory is a power of one RK4 step of the static
+generator. Every solver works in float64.
 
 Coordinates: a d x d Hermitian rho is the real vector x = (diagonal of rho,
 Re rho[i, j], Im rho[i, j]) with i < j in ``np.triu_indices`` order, its
@@ -342,7 +346,8 @@ def _svd_kernel(gen: np.ndarray, trace_row: np.ndarray) -> np.ndarray:
 def _kernel_state(gen: np.ndarray, d: int) -> np.ndarray:
     """Unit-trace Hermitian coordinates x of the d x d density matrix spanning
     the kernel of the real trace-annihilating generator ``gen`` (trace row
-    zero).
+    zero), for any generator: the solve of the periodic G = (P - I)/T, and of
+    a static L where ``_blocked_kernel`` gives up.
 
     Row 0 of ``gen`` is replaced by the trace row and the bordered system
     B x = e_0 is solved by one LU solve plus one step of iterative
@@ -372,13 +377,110 @@ def _kernel_state(gen: np.ndarray, d: int) -> np.ndarray:
     return x
 
 
+class _Blocks(NamedTuple):
+    index: tuple  # per block, its coordinates; coordinate 0 is left out of block 0
+    columns: tuple  # per block b, the coordinates of blocks b-1, b, b+1, then 0
+    gather: tuple  # per block, flat indices into gen of its rows at ``columns``
+    widths: tuple  # per block, (size of block b-1, size of block b)
+    probe: tuple  # per block, its rows of _condition_probe(D - 1) as one column
+    probe_norm: float  # ||_condition_probe(D - 1)||_1
+
+
+@functools.lru_cache(maxsize=None)
+def _excitation_blocks(n: int) -> _Blocks:
+    """Ordering of the Hermitian coordinates of the qubit(x)magnon space with N
+    = ``n`` Fock states in which every built-in static generator is block
+    tridiagonal. State i = q N + n' carries e_i = q + n' excitations; the
+    coordinate (i, j) goes to block floor((e_i + e_j)/2), which gives N + 1
+    blocks. A Hamiltonian term changes e_i + e_j by at most 1 and a C rho C'
+    term of m, m' or sigma- by 2, so no entry couples blocks further apart."""
+    d = 2 * n
+    e = np.add.outer(np.arange(2), np.arange(n)).ravel()
+    rows, cols = _basis(d).upper
+    pair = (e[rows] + e[cols]) // 2
+    level = np.concatenate([e, pair, pair])
+    index = [np.flatnonzero(level == b) for b in range(n + 1)]
+    index[0] = index[0][1:]
+    probe = _condition_probe(d * d - 1)
+    empty = np.zeros(0, dtype=np.intp)
+    columns, gather, widths = [], [], []
+    for b, idx in enumerate(index):
+        lower = index[b - 1] if b else empty
+        upper = index[b + 1] if b < n else empty
+        columns.append(np.concatenate([lower, idx, upper, [0]]))
+        gather.append(idx[:, None] * (d * d) + columns[-1])
+        widths.append((lower.size, idx.size))
+    return _Blocks(_read_only(*index), _read_only(*columns), _read_only(*gather), tuple(widths),
+                   _read_only(*(probe[idx - 1][:, None] for idx in index)),
+                   float(np.abs(probe).sum()))
+
+
+def _blocked_kernel(gen: np.ndarray, n: int) -> np.ndarray | None:
+    """Unit-trace kernel vector of ``gen`` by block elimination in the ordering
+    of ``_excitation_blocks`` (Golub & Van Loan, Matrix Computations, 4th ed.,
+    sec. 4.5.1), or None where this solve cannot vouch for it.
+
+    With x_0 = 1 and row 0 dropped (the trace row of gen is zero, so row 0
+    depends on the others), the reduced matrix M, gen without row and
+    column 0, solves M y = -gen[1:, 0]. M is nonsingular exactly when the
+    kernel is one-dimensional and the |g,0> population x_0 is not zero.
+    Level b gathers its rows once: the blocks A_b, B_b, C_b and the column
+    gen[:, 0]. S_b = B_b - A_b G_{b-1}, and one solve of S_b gives
+    G_b = S_b^-1 C_b together with the right-hand side and the condition
+    probe; y_b = g_b - G_b y_{b+1} on the way back.
+
+    Returns None on a singular block, when ||M||_1 ||M^-1 p||_1 / ||p||_1
+    exceeds 1/_KERNEL_RTOL, or when max|gen x| of the normalized state
+    exceeds ``_RESIDUAL_TOL``, which also catches entries outside the band.
+    No D x D array is formed.
+    """
+    blocks = _excitation_blocks(n)
+    entries = np.ascontiguousarray(gen).ravel()
+    colsum = np.zeros(gen.shape[0])
+    levels = []
+    try:
+        for columns, gather, (n_lo, n_b), probe in zip(blocks.columns, blocks.gather,
+                                                       blocks.widths, blocks.probe):
+            rows = entries[gather]  # [A_b | B_b | C_b | gen[:, 0]]
+            colsum[columns] += np.abs(rows).sum(axis=0)
+            work = np.concatenate([rows[:, n_lo:], probe], axis=1)
+            if n_lo:
+                update = rows[:, :n_lo] @ levels[-1]
+                work[:, :n_b] -= update[:, :n_b]
+                work[:, -2:] -= update[:, n_b:]
+            levels.append(np.linalg.solve(work[:, :n_b], work[:, n_b:]))  # [G_b | g_b | probe]
+    except np.linalg.LinAlgError:
+        return None
+    x = np.empty(gen.shape[0])
+    x[0] = 1.0
+    y = np.zeros((0, 2))
+    probe_norm = 0.0
+    for idx, level in zip(reversed(blocks.index), reversed(levels)):
+        y = level[:, -2:] - level[:, :-2] @ y
+        x[idx] = -y[:, 0]
+        probe_norm += np.abs(y[:, 1]).sum()
+    colsum[0] = 0.0
+    if not colsum.max() * probe_norm / blocks.probe_norm <= 1.0 / _KERNEL_RTOL:
+        return None
+    d = 2 * n
+    x /= x[:d].sum()
+    if not np.abs(gen @ x).max() <= _RESIDUAL_TOL:
+        return None
+    return x
+
+
 def steady_state(liouv: Liouvillian) -> DensityMatrix:
-    """Unique steady state from the Liouvillian kernel, by ``_kernel_state``,
-    on the composite qubit(x)magnon space of dimension 2N."""
+    """Unique steady state from the Liouvillian kernel on the composite
+    qubit(x)magnon space of dimension 2N: by ``_blocked_kernel``, and by
+    ``_kernel_state``, which also decides the typed errors, wherever that
+    solve returns None."""
     d = liouv.hilbert_dim
     if d % 2:
         raise ValueError(f"odd dimension {d} cannot be a composite space")
-    return DensityMatrix(_density(_kernel_state(liouv.real, d)), HilbertSpace(d // 2)).validate()
+    x = _blocked_kernel(liouv.real, d // 2)
+    if x is None:
+        x = _kernel_state(liouv.real, d)
+    return DensityMatrix(_density(x), HilbertSpace(d // 2)).validate()
 
 
 def _periodic_parts(p: SystemParams):

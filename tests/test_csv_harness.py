@@ -36,6 +36,7 @@ def test_changes_are_counted_and_measured(tmp_path):
     assert report["changed"] == 2
     assert report["changed_outside_residual"] == 1
     assert report["max_abs"]["log10_g2"] == pytest.approx(1e-11, rel=1e-3)
+    assert report["max_abs"]["residual_inf"] == pytest.approx(4e-16, rel=1e-3)
     assert report["max_rel"] == {"P0": 0.0, "P1": pytest.approx(1e-10, rel=1e-3)}
 
 

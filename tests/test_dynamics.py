@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,8 +17,11 @@ from magnonblockade.dynamics import (
     SteadyStateError,
     TraceDriftError,
     _basis,
+    _blocked_kernel,
     _coords,
     _density,
+    _excitation_blocks,
+    _kernel_state,
     _liouvillian_plan,
     _max_step,
     _one_period_maps,
@@ -41,7 +45,14 @@ from magnonblockade.hilbert import (
 )
 from magnonblockade.model import MHZ, SystemParams, build_h_eff, collapse_channels
 from magnonblockade.observables import g2_zero, populations
-from magnonblockade.scenarios import parse_config, run_scenario
+from magnonblockade.scenarios import (
+    SweepAxis,
+    _system_params,
+    built_in_scenarios,
+    get_scenario,
+    parse_config,
+    run_scenario,
+)
 
 FIG2A = dict(J=20.0 * MHZ, Delta_plus=20.0 * MHZ, Omega_m=0.1 * MHZ,
              Omega_q=0.1 * MHZ, kappa_m=1.0 * MHZ, kappa_q=1.0 * MHZ)
@@ -49,6 +60,12 @@ FIG2A = dict(J=20.0 * MHZ, Delta_plus=20.0 * MHZ, Omega_m=0.1 * MHZ,
 
 def fig2a_params(**kwargs):
     return SystemParams.from_detunings(**{**FIG2A, **kwargs})
+
+
+def fig7b_params(fock_dim):
+    """The first fig7b grid point (kappa/2pi = 0.2 MHz) at ``fock_dim`` Fock states."""
+    cfg = get_scenario("fig7b")
+    return _system_params(cfg.grid_points()[0], fock_dim)
 
 
 def lindblad_rhs(h, channels, rho):
@@ -374,9 +391,22 @@ class TestSteadyState:
         p = fig2a_params(m_th=0.05)
         liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
         fast = steady_state(liouv)
+        monkeypatch.setattr(dynamics_mod, "_blocked_kernel", lambda *args: None)
         monkeypatch.setattr(dynamics_mod, "_bordered_solve", lambda *args: None)
         slow = steady_state(liouv)
         assert np.abs(fast.matrix - slow.matrix).max() <= 1e-10
+
+    @pytest.mark.parametrize("p", [fig2a_params(), fig7b_params(12)], ids=["fig2a", "fig7b-N12"])
+    def test_dense_solve_not_used_on_a_regular_point(self, monkeypatch, p):
+        import magnonblockade.dynamics as dynamics_mod
+
+        def no_dense(*args):
+            raise AssertionError("dense bordered solve called on a regular point")
+
+        monkeypatch.setattr(dynamics_mod, "_bordered_solve", no_dense)
+        liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
+        rho = steady_state(liouv)
+        assert liouv.residual(rho.matrix) <= 1e-10
 
     def test_steady_solve_imports_no_scipy(self):
         """Importing scipy.linalg adds about 300 ms and 29 MB to a process, so the
@@ -433,6 +463,112 @@ class TestSteadyStateProperties:
         with pytest.raises(DegenerateKernelError) as err:
             steady_state(liouv)
         assert err.value.multiplicity >= p.space.total_dim
+
+
+def block_labels(fock_dim):
+    """The block of ``_excitation_blocks`` each Hermitian coordinate belongs to."""
+    index = _excitation_blocks(fock_dim).index
+    labels = np.zeros(4 * fock_dim ** 2, dtype=int)
+    for b, idx in enumerate(index):
+        labels[idx] = b
+    return labels
+
+
+def block_spread(gen, fock_dim):
+    """The largest block distance that a nonzero of ``gen`` bridges."""
+    labels = block_labels(fock_dim)
+    rows, cols = np.nonzero(gen)
+    return int(np.abs(labels[rows] - labels[cols]).max())
+
+
+def blocked_against_dense(gen, fock_dim):
+    """max|x - x_dense| of the blocked kernel vector against ``_kernel_state``'s,
+    after checking that the blocked solve gave one."""
+    x = _blocked_kernel(gen, fock_dim)
+    assert x is not None
+    return np.abs(x - _kernel_state(gen, 2 * fock_dim)).max()
+
+
+def first_point(cfg):
+    """``cfg`` cut down to the first value of each axis."""
+    return replace(cfg, axes=tuple(
+        SweepAxis(ax.path, ax.values[:1], paired={k: v[:1] for k, v in ax.paired.items()})
+        for ax in cfg.axes))
+
+
+class TestBlockedKernel:
+    def test_blocks_partition_the_coordinates(self):
+        index = _excitation_blocks(6).index
+        assert [idx.size for idx in index] == [4, 20, 36, 42, 28, 12, 1]
+        assert sorted(np.concatenate(index).tolist()) == list(range(1, 144))
+        assert max(idx.size for idx in _excitation_blocks(12).index) == 90
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_params())
+    def test_matches_dense_kernel_state(self, p):
+        gen = build_liouvillian(build_h_eff(p), collapse_channels(p)).real
+        assert blocked_against_dense(gen, p.space.fock_dim) <= 1e-12
+
+    @pytest.mark.parametrize("fock_dim", [12, 20])
+    def test_matches_dense_kernel_state_at_large_truncations(self, fock_dim):
+        p = fig7b_params(fock_dim)
+        gen = build_liouvillian(build_h_eff(p), collapse_channels(p)).real
+        assert blocked_against_dense(gen, fock_dim) <= 1e-12
+
+    @pytest.mark.parametrize("name", [cfg.name for cfg in built_in_scenarios()
+                                      if cfg.mode in ("steady", "roots")])
+    def test_built_in_generators_are_block_tridiagonal(self, monkeypatch, name):
+        import magnonblockade.scenarios as scenarios_mod
+
+        generators = []
+
+        def recording(liouv):
+            generators.append(liouv.real)
+            return steady_state(liouv)
+
+        monkeypatch.setattr(scenarios_mod, "steady_state", recording)
+        cfg = get_scenario(name)
+        run_scenario(first_point(cfg))
+        assert generators
+        for gen in generators:
+            assert block_spread(gen, cfg.fock_dim) <= 1
+
+    def test_out_of_band_generator_falls_back(self):
+        p = fig2a_params(Omega_m=0.3 * MHZ)
+        space = p.space
+        m = embed_magnon(fock_annihilation(space), space)
+        cubic = np.linalg.matrix_power(m, 3)
+        h = build_h_eff(p) + 0.5 * MHZ * (cubic + dagger(cubic))
+        liouv = build_liouvillian(h, collapse_channels(p))
+        assert block_spread(liouv.real, space.fock_dim) == 2
+        assert _blocked_kernel(liouv.real, space.fock_dim) is None
+        rho = steady_state(liouv)
+        assert identical(rho.matrix, _density(_kernel_state(liouv.real, space.total_dim)))
+
+    def test_mislabelled_bare_magnon_generator_gives_the_dense_state(self):
+        # six magnon levels read as qubit(x)3 levels: m moves the label's
+        # excitation number by +-1, so the generator stays in the band and
+        # the blocked solve returns the dense solve's (equally mislabelled) state
+        m = fock_annihilation(HilbertSpace(6))
+        kappa = 1.0 * MHZ
+        liouv = build_liouvillian(0.3 * kappa * (m + dagger(m)), [(kappa, m)])
+        assert block_spread(liouv.real, 3) == 1
+        assert blocked_against_dense(liouv.real, 3) <= 1e-12
+
+    def test_large_truncation_allocates_no_dense_temporary(self):
+        """The peak traced allocation of one N = 12 steady state stays below one
+        D x D float64 array (2.65 MB), which a copy, a gather or an elementwise
+        pass over the generator would take."""
+        p = fig7b_params(12)
+        liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
+        steady_state(liouv)
+        tracemalloc.start()
+        try:
+            steady_state(liouv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < liouv.real.nbytes
 
 
 class TestEvolve:

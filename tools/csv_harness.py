@@ -14,9 +14,9 @@ is unset, in DIR/threads.txt.
 
 ``compare`` prints both recorded thread counts, then one line per CSV: the
 rows changed, the rows changed outside ``residual_inf``, the largest
-|difference| in each log10 column and the largest relative |difference| in
-P0-P3. It exits with status 1 if the thread counts differ, any row differs or
-a CSV is missing on one side.
+|difference| in each log10 column and in ``residual_inf``, and the largest
+relative |difference| in P0-P3. It exits with status 1 if the thread counts
+differ, any row differs or a CSV is missing on one side.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def compare_csv(path_a: str, path_b: str) -> dict:
         "max_abs": {}, "max_rel": {},
     }
     for i, col in enumerate(cols_a):
-        if col.startswith("log10"):
+        if col.startswith("log10") or col == _RESIDUAL:
             report["max_abs"][col] = max((_abs_diff(a[i], b[i]) for a, b in changed), default=0.0)
         elif col in _POPULATIONS:
             report["max_rel"][col] = max((_rel_diff(a[i], b[i]) for a, b in changed), default=0.0)
