@@ -435,7 +435,7 @@ def _blocked_kernel(gen: np.ndarray, n: int) -> np.ndarray | None:
     No D x D array is formed.
     """
     blocks = _excitation_blocks(n)
-    entries = np.ascontiguousarray(gen).ravel()
+    entries = gen.ravel()
     colsum = np.zeros(gen.shape[0])
     levels = []
     try:
