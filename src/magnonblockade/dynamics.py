@@ -4,10 +4,13 @@ and the period-averaged steady state of the periodically driven
 (longitudinal-coupling) problem. Both steady states are the unit-trace kernel
 vector of a generator. The static generator is block tridiagonal when the
 coordinates are grouped by excitation number, and its kernel is found by
-block elimination in that ordering; the periodic generator is dense, and its
+block elimination in that ordering. The periodic state's generator is the
+period-averaged one, G = L0 + 2 Re(L- S_1), reduced from the Fourier
+harmonics of the state by a matrix continued fraction; G is dense, and its
 kernel comes from a bordered LU solve of the whole matrix, which is also the
 static fallback. Every trajectory is a power of one RK4 step of the static
-generator. Every solver works in float64.
+generator. Every solver works in float64, apart from the complex harmonic
+recursion.
 
 Coordinates: a d x d Hermitian rho is the real vector x = (diagonal of rho,
 Re rho[i, j], Im rho[i, j]) with i < j in ``np.triu_indices`` order, its
@@ -59,6 +62,7 @@ __all__ = [
 
 _KERNEL_RTOL = 1e-10  # 1 / largest accepted cond(B); SVD kernel cutoff relative to sigma_max
 _RESIDUAL_TOL = 1e-10  # largest accepted max|gen x| of a steady state in Hermitian coordinates
+_MAX_HARMONICS = 64  # highest harmonic at which the periodic recursion may be truncated
 
 
 class SteadyStateError(RuntimeError):
@@ -493,6 +497,100 @@ def _periodic_parts(p: SystemParams):
     return liouv, lc, ls, p.omega_drive
 
 
+class _Harmonics(NamedTuple):
+    """The harmonic system of L(t) = L0 + e^{iwt} L+ + e^{-iwt} L-, with
+    L+ = (L_c - i L_s)/2 and L- = conj(L+), split into the coordinates that L+
+    touches (S: its row or column support) and the rest (T)."""
+
+    l0: np.ndarray  # (D, D) real
+    omega: float
+    touched: np.ndarray  # the coordinates S
+    l0_ss: np.ndarray
+    l0_st: np.ndarray
+    l0_ts: np.ndarray
+    l0_tt: np.ndarray
+    l_plus: np.ndarray  # L+ on S x S, complex; L+ is zero outside it
+
+
+def _harmonic_system(p: SystemParams) -> _Harmonics:
+    liouv, lc, ls, omega = _periodic_parts(p)
+    l0, lc, ls = liouv.real, lc.real, ls.real
+    nonzero = (lc != 0.0) | (ls != 0.0)
+    on = nonzero.any(axis=0) | nonzero.any(axis=1)
+    s, t = np.flatnonzero(on), np.flatnonzero(~on)
+    ss = np.ix_(s, s)
+    return _Harmonics(l0, omega, s, l0[ss], l0[np.ix_(s, t)], l0[np.ix_(t, s)], l0[np.ix_(t, t)],
+                      (lc[ss] - 1j * ls[ss]) / 2.0)
+
+
+def _truncated_harmonics(system: _Harmonics, harmonics: int):
+    """Period average x0 of the periodic steady state with the harmonics above
+    K = ``harmonics`` set to zero, and the residual that truncation leaves.
+
+    The harmonics x_k of x(t) = sum x_k e^{ikwt} obey
+    (L0 - ikw) x_k + L+ x_{k-1} + L- x_{k+1} = 0, and x_{-k} = conj(x_k). With
+    S_{K+1} = 0 and S_k = -(L0 - ikw + L- S_{k+1})^-1 L+ for k = K, ..., 1
+    (Risken, The Fokker-Planck Equation, ch. 9), x_k = S_k x_{k-1}, and x0
+    spans the kernel of the real G = L0 + 2 Re(L- S_1), solved by
+    ``_kernel_state``. L+ and L- act on S alone, so only the S x S block of
+    each S_k is needed: with M_k = L0 - ikw + L- S_{k+1}, whose T rows and
+    columns are those of L0 - ikw, it is -C_k^-1 L+ for the Schur complement
+    C_k = M_SS - M_ST M_TT^-1 M_TS.
+
+    The truncated harmonics satisfy every equation of the untruncated system
+    but the one of harmonic K + 1, where the residual is L+ x_K; its max-norm
+    is returned.
+    """
+    s = system.touched
+    l_plus = system.l_plus
+    l_minus = l_plus.conj()
+    shifts = 1j * system.omega * np.arange(harmonics, 0, -1)
+    # C_k without L- S_{k+1}, for every level in one stacked solve
+    schur = system.l0_ss - system.l0_st @ np.linalg.solve(
+        system.l0_tt - shifts[:, None, None] * np.eye(system.l0_tt.shape[0]), system.l0_ts)
+    diag = np.arange(s.size)
+    schur[:, diag, diag] -= shifts[:, None]
+    coupling = np.zeros(l_plus.shape)  # L- S_{k+1} on S x S
+    levels = []
+    for level_schur in schur:
+        level_schur += coupling
+        levels.append(-np.linalg.solve(level_schur, l_plus))
+        coupling = l_minus @ levels[-1]
+    gen = system.l0.copy()
+    gen[np.ix_(s, s)] += 2.0 * coupling.real
+    x = _kernel_state(gen, math.isqrt(gen.shape[0]))
+    top = x[s]
+    for level in reversed(levels):
+        top = level @ top
+    return x, float(np.abs(l_plus @ top).max())
+
+
+def _harmonic_state(p: SystemParams) -> np.ndarray:
+    """Period-averaged state of the longitudinally driven generator, from the
+    harmonic recursion truncated at the first K of N - 1, 2(N - 1), ...
+    (doubling, capped at ``_MAX_HARMONICS``) whose truncation residual is at
+    most ``_RESIDUAL_TOL``, the bar every steady state meets. The coupling
+    sigma+ sigma- m moves the state one rung of the N-level magnon ladder per
+    harmonic; at the paper's drive frequency the residual falls below the bar
+    once K = N - 1 harmonics reach the top rung, and a slower drive needs
+    more. SteadyStateError when no K up to the cap passes or a level is
+    singular."""
+    system = _harmonic_system(p)
+    harmonics = p.space.fock_dim - 1
+    while True:
+        try:
+            x, residual = _truncated_harmonics(system, harmonics)
+        except np.linalg.LinAlgError as exc:
+            raise SteadyStateError(f"singular harmonic level at truncation {harmonics}") from exc
+        if residual <= _RESIDUAL_TOL:
+            return x
+        if harmonics >= _MAX_HARMONICS:
+            raise SteadyStateError(
+                f"harmonic truncation residual {residual:.3e} exceeds {_RESIDUAL_TOL:.3e} "
+                f"at {harmonics} harmonics")
+        harmonics = min(2 * harmonics, _MAX_HARMONICS)
+
+
 def _max_step(p: SystemParams, h0: np.ndarray) -> float:
     """Fixed RK4 step bound: resolves the decay scale and the Hamiltonian
     spectral span (for transient accuracy)."""
@@ -623,22 +721,31 @@ def evolve(rho0: DensityMatrix, p: SystemParams, t_grid) -> Trajectory:
                       trace_drift=float(drift.max()), populations=xs[:, :n] + xs[:, n:d])
 
 
-def steady_state_periodic(p: SystemParams, steps_per_period: int = 64) -> DensityMatrix:
+def steady_state_periodic(p: SystemParams, steps_per_period: int | None = None) -> DensityMatrix:
     """Period-averaged steady state under the time-dependent longitudinal coupling.
 
-    With the maps of ``_one_period_maps``, the state at drive phase 0 is the
-    fixed point P x = x, found by ``_kernel_state`` as the kernel of
-    G = (P - I)/T; dividing by the period T makes G approximate the
-    period-averaged Liouvillian, so the kernel and residual tolerances mean
-    what they mean for the static problem. The result is its period average
-    A x.
+    By default the period average is the zeroth Fourier harmonic of the
+    periodic steady state, from the matrix continued fraction of
+    ``_harmonic_state`` with its harmonic count chosen by the truncation
+    residual; no transient and no time step enter.
+
+    An integer ``steps_per_period`` instead runs the RK4 fixed point, kept as
+    an independent reference: with the maps of ``_one_period_maps``, the state
+    at drive phase 0 is the fixed point P x = x, found by ``_kernel_state`` as
+    the kernel of G = (P - I)/T; dividing by the period T makes G approximate
+    the period-averaged Liouvillian, so the kernel and residual tolerances
+    mean what they mean for the static problem. The result is its period
+    average A x.
     """
     if p.g_rp <= 0.0:
         raise ValueError(f"periodic steady state requires g_rp > 0, got {p.g_rp}")
     if min(p.kappa_m, p.kappa_q) <= 0.0:
         raise ValueError("periodic steady state requires dissipation")
 
-    prop, avg, period = _one_period_maps(p, steps_per_period)
     d = p.space.total_dim
-    x = avg @ _kernel_state((prop - np.eye(prop.shape[0])) / period, d)
+    if steps_per_period is None:
+        x = _harmonic_state(p)
+    else:
+        prop, avg, period = _one_period_maps(p, steps_per_period)
+        x = avg @ _kernel_state((prop - np.eye(prop.shape[0])) / period, d)
     return DensityMatrix(_density(x / x[:d].sum()), p.space).validate()

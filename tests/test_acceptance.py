@@ -167,10 +167,11 @@ def test_criterion_06_longitudinal_suite():
 
     Expected RED; the cause is narrowed down but cannot be settled from the
     repository. The stated model adds g_rp sigma+sigma- (m e^{-i w_d t} + h.c.)
-    with w_d/2pi = 1500 MHz. With the 64-step RK4 default of
-    steady_state_periodic it gives minima at ratio 3.00 / 3.00 / 3.05 with
-    depths -6.18 / -5.60 / -5.25. That default is off by 6.3e-3 in log10 g2
-    at g_rp/J = 0.3, so these numbers are converged to within 1e-2.
+    with w_d/2pi = 1500 MHz. The harmonic (matrix continued fraction) solve
+    of steady_state_periodic gives minima at ratio 3.00 / 3.00 / 3.05 with
+    depths -6.179 / -5.596 / -5.245; it agrees with a Sambe-space LU of the
+    whole harmonic system to 1e-10 in log10 g2, so these numbers are
+    converged to the digits shown.
 
     The quoted minima, 3.1 / 3.2 / 3.3 with depths -6.93 / -6.65 / -6.40,
     shift the optimal ratio by about g_rp/J: a first-order effect. A term
@@ -199,7 +200,7 @@ def test_criterion_06_longitudinal_suite():
                      f"(ref {ref_log:+.2f} at {ref_ratio})")
     detail = "; ".join(lines)
     report(6, "longitudinal suite", ok, detail)
-    assert ok, ("stated model (64-step RK4, converged to 1e-2 in log10 g2) "
+    assert ok, ("stated model (harmonic solve, converged to 1e-10 in log10 g2) "
                 "disagrees with the quoted reference values: " + detail
                 + ". The references shift the optimum by ~g_rp/J (first order); "
                 "the drive-rotating term acts at order g_rp^2/w_d. A static "

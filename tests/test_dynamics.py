@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import magnonblockade.dynamics as dynamics_mod
 from magnonblockade.dynamics import (
     DegenerateKernelError,
     Liouvillian,
@@ -21,12 +22,14 @@ from magnonblockade.dynamics import (
     _coords,
     _density,
     _excitation_blocks,
+    _harmonic_system,
     _kernel_state,
     _liouvillian_plan,
     _max_step,
     _one_period_maps,
     _periodic_parts,
     _rk4_steps,
+    _truncated_harmonics,
     build_liouvillian,
     evolve,
     steady_state,
@@ -102,6 +105,61 @@ def split_periodic_liouvillian(p):
     form the harmonic-expansion references of the periodic solve are written in."""
     liouv, lc, ls, omega = _periodic_parts(p)
     return liouv, (lc.matrix + 1j * ls.matrix) / 2, (lc.matrix - 1j * ls.matrix) / 2, omega
+
+
+def sambe_period_average(p, harmonics):
+    """Period average of the periodic steady state from one sparse LU of the
+    whole Floquet-Liouville (Sambe-space) system truncated at |k| <= harmonics
+    (Sambe, PRA 7, 2203 (1973)), in the complex column-stacked form: block row
+    k holds (L0 - ikw) rho_k + L1 rho_{k+1} + L2 rho_{k-1} = 0, and row 0 of
+    block row 0 is the trace condition tr(rho_0) = 1. One refinement step
+    follows the solve."""
+    from scipy.sparse import bmat, csr_matrix
+    from scipy.sparse.linalg import splu
+
+    liouv, l1, l2, omega = split_periodic_liouvillian(p)
+    l0 = liouv.matrix
+    dim, n = l0.shape[0], 2 * harmonics + 1
+    blocks = [[None] * n for _ in range(n)]
+    for i, k in enumerate(range(-harmonics, harmonics + 1)):
+        row = {i: l0 - 1j * k * omega * np.eye(dim)}
+        if i + 1 < n:
+            row[i + 1] = l1.copy()
+        if i > 0:
+            row[i - 1] = l2.copy()
+        if k == 0:
+            for block in row.values():
+                block[0] = 0.0
+            row[i][0] = vec(np.eye(p.space.total_dim))
+        for j, block in row.items():
+            blocks[i][j] = csr_matrix(block)
+    sambe = bmat(blocks, format="csc")
+    rhs = np.zeros(n * dim, dtype=complex)
+    rhs[harmonics * dim] = 1.0
+    lu = splu(sambe)
+    sol = lu.solve(rhs)
+    sol = sol + lu.solve(rhs - sambe @ sol)
+    rho = unvec(sol[harmonics * dim:(harmonics + 1) * dim])
+    rho = (rho + rho.conj().T) / 2.0
+    return DensityMatrix(rho / np.trace(rho).real, p.space)
+
+
+def spy_truncations(monkeypatch):
+    """The list of harmonic counts that ``steady_state_periodic`` truncates
+    its recursion at, in call order, filled as it runs."""
+    calls = []
+    truncated = dynamics_mod._truncated_harmonics
+
+    def spy(system, harmonics):
+        calls.append(harmonics)
+        return truncated(system, harmonics)
+
+    monkeypatch.setattr(dynamics_mod, "_truncated_harmonics", spy)
+    return calls
+
+
+def log10_g2(rho):
+    return math.log10(g2_zero(rho))
 
 
 def one_period_steps(p, steps_per_period=64):
@@ -854,6 +912,13 @@ OPT = dict(J=35.0 * MHZ, Delta_plus=35.0 * MHZ, Omega_m=0.033 * MHZ,
            omega_drive=1500.0 * MHZ)
 
 
+def fig9a_params(g_over_j, ratio, fock_dim=6, drive_mhz=1500.0):
+    """A fig9a point, g_rp/J and Omega_q/Omega_m, at drive frequency w/2pi = drive_mhz."""
+    return SystemParams.from_detunings(
+        **{**OPT, "Omega_q": ratio * 0.033 * MHZ, "omega_drive": drive_mhz * MHZ},
+        g_rp=g_over_j * 35.0 * MHZ, fock_dim=fock_dim)
+
+
 class TestSteadyStatePeriodic:
     def test_continuity_to_static_problem(self):
         p = SystemParams.from_detunings(**OPT, g_rp=1e-8 * 35.0 * MHZ)
@@ -913,6 +978,48 @@ class TestSteadyStatePeriodic:
         got = steady_state_periodic(p, steps_per_period=512)
         assert populations(got)[1] == pytest.approx(populations(ref)[1], rel=1e-9)
         assert math.log10(g2_zero(got)) == pytest.approx(math.log10(g2_zero(ref)), abs=1e-6)
+
+
+    def test_matches_sambe_space_lu(self):
+        p = fig9a_params(0.3, 3.0, fock_dim=4)
+        got, ref = steady_state_periodic(p), sambe_period_average(p, 8)
+        assert log10_g2(got) == pytest.approx(log10_g2(ref), abs=1e-10)
+        assert populations(got)[1] == pytest.approx(populations(ref)[1], rel=1e-9)
+
+    @pytest.mark.parametrize("g_over_j", [0.1, 0.2, 0.3])
+    @pytest.mark.parametrize("ratio", [2.5, 3.0, 4.0])
+    def test_chosen_truncation_agrees_with_one_more_harmonic(self, monkeypatch, g_over_j, ratio):
+        p = fig9a_params(g_over_j, ratio)
+        calls = spy_truncations(monkeypatch)
+        got = steady_state_periodic(p)
+        x, _ = _truncated_harmonics(_harmonic_system(p), calls[-1] + 1)
+        assert log10_g2(got) == pytest.approx(
+            log10_g2(DensityMatrix(_density(x), p.space)), abs=1e-12)
+
+    def test_slow_drive_takes_more_harmonics_and_matches_sambe(self, monkeypatch):
+        # at w/2pi = 20 MHz the drive is slower than the Hamiltonian's own
+        # frequencies, and N - 1 harmonics leave a residual of about 7e-9
+        p = fig9a_params(0.3, 3.0, fock_dim=4, drive_mhz=20.0)
+        calls = spy_truncations(monkeypatch)
+        got = steady_state_periodic(p)
+        assert calls[0] == p.fock_dim - 1 < calls[-1]
+        assert log10_g2(got) == pytest.approx(log10_g2(sambe_period_average(p, 24)), abs=1e-10)
+
+    def test_no_passing_truncation_up_to_the_cap_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(dynamics_mod, "_MAX_HARMONICS", 3)
+        p = fig9a_params(0.3, 3.0, fock_dim=4, drive_mhz=20.0)
+        with pytest.raises(SteadyStateError, match="harmonic truncation residual .* at 3 harmonics"):
+            steady_state_periodic(p)
+
+    def test_default_matches_fine_rk4_reference(self):
+        p = fig9a_params(0.3, 3.0, fock_dim=4)
+        fine = steady_state_periodic(p, steps_per_period=512)
+        assert log10_g2(steady_state_periodic(p)) == pytest.approx(log10_g2(fine), abs=2e-7)
+
+    @pytest.mark.parametrize("ratio", [2.75, 3.0])
+    def test_third_fock_population_is_positive(self, ratio):
+        # the 64-step RK4 fixed point gives -2.1e-15 and -9.4e-16 here
+        assert populations(steady_state_periodic(fig9a_params(0.3, ratio)))[3] > 0.0
 
 
 class TestPeriodicGeneratorProperties:

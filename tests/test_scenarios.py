@@ -290,6 +290,24 @@ sweep.axis2.values = 2.5 3.5
         (row,) = run_scenario(undamped).rows
         assert row[-1].startswith("ValueError:") and "requires dissipation" in row[-1]
 
+    def test_periodic_sweep_never_runs_the_rk4_maps(self, monkeypatch):
+        import magnonblockade.dynamics as dynamics_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a periodic sweep ran the RK4 one-period maps")
+
+        monkeypatch.setattr(dynamics_mod, "_one_period_maps", refuse)
+        cfg = ScenarioConfig(
+            name="periodic_2x2", mode="periodic", fock_dim=4,
+            params={"J_over_2pi_MHz": 35.0, "kappa_over_2pi_MHz": 0.5,
+                    "Omega_m_over_2pi_MHz": 0.033, "drive_freq_over_2pi_MHz": 1500.0},
+            axes=(SweepAxis("params.g_rp_over_J", (0.1, 0.3)),
+                  SweepAxis("params.Omega_q_over_Omega_m", (2.5, 3.5))),
+        )
+        result = run_scenario(cfg)
+        assert len(result.rows) == 4
+        assert result.column("error") == [""] * 4
+
     def test_csv_round_trip(self):
         result = run_scenario(small_fig3())
         assert parse_csv(emit_csv(result)) == result
