@@ -18,7 +18,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .analytic import derivative_roots, derivative_roots_numeric, g2_analytic, g2_dimensionless
-from .dynamics import build_liouvillian, evolve, steady_state, steady_state_periodic
+from .dynamics import (_chunk_size, build_liouvillian, evolve, steady_state, steady_state_periodic,
+                       steady_states)
 from .hilbert import DensityMatrix
 from .model import MHZ, SystemParams, build_h_eff, collapse_channels, rabi_from_power, thermal_occupation
 from .observables import UndefinedCorrelationError, g2_time_series, g2_zero, populations
@@ -337,11 +338,9 @@ def _one_row(rec: dict) -> dict:
     return {col: [value] for col, value in rec.items()}
 
 
-def _steady_rows(user: dict, fock_dim: int, options: dict) -> dict:
-    p = _system_params(user, fock_dim)
-    rho, liouv = _static_state(p)
+def _steady_columns(user: dict, p: SystemParams, rho: DensityMatrix, residual: float) -> dict:
     rec = _state_columns(rho)
-    rec["residual_inf"] = _norm(liouv.residual(rho.matrix))
+    rec["residual_inf"] = _norm(residual)
     if _analytic_applicable(user):
         rec["log10_g2_analytic"] = _norm(
             _log10_or_error(g2_analytic(p.J, p.kappa_m, p.Omega_m, p.Omega_q)[1])
@@ -349,6 +348,40 @@ def _steady_rows(user: dict, fock_dim: int, options: dict) -> dict:
     else:
         rec["log10_g2_analytic"] = None
     return _one_row(rec)
+
+
+def _steady_rows(user: dict, fock_dim: int, options: dict) -> dict:
+    p = _system_params(user, fock_dim)
+    rho, liouv = _static_state(p)
+    return _steady_columns(user, p, rho, liouv.residual(rho.matrix))
+
+
+def _steady_chunk(users: list, fock_dim: int, options: dict) -> list:
+    """Per point of ``users``, its columns or the exception it raised, and
+    the seconds spent on it alone: one ``steady_states`` call solves the
+    chunk, and each point it does not vouch for is solved alone by
+    ``_steady_rows``, which rebuilds its Liouvillian."""
+    params = []
+    for user in users:
+        try:
+            params.append(_system_params(user, fock_dim))
+        except Exception as exc:  # recorded in-band, never silently dropped
+            params.append(exc)
+    solved = iter(steady_states([p for p in params if isinstance(p, SystemParams)]))
+    out = []
+    for user, p in zip(users, params):
+        if isinstance(p, Exception):
+            out.append((p, 0.0))
+            continue
+        solution = next(solved)
+        start = time.perf_counter()
+        try:
+            result = (_steady_rows(user, fock_dim, options) if solution is None
+                      else _steady_columns(user, p, *solution))
+        except Exception as exc:  # recorded in-band, never silently dropped
+            result = exc
+        out.append((result, time.perf_counter() - start if solution is None else 0.0))
+    return out
 
 
 def _periodic_rows(user: dict, fock_dim: int, options: dict) -> dict:
@@ -412,13 +445,14 @@ class _Mode(NamedTuple):
     required: frozenset  # those of them a config must set
     rows: Callable  # (user, fock_dim, options) -> {column: one value per output row}
     state: Callable | None  # (p, options) -> the state convergence_check compares
+    chunk: Callable | None = None  # (users, fock_dim, options) -> [(rows or exception, own s)]
 
 
 _MODES = {
     "steady": _Mode(
         ("log10_g2", "log10_g2_analytic", *_POPULATIONS, "residual_inf"),
         frozenset(), _STATIC_QUANTITIES, _REQUIRED, _steady_rows,
-        lambda p, options: _static_state(p)[0]),
+        lambda p, options: _static_state(p)[0], _steady_chunk),
     "periodic": _Mode(
         ("log10_g2", *_POPULATIONS),
         frozenset(), _STATIC_QUANTITIES | {"g_rp"}, _REQUIRED, _periodic_rows, _periodic_state),
@@ -467,30 +501,48 @@ def run_scenario(cfg: ScenarioConfig, out: str | None = None,
 
     residual = columns.index("residual_inf") if "residual_inf" in columns else None
 
-    def work(user: dict) -> tuple[list[tuple], float, str]:
-        """The point's output rows as tuples in ``columns`` order, its wall
-        time and its error message."""
+    def record(user: dict, result) -> tuple[list[tuple], str]:
+        """The point's output rows as tuples in ``columns`` order and its
+        error message, from its columns or the exception it raised."""
         axis_cols = [_norm(user[k]) for k in axis_keys]
-        start = time.perf_counter()
-        try:
-            cols = mode.rows(user, cfg.fock_dim, options)
-            n = len(cols[mode.columns[0]])
-            table = [[v] * n for v in axis_cols] + [cols[c] for c in mode.columns] + [[""] * n]
-            return list(zip(*table)), time.perf_counter() - start, ""
-        except Exception as exc:  # recorded in-band, never silently dropped
-            message = f"{type(exc).__name__}: {exc}"
-            row = (*axis_cols, *[None] * len(mode.columns), message)
-            return [row], time.perf_counter() - start, message
+        if isinstance(result, Exception):
+            message = f"{type(result).__name__}: {result}"
+            return [(*axis_cols, *[None] * len(mode.columns), message)], message
+        n = len(result[mode.columns[0]])
+        table = [[v] * n for v in axis_cols] + [result[c] for c in mode.columns] + [[""] * n]
+        return list(zip(*table)), ""
 
-    outcomes = [work(u) for u in points]
+    def solve(users: list) -> list[tuple]:
+        """(rows, wall time, error message, chunk size) of each point of
+        ``users``, which the mode's chunk solve takes together where there
+        are several. A point's wall time is the chunk's, less the time spent
+        on single points, shared evenly, plus its own."""
+        start = time.perf_counter()
+        if len(users) > 1:
+            results = mode.chunk(users, cfg.fock_dim, options)
+        else:
+            try:
+                results = [(mode.rows(users[0], cfg.fock_dim, options), 0.0)]
+            except Exception as exc:  # recorded in-band, never silently dropped
+                results = [(exc, 0.0)]
+        records = [record(user, result) for user, (result, _) in zip(users, results)]
+        shared = (time.perf_counter() - start - sum(own for _, own in results)) / len(users)
+        return [(recs, shared + own, err, len(users))
+                for (recs, err), (_, own) in zip(records, results)]
+
+    size = _chunk_size(cfg.fock_dim) if mode.chunk else 1
+    outcomes = []
+    for first in range(0, len(points), size):
+        outcomes += solve(points[first:first + size])
 
     rows = []
     diag_lines = []
-    for idx, (recs, wall, err) in enumerate(outcomes):
+    for idx, (recs, wall, err, chunk) in enumerate(outcomes):
         rows += recs
         diag = {"index": idx,
                 "axes": {k: points[idx][k] for k in axis_keys},
                 "wall_time_s": round(wall, 6),
+                "chunk": chunk,
                 "error": err}
         if residual is not None and not err:
             diag["residual_inf"] = recs[0][residual]

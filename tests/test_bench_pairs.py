@@ -28,6 +28,29 @@ def test_better_directions_come_from_the_benchmark_file():
     assert list(better)[:2] == ["points_per_s", "point_ms_p50"]
 
 
+def test_bounds_come_from_the_benchmark_file():
+    limits = bench_pairs.bounds()
+    assert set(limits) == set(bench_pairs.end_to_end())
+    assert limits["points_per_s"] == 0.25 and limits["peak_rss_mb"] == 0.1
+
+
+@pytest.mark.parametrize("ratio, direction, outside", [
+    (0.76, "higher", False), (0.74, "higher", True), (2.0, "higher", False),
+    (1.24, "lower", False), (1.26, "lower", True), (0.5, "lower", False),
+])
+def test_outside_bound_is_a_worsening_beyond_the_bound(ratio, direction, outside):
+    assert bench_pairs.outside_bound(ratio, direction, 0.25) is outside
+
+
+def test_summary_flags_a_metric_outside_its_bound():
+    pairs = pairs_of(parent=[(100, 10.0), (100, 10.0)], change=[(70, 11.0), (72, 12.0)])
+    lines = bench_pairs.summary(pairs, BETTER, {"points_per_s": 0.25, "point_ms_p50": 0.25})
+    assert lines[0].endswith("change/parent 0.710; won: change 0, parent 2 of 2; "
+                             "outside bound 0.25")
+    assert lines[1].endswith("won: change 0, parent 2 of 2")
+    assert bench_pairs.summary(pairs, BETTER) == [line.split("; outside")[0] for line in lines]
+
+
 def test_parent_runs_first_in_odd_pairs():
     assert [bench_pairs.order(i) for i in (1, 2, 3)] == [
         ("parent", "change"), ("change", "parent"), ("parent", "change")]

@@ -17,11 +17,14 @@ from magnonblockade.dynamics import (
     Liouvillian,
     SteadyStateError,
     TraceDriftError,
+    _band_index,
+    _band_kernel,
     _basis,
     _blocked_kernel,
     _coords,
     _density,
     _excitation_blocks,
+    _gather_band,
     _harmonic_system,
     _kernel_state,
     _liouvillian_plan,
@@ -34,6 +37,7 @@ from magnonblockade.dynamics import (
     evolve,
     steady_state,
     steady_state_periodic,
+    steady_states,
     unvec,
     vec,
 )
@@ -449,7 +453,11 @@ class TestSteadyState:
         p = fig2a_params(m_th=0.05)
         liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
         fast = steady_state(liouv)
-        monkeypatch.setattr(dynamics_mod, "_blocked_kernel", lambda *args: None)
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("singular block")
+
+        monkeypatch.setattr(dynamics_mod, "_blocked_kernel", singular)
         monkeypatch.setattr(dynamics_mod, "_bordered_solve", lambda *args: None)
         slow = steady_state(liouv)
         assert np.abs(fast.matrix - slow.matrix).max() <= 1e-10
@@ -539,12 +547,41 @@ def block_spread(gen, fock_dim):
     return int(np.abs(labels[rows] - labels[cols]).max())
 
 
+def dense_levels(gens, fock_dim):
+    """The per-block rows ``_blocked_kernel`` reads, gathered from a stack of
+    dense generators as ``steady_state`` gathers them from one."""
+    return [np.stack([gen.ravel()[g] for gen in gens])
+            for g in _excitation_blocks(fock_dim).gather]
+
+
 def blocked_against_dense(gen, fock_dim):
     """max|x - x_dense| of the blocked kernel vector against ``_kernel_state``'s,
-    after checking that the blocked solve gave one."""
-    x = _blocked_kernel(gen, fock_dim)
-    assert x is not None
-    return np.abs(x - _kernel_state(gen, 2 * fock_dim)).max()
+    after checking that the blocked solve vouched for it and that its
+    residual passes."""
+    x, vouched = _blocked_kernel(dense_levels([gen], fock_dim), fock_dim)
+    assert vouched.tolist() == [True]
+    assert np.abs(gen @ x[0]).max() <= 1e-10
+    return np.abs(x[0] - _kernel_state(gen, 2 * fock_dim)).max()
+
+
+def band_rows(gens, fock_dim):
+    """The (k, R) band rows of a stack of dense generators, and whether each
+    generator's nonzeros all lie in them."""
+    index = _band_index(fock_dim)
+    band = np.empty((len(gens), index.size))
+    in_band = np.array([_gather_band(gen, index, row) for gen, row in zip(gens, band)])
+    return band, in_band
+
+
+def cubic_generator():
+    """A generator with a cubic magnon term, m^3 + m'^3, which couples
+    coordinates two excitation blocks apart, and its space."""
+    p = fig2a_params(Omega_m=0.3 * MHZ)
+    space = p.space
+    m = embed_magnon(fock_annihilation(space), space)
+    cubic = np.linalg.matrix_power(m, 3)
+    h = build_h_eff(p) + 0.5 * MHZ * (cubic + dagger(cubic))
+    return build_liouvillian(h, collapse_channels(p)), space
 
 
 def first_point(cfg):
@@ -592,16 +629,82 @@ class TestBlockedKernel:
             assert block_spread(gen, cfg.fock_dim) <= 1
 
     def test_out_of_band_generator_falls_back(self):
-        p = fig2a_params(Omega_m=0.3 * MHZ)
-        space = p.space
-        m = embed_magnon(fock_annihilation(space), space)
-        cubic = np.linalg.matrix_power(m, 3)
-        h = build_h_eff(p) + 0.5 * MHZ * (cubic + dagger(cubic))
-        liouv = build_liouvillian(h, collapse_channels(p))
+        liouv, space = cubic_generator()
         assert block_spread(liouv.real, space.fock_dim) == 2
-        assert _blocked_kernel(liouv.real, space.fock_dim) is None
+        x, vouched = _blocked_kernel(dense_levels([liouv.real], space.fock_dim), space.fock_dim)
+        assert not (vouched[0] and np.abs(liouv.real @ x[0]).max() <= 1e-10)
         rho = steady_state(liouv)
         assert identical(rho.matrix, _density(_kernel_state(liouv.real, space.total_dim)))
+
+    def test_stacked_solve_flags_only_the_out_of_band_generator(self):
+        liouv, space = cubic_generator()
+        n = space.fock_dim
+        regular = build_liouvillian(build_h_eff(fig2a_params()), collapse_channels(fig2a_params()))
+        band, in_band = band_rows([liouv.real, regular.real], n)
+        assert in_band.tolist() == [False, True]
+        x, residual, ok = _band_kernel(band, in_band, n)
+        assert ok.tolist() == [False, True]
+        assert identical(_density(x[1]), steady_state(regular).matrix)
+        assert residual[1] == pytest.approx(regular.residual(_density(x[1])), rel=0.5, abs=1e-15)
+
+    def test_stacked_solve_equals_the_solve_of_each_generator(self):
+        """The value bits of one stacked elimination equal those of each
+        generator's own, so a chunk's states do not depend on its other
+        points."""
+        gens = [build_liouvillian(build_h_eff(p), collapse_channels(p)).real
+                for p in (fig2a_params(), fig2a_params(m_th=0.05), fig2a_params(kappa_q=0.3 * MHZ),
+                          fig2a_params(Omega_q=0.0))]
+        x, vouched = _blocked_kernel(dense_levels(gens, 6), 6)
+        assert vouched.all()
+        for gen, row in zip(gens, x):
+            alone, _ = _blocked_kernel(dense_levels([gen], 6), 6)
+            assert identical(row, alone[0])
+        band, in_band = band_rows(gens, 6)
+        assert identical(_band_kernel(band, in_band, 6)[0], x)
+
+    def test_singular_block_leaves_the_rest_of_the_stack(self):
+        """kappa = 0 makes a block singular, which fails the stacked solve;
+        the stack then goes point by point and keeps its regular points."""
+        ps = [fig2a_params(), fig2a_params(kappa_m=0.0, kappa_q=0.0), fig2a_params(m_th=0.05)]
+        gens = [build_liouvillian(build_h_eff(p), collapse_channels(p)).real for p in ps]
+        with pytest.raises(np.linalg.LinAlgError):
+            _blocked_kernel(dense_levels(gens, 6), 6)
+        band, in_band = band_rows(gens, 6)
+        x, _, ok = _band_kernel(band, in_band, 6)
+        assert ok.tolist() == [True, False, True]
+        for i in (0, 2):
+            assert identical(_density(x[i]), steady_state(Liouvillian(gens[i], build_h_eff(ps[i]))).matrix)
+
+    def test_steady_states_match_steady_state(self):
+        ps = [fig2a_params(), fig2a_params(kappa_m=0.0, kappa_q=0.0), fig2a_params(Omega_m=0.0),
+              fig2a_params(m_th=0.05)]
+        solved = steady_states(ps)
+        assert solved[1] is None
+        for i in (0, 2, 3):
+            rho, residual = solved[i]
+            liouv = build_liouvillian(build_h_eff(ps[i]), collapse_channels(ps[i]))
+            alone = steady_state(liouv)
+            assert identical(rho.matrix, alone.matrix)
+            assert rho.space == alone.space
+            assert residual <= 1e-10 and liouv.residual(alone.matrix) <= 1e-10
+        assert steady_states([]) == []
+        with pytest.raises(ValueError, match="one truncation"):
+            steady_states([fig2a_params(), fig7b_params(4)])
+
+    def test_failed_density_check_is_repeated_point_by_point(self, monkeypatch):
+        calls = []
+        check = dynamics_mod._check_densities
+
+        def fail_stacks(m):
+            calls.append(m.shape[0])
+            if m.shape[0] > 1 or len(calls) == 3:
+                raise ValueError("density matrix has negative eigenvalue")
+            check(m)
+
+        monkeypatch.setattr(dynamics_mod, "_check_densities", fail_stacks)
+        solved = steady_states([fig2a_params(), fig2a_params(m_th=0.05), fig2a_params(m_th=0.1)])
+        assert calls == [3, 1, 1, 1]
+        assert [s is None for s in solved] == [False, True, False]
 
     def test_mislabelled_bare_magnon_generator_gives_the_dense_state(self):
         # six magnon levels read as qubit(x)3 levels: m moves the label's

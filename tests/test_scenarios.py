@@ -2,13 +2,14 @@ import json
 import math
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from magnonblockade.analytic import g2_analytic
 from magnonblockade.cli import main as cli_main
-from magnonblockade.dynamics import _liouvillian_plan, evolve, steady_state_periodic
+from magnonblockade.dynamics import _chunk_size, _liouvillian_plan, evolve, steady_state_periodic
 from magnonblockade.model import MHZ, _hamiltonian_terms, _mode_operators, thermal_occupation
 from magnonblockade.scenarios import (
     ConfigError,
@@ -29,6 +30,7 @@ from magnonblockade.scenarios import (
     _initial_state,
     _norm,
     _norm_array,
+    _steady_rows,
     _system_params,
     _time_series_rows,
     _trajectory,
@@ -365,6 +367,86 @@ sweep.axis2.values = 2.5 3.5
         deltas = result.column("Delta_plus_over_J")
         for d, v in zip(deltas, col):
             assert (v is not None) == (d == 1.0)
+
+
+def kappa_sweep(kappas, omegas=None, fock_dim=6):
+    """A steady sweep over kappa at the fig6a drive, with the drive strength
+    paired to each kappa where ``omegas`` is given."""
+    paired = {} if omegas is None else {"params.Omega_m_over_2pi_MHz": tuple(omegas)}
+    params = {"J_over_2pi_MHz": 20.0, "Omega_q_over_Omega_m": 3.0, "Delta_plus_over_J": 1.0}
+    if omegas is None:
+        params["Omega_m_over_2pi_MHz"] = 0.1
+    return ScenarioConfig(name="kappa_sweep", mode="steady", params=params, fock_dim=fock_dim,
+                          axes=(SweepAxis("params.kappa_over_2pi_MHz", tuple(kappas),
+                                          paired=paired),))
+
+
+def cell_bits(value):
+    return None if value is None else float(value).hex()
+
+
+class TestChunkedSteadySweep:
+    """Static sweeps solve their points in chunks by one stacked elimination;
+    the rows must be those of the one-point solve, apart from the rounding of
+    residual_inf."""
+
+    def test_chunk_sizes(self):
+        assert _chunk_size(6) == 10
+        assert _chunk_size(10) == 2
+        assert [_chunk_size(n) for n in (11, 12, 20)] == [1, 1, 1]
+        assert _chunk_size(3) == 16
+
+    def test_regular_grid_never_solves_a_point_alone(self, monkeypatch):
+        import magnonblockade.scenarios as scenarios_mod
+
+        def refuse(liouv):
+            raise AssertionError("a point of a regular grid was solved alone")
+
+        monkeypatch.setattr(scenarios_mod, "steady_state", refuse)
+        result = run_scenario(small_fig3(num=12))  # chunks of 10 and 2
+        assert result.column("error") == [""] * 12
+
+    def test_short_last_chunk_matches_the_one_point_rows(self):
+        cfg = ScenarioConfig(
+            name="grid", mode="steady",
+            params={"Omega_m_over_2pi_MHz": 0.1, "Omega_q_over_Omega_m": 3.0,
+                    "Delta_plus_over_J": 1.0},
+            axes=(SweepAxis.from_linspace("params.J_over_2pi_MHz", 5.0, 40.0, 5),
+                  SweepAxis.from_linspace("params.kappa_over_2pi_MHz", 0.1, 1.2, 5)))
+        assert len(cfg.grid_points()) % _chunk_size(cfg.fock_dim) != 0
+        result = run_scenario(cfg)
+        values = [c for c in _MODES["steady"].columns if c != "residual_inf"]
+        for user, row in zip(cfg.grid_points(), result.rows):
+            cells = dict(zip(result.columns, row))
+            alone = {c: v[0] for c, v in _steady_rows(user, cfg.fock_dim, {}).items()}
+            assert [cell_bits(cells[c]) for c in values] == [cell_bits(alone[c]) for c in values]
+            assert cells["error"] == ""
+            assert cells["residual_inf"] <= 1e-10 and alone["residual_inf"] <= 1e-10
+
+    def test_failed_points_keep_their_errors_and_spare_their_neighbours(self):
+        # kappa = 0 makes the stacked elimination singular; Omega_m = 0 leaves g2 undefined
+        mixed = run_scenario(kappa_sweep([1.0, 0.0, 0.7, 1.0, 0.9], [0.1, 0.1, 0.1, 0.0, 0.1]))
+        clean = run_scenario(kappa_sweep([1.0, 0.7, 0.9], [0.1, 0.1, 0.1]))
+        errors = mixed.column("error")
+        assert errors[1].startswith("DegenerateKernelError: ")
+        assert errors[3].startswith("UndefinedCorrelationError: ")
+        assert mixed.rows[1][1:-1] == mixed.rows[3][1:-1] == (None,) * (len(mixed.columns) - 2)
+        assert [mixed.rows[i] for i in (0, 2, 4)] == clean.rows
+        assert [[cell_bits(v) for v in mixed.rows[i][:-1]] for i in (0, 2, 4)] == \
+            [[cell_bits(v) for v in row[:-1]] for row in clean.rows]
+
+    def test_sidecar_names_the_points_that_share_a_wall_time(self, tmp_path):
+        sidecar = tmp_path / "diag.jsonl"
+        run_scenario(small_fig3(num=21), diagnostics_out=str(sidecar))
+        lines = [json.loads(ln) for ln in sidecar.read_text().splitlines()]
+        assert [ln["chunk"] for ln in lines] == [10] * 20 + [1]
+        for first in (0, 10):
+            assert len({ln["wall_time_s"] for ln in lines[first:first + 10]}) == 1
+        series = tmp_path / "series.jsonl"
+        cfg = replace(get_scenario("fig2a"), fock_dim=3,
+                      options={"kappa_t_max": 5.0, "time_points": 11, "initial_state": "vacuum"})
+        run_scenario(cfg, diagnostics_out=str(series))
+        assert [json.loads(ln)["chunk"] for ln in series.read_text().splitlines()] == [1] * 5
 
 
 class TestBuiltInRegressions:

@@ -9,8 +9,10 @@ sides alike. Each run's result is the last line of its standard output.
 
 Prints each pair, then for each end-to-end metric of ``BENCHMARK.json`` the
 median and quartiles per side and the number of pairs each side won, by the
-metric's ``better`` direction. Exits with status 1 if any run is not
-``correct``.
+metric's ``better`` direction. A metric whose change median is worse than the
+parent's by more than its ``bound``, as a fraction of the parent's median, is
+flagged "outside bound": that is the benchmark's rejection rule. Exits with
+status 1 if any run is not ``correct``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,19 @@ def end_to_end(path: str = os.path.join(ROOT, "BENCHMARK.json")) -> dict:
     """{metric name: "higher" or "lower"}, in the file's order."""
     with open(path) as fh:
         return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+
+
+def bounds(path: str = os.path.join(ROOT, "BENCHMARK.json")) -> dict:
+    """{metric name: the largest accepted relative worsening}."""
+    with open(path) as fh:
+        return {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
+
+
+def outside_bound(ratio: float, direction: str, bound: float) -> bool:
+    """Whether a change median of ``ratio`` times the parent's is worse, in
+    ``direction``, by more than ``bound`` of the parent's."""
+    worse = 1.0 - ratio if direction == "higher" else ratio - 1.0
+    return worse > bound
 
 
 def order(pair: int) -> tuple:
@@ -75,9 +90,10 @@ def pair_line(pair: int, results: dict, better: dict) -> str:
     return "; ".join(parts)
 
 
-def summary(pairs: list, better: dict) -> list:
+def summary(pairs: list, better: dict, limits: dict | None = None) -> list:
     """Per metric: median [q1, q3] of each side, the change's median over the
-    parent's, and the pairs each side won (ties count for neither)."""
+    parent's, and the pairs each side won (ties count for neither); with
+    ``limits``, {metric: bound}, a metric outside its bound is flagged."""
     lines = []
     for name, direction in better.items():
         values = {side: [_value(p[side], name) for p in pairs] for side in SIDES}
@@ -95,9 +111,11 @@ def summary(pairs: list, better: dict) -> list:
         ratio = stats["change"][1] / stats["parent"][1] if stats["parent"][1] else float("nan")
         sides = "; ".join(f"{side} median {stats[side][1]:.4g} [{stats[side][0]:.4g}, "
                           f"{stats[side][2]:.4g}]" for side in SIDES)
-        lines.append(f"{name} ({direction} is better): {sides}; change/parent {ratio:.3f}; "
-                     f"won: change {wins['change']}, parent {wins['parent']} "
-                     f"of {len(complete)}")
+        line = (f"{name} ({direction} is better): {sides}; change/parent {ratio:.3f}; "
+                f"won: change {wins['change']}, parent {wins['parent']} of {len(complete)}")
+        if limits and name in limits and outside_bound(ratio, direction, limits[name]):
+            line += f"; outside bound {limits[name]:g}"
+        lines.append(line)
     return lines
 
 
@@ -120,7 +138,7 @@ def main(argv=None) -> int:
                    for side in order(pair)}
         pairs.append(results)
         print(pair_line(pair, results, better), flush=True)
-    for line in summary(pairs, better):
+    for line in summary(pairs, better, bounds()):
         print(line)
     return 0 if all(p[side]["correct"] for p in pairs for side in SIDES) else 1
 
