@@ -5,10 +5,9 @@ and the period-averaged steady state of the periodically driven
 vector of a generator. The static generator is block tridiagonal when the
 coordinates are grouped by excitation number, and its kernel is found by
 block elimination in that ordering, with one stacked solve per level for a
-whole stack of generators: ``steady_states`` solves a chunk of sweep points
-at once from their band rows (row 0 and the block rows the elimination
-reads, copied out of each dense L before it is dropped) and takes each
-residual from those rows. The periodic state's generator is the
+whole stack of generators: ``_steady_stack`` solves one point or a chunk of
+sweep points, gathers the level rows from the dense generators and takes
+each residual from them. The periodic state's generator is the
 period-averaged one, G = L0 + 2 Re(L- S_1), reduced from the Fourier
 harmonics of the state by a matrix continued fraction; G is dense, and its
 kernel comes from a bordered LU solve of the whole matrix, which is also the
@@ -393,7 +392,6 @@ class _Blocks(NamedTuple):
     widths: tuple  # per block, (size of block b-1, size of block b)
     probe: tuple  # per block, its rows of _condition_probe(D - 1) as one column
     probe_norm: float  # ||_condition_probe(D - 1)||_1
-    band_size: int  # R, the entries of the band rows: row 0 at columns[0], then each gather
 
 
 @functools.lru_cache(maxsize=None)
@@ -422,42 +420,20 @@ def _excitation_blocks(n: int) -> _Blocks:
         widths.append((lower.size, idx.size))
     return _Blocks(_read_only(*index), _read_only(*columns), _read_only(*gather), tuple(widths),
                    _read_only(*(probe[idx - 1][:, None] for idx in index)),
-                   float(np.abs(probe).sum()), columns[0].size + sum(g.size for g in gather))
-
-
-@functools.lru_cache(maxsize=None)
-def _band_index(n: int) -> np.ndarray:
-    """Flat indices into a generator of its band rows, in the layout that
-    ``_band_levels`` reads: row 0 at ``columns[0]``, then each block's
-    ``gather``. Every row of the generator is there once and each of its
-    entries at most once, so the rows hold all its nonzeros exactly when
-    they hold as many. Built only where a chunk is solved; it takes 0.86 MB
-    at N = 12."""
-    blocks = _excitation_blocks(n)
-    return _read_only(np.concatenate([blocks.columns[0], *(g.ravel() for g in blocks.gather)]))[0]
+                   float(np.abs(probe).sum()))
 
 
 _CHUNK_POINTS = 16  # most static points that share one stacked elimination
-_CHUNK_BYTES = 1 << 20  # most bytes of band rows that one chunk holds
+_CHUNK_BYTES = 1 << 20  # most bytes of level rows that one chunk's elimination gathers
 
 
 def _chunk_size(n: int) -> int:
     """Points of truncation ``n`` that ``steady_states`` should be given at
-    once: 10 at N = 6, and 1 from N = 11 up, where the band rows of two
-    points pass the byte budget."""
-    return max(1, min(_CHUNK_POINTS, _CHUNK_BYTES // (8 * _excitation_blocks(n).band_size)))
-
-
-def _band_levels(band: np.ndarray, blocks: _Blocks) -> list:
-    """Views of a (k, R) stack of band rows: row 0 as (k, 1, c_0), then the
-    (k, s_b, c_b) rows of each block b at ``blocks.columns[b]``."""
-    k = band.shape[0]
-    start = blocks.columns[0].size
-    views = [band[:, :start].reshape(k, 1, start)]
-    for gather in blocks.gather:
-        views.append(band[:, start:start + gather.size].reshape(k, *gather.shape))
-        start += gather.size
-    return views
+    once: 10 at N = 6, and 1 from N = 11 up, where the level rows of two
+    points pass the byte budget. The chunk also holds its generators, about
+    1.7 times the bytes of their level rows at N = 6."""
+    rows = sum(g.size for g in _excitation_blocks(n).gather)
+    return max(1, min(_CHUNK_POINTS, _CHUNK_BYTES // (8 * rows)))
 
 
 def _blocked_kernel(levels, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -468,8 +444,7 @@ def _blocked_kernel(levels, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     ``levels`` gives, per block b, the (..., s_b, c_b) rows [A_b | B_b | C_b
     | gen[:, 0]] of the generators at ``_Blocks.columns[b]``, the leading
-    axes being the stack's: gathered from one dense generator by
-    ``steady_state``, or views of the (k, R) band rows of ``steady_states``.
+    axes being the stack's, from ``_gather_levels``.
     With x_0 = 1 and row 0 dropped (the trace row of gen is zero, so row 0
     depends on the others), the reduced matrix M, gen without row and
     column 0, solves M y = -gen[1:, 0]. M is nonsingular exactly when the
@@ -481,9 +456,8 @@ def _blocked_kernel(levels, n: int) -> tuple[np.ndarray, np.ndarray]:
     Returns x, (..., D), and the mask of the states the elimination vouches
     for: those with ||M||_1 ||M^-1 p||_1 / ||p||_1 at most 1/_KERNEL_RTOL. A
     singular block raises LinAlgError for the whole stack. The residual
-    max|gen x|, which also catches entries outside the band, is the
-    caller's check: ``steady_state`` takes it from the dense generator,
-    ``steady_states`` from the band rows. No D x D array is formed.
+    max|gen x|, which also catches entries outside the band, is the check
+    of ``_steady_stack``. No D x D array is formed.
     """
     blocks = _excitation_blocks(n)
     colsum = None
@@ -516,114 +490,93 @@ def _blocked_kernel(levels, n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, vouched
 
 
+def _gather_levels(gens: np.ndarray, n: int):
+    """The level rows that ``_blocked_kernel`` reads, gathered lazily from a
+    (k, D, D) stack of generators. A stack of one gathers from its flat
+    generator, in 2/3 of the time of a gather along the entry axis at N = 12."""
+    entries = gens.reshape(len(gens), -1)
+    for g in _excitation_blocks(n).gather:
+        yield entries[0][g][None] if len(gens) == 1 else np.take(entries, g, axis=1)
+
+
+def _steady_stack(gens: np.ndarray, n: int) -> list:
+    """Per generator of a (k, D, D) stack of static generators with N = ``n``
+    Fock states, its steady state and residual max|L x|, as (DensityMatrix,
+    float), or the exception that decides it. One stacked ``_blocked_kernel``
+    serves the stack, or each point alone where a block is singular. Each
+    residual comes from the point's own L, which catches entries outside the
+    band too. ``_kernel_state`` solves every point the elimination does not
+    vouch for or whose residual fails; whatever it raises is that point's
+    result. One stacked ``_check_densities`` checks the states, and each
+    alone if it fails."""
+    k = len(gens)
+    try:
+        x, vouched = _blocked_kernel(_gather_levels(gens, n), n)
+    except np.linalg.LinAlgError:
+        x, vouched = np.empty(gens.shape[:2]), np.zeros(k, dtype=bool)
+        for i in range(k):
+            try:
+                x[i:i + 1], vouched[i:i + 1] = _blocked_kernel(_gather_levels(gens[i:i + 1], n), n)
+            except np.linalg.LinAlgError:
+                pass
+    results = [None] * k
+    residual = np.full(k, np.inf)
+    for i, gen in enumerate(gens):
+        if vouched[i]:
+            residual[i] = np.abs(gen @ x[i]).max()
+        if not residual[i] <= _RESIDUAL_TOL:
+            try:
+                x[i] = _kernel_state(gen, 2 * n)
+                residual[i] = np.abs(gen @ x[i]).max()
+            except Exception as exc:  # the point's result; the rest of the stack goes on
+                results[i] = exc
+    solved = [i for i, result in enumerate(results) if result is None]
+    rhos = _density(x[solved])
+    try:
+        _check_densities(rhos)
+    except ValueError:
+        for i, rho in zip(solved, rhos):
+            try:
+                _check_densities(rho[None])
+            except ValueError as exc:
+                results[i] = exc
+    space = HilbertSpace(n)
+    for i, rho in zip(solved, rhos):
+        if results[i] is None:
+            results[i] = DensityMatrix(rho, space), float(residual[i])
+    return results
+
+
 def steady_state(liouv: Liouvillian) -> DensityMatrix:
     """Unique steady state from the Liouvillian kernel on the composite
-    qubit(x)magnon space of dimension 2N: by ``_blocked_kernel`` on this one
-    generator, whose residual is taken from the dense matrix, and by
-    ``_kernel_state``, which also decides the typed errors, wherever that
-    solve cannot vouch for its state."""
+    qubit(x)magnon space of dimension 2N: ``_steady_stack`` on a stack of
+    this one generator, whose exception, if it has one, is raised here."""
     d = liouv.hilbert_dim
     if d % 2:
         raise ValueError(f"odd dimension {d} cannot be a composite space")
-    gen = liouv.real
-    entries = gen.ravel()
-    try:
-        x, vouched = _blocked_kernel((entries[g] for g in _excitation_blocks(d // 2).gather),
-                                     d // 2)
-        x = x if vouched and np.abs(gen @ x).max() <= _RESIDUAL_TOL else None
-    except np.linalg.LinAlgError:
-        x = None
-    if x is None:
-        x = _kernel_state(gen, d)
-    return DensityMatrix(_density(x), HilbertSpace(d // 2)).validate()
-
-
-def _gather_band(gen: np.ndarray, index: np.ndarray, out: np.ndarray) -> bool:
-    """Copy the band rows of the dense generator ``gen``, at the flat
-    ``_band_index``, into ``out``, and tell whether they hold every nonzero
-    of it."""
-    out[:] = gen.ravel()[index]
-    return np.count_nonzero(gen != 0.0) == np.count_nonzero(out != 0.0)
-
-
-def _band_kernel(band: np.ndarray, in_band: np.ndarray, n: int):
-    """States x, (k, D), of the (k, R) band rows of k generators by one
-    stacked ``_blocked_kernel``, their residuals max|L x| taken from the band
-    rows, and the mask of those vouched for: the elimination vouches, the
-    generator is ``in_band`` and the residual is at most _RESIDUAL_TOL. The
-    band rows alone cannot show a nonzero outside them, hence ``in_band``.
-    A singular block of the stack sends the elimination point by point."""
-    blocks = _excitation_blocks(n)
-    k = band.shape[0]
-    levels = _band_levels(band, blocks)
-    try:
-        x, vouched = _blocked_kernel(levels[1:], n)
-    except np.linalg.LinAlgError:
-        x, vouched = np.full((k, 4 * n * n), np.nan), np.zeros(k, dtype=bool)
-        for i in range(k):
-            try:
-                x[i:i + 1], vouched[i:i + 1] = _blocked_kernel([v[i:i + 1] for v in levels[1:]], n)
-            except np.linalg.LinAlgError:
-                pass
-    residual = np.zeros(k)
-    for rows, columns in zip(levels, (blocks.columns[0], *blocks.columns)):
-        np.maximum(residual, np.abs(rows @ x[:, columns, None]).max(axis=(1, 2)), out=residual)
-    return x, residual, vouched & in_band & (residual <= _RESIDUAL_TOL)
-
-
-def _density_passes(rho: np.ndarray) -> bool:
-    """Whether the d x d matrix ``rho`` passes ``_check_densities``."""
-    try:
-        _check_densities(rho[None])
-    except ValueError:
-        return False
-    return True
+    (result,) = _steady_stack(liouv.real[None], d // 2)
+    if isinstance(result, Exception):
+        raise result
+    return result[0]
 
 
 def steady_states(params) -> list:
     """Steady states of a chunk of static problems of one truncation N, from
-    one stacked ``_blocked_kernel``: per point of ``params``, its
-    (DensityMatrix, residual max|L x|), or None where the stacked solve does
-    not vouch for it. The caller solves such a point alone, by
-    ``steady_state`` of its rebuilt Liouvillian, which also decides its
-    typed error.
-
-    Each point's Liouvillian is built as for ``steady_state``, its band rows
-    (``_band_index``) are copied into one (k, R) array, and the dense
-    matrix is dropped before the next point is built: 96 KiB of band rows
-    against 162 KiB of L at N = 6. A point whose L has a nonzero outside the
-    band rows, which the count of its nonzeros shows before L is dropped, is
-    not vouched for. The residual, taken from the band rows, equals the
-    dense max|L x| up to rounding. A failed stacked density check is
-    repeated point by point.
-    """
+    one ``_steady_stack`` of their Liouvillians, each built into one
+    preallocated (k, D, D) stack: per point of ``params``, its
+    (DensityMatrix, residual max|L x|) or the exception ``steady_state``
+    would raise for it."""
     params = list(params)
     if not params:
         return []
     n = params[0].space.fock_dim
     if any(p.space.fock_dim != n for p in params):
         raise ValueError("steady_states needs one truncation for the whole chunk")
-    index = _band_index(n)
-    band = np.empty((len(params), index.size))
-    in_band = np.empty(len(params), dtype=bool)
-    for i, p in enumerate(params):
-        liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
-        in_band[i] = _gather_band(liouv.real, index, band[i])
-        del liouv
-    x, residual, ok = _band_kernel(band, in_band, n)
-    good = np.flatnonzero(ok)
-    rhos = _density(x[good])
-    try:
-        _check_densities(rhos)
-        valid = [True] * good.size
-    except ValueError:
-        valid = [_density_passes(rho) for rho in rhos]
-    out = [None] * len(params)
-    space = HilbertSpace(n)
-    for i, rho, passed in zip(good, rhos, valid):
-        if passed:
-            out[i] = DensityMatrix(rho, space), float(residual[i])
-    return out
+    dim = 4 * n * n
+    gens = np.empty((len(params), dim, dim))
+    for gen, p in zip(gens, params):
+        gen[...] = build_liouvillian(build_h_eff(p), collapse_channels(p)).real
+    return _steady_stack(gens, n)
 
 
 def _periodic_parts(p: SystemParams):

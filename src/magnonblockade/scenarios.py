@@ -357,10 +357,8 @@ def _steady_rows(user: dict, fock_dim: int, options: dict) -> dict:
 
 
 def _steady_chunk(users: list, fock_dim: int, options: dict) -> list:
-    """Per point of ``users``, its columns or the exception it raised, and
-    the seconds spent on it alone: one ``steady_states`` call solves the
-    chunk, and each point it does not vouch for is solved alone by
-    ``_steady_rows``, which rebuilds its Liouvillian."""
+    """Per point of ``users``, its columns or the exception it raised, from
+    one ``steady_states`` call on the chunk."""
     params = []
     for user in users:
         try:
@@ -370,17 +368,13 @@ def _steady_chunk(users: list, fock_dim: int, options: dict) -> list:
     solved = iter(steady_states([p for p in params if isinstance(p, SystemParams)]))
     out = []
     for user, p in zip(users, params):
-        if isinstance(p, Exception):
-            out.append((p, 0.0))
-            continue
-        solution = next(solved)
-        start = time.perf_counter()
-        try:
-            result = (_steady_rows(user, fock_dim, options) if solution is None
-                      else _steady_columns(user, p, *solution))
-        except Exception as exc:  # recorded in-band, never silently dropped
-            result = exc
-        out.append((result, time.perf_counter() - start if solution is None else 0.0))
+        result = p if isinstance(p, Exception) else next(solved)
+        if not isinstance(result, Exception):
+            try:
+                result = _steady_columns(user, p, *result)
+            except Exception as exc:  # recorded in-band, never silently dropped
+                result = exc
+        out.append(result)
     return out
 
 
@@ -445,7 +439,7 @@ class _Mode(NamedTuple):
     required: frozenset  # those of them a config must set
     rows: Callable  # (user, fock_dim, options) -> {column: one value per output row}
     state: Callable | None  # (p, options) -> the state convergence_check compares
-    chunk: Callable | None = None  # (users, fock_dim, options) -> [(rows or exception, own s)]
+    chunk: Callable | None = None  # (users, fock_dim, options) -> [rows or exception per user]
 
 
 _MODES = {
@@ -515,20 +509,18 @@ def run_scenario(cfg: ScenarioConfig, out: str | None = None,
     def solve(users: list) -> list[tuple]:
         """(rows, wall time, error message, chunk size) of each point of
         ``users``, which the mode's chunk solve takes together where there
-        are several. A point's wall time is the chunk's, less the time spent
-        on single points, shared evenly, plus its own."""
+        are several. A point's wall time is the chunk's, shared evenly."""
         start = time.perf_counter()
         if len(users) > 1:
             results = mode.chunk(users, cfg.fock_dim, options)
         else:
             try:
-                results = [(mode.rows(users[0], cfg.fock_dim, options), 0.0)]
+                results = [mode.rows(users[0], cfg.fock_dim, options)]
             except Exception as exc:  # recorded in-band, never silently dropped
-                results = [(exc, 0.0)]
-        records = [record(user, result) for user, (result, _) in zip(users, results)]
-        shared = (time.perf_counter() - start - sum(own for _, own in results)) / len(users)
-        return [(recs, shared + own, err, len(users))
-                for (recs, err), (_, own) in zip(records, results)]
+                results = [exc]
+        records = [record(user, result) for user, result in zip(users, results)]
+        wall = (time.perf_counter() - start) / len(users)
+        return [(recs, wall, err, len(users)) for recs, err in records]
 
     size = _chunk_size(cfg.fock_dim) if mode.chunk else 1
     outcomes = []

@@ -100,3 +100,21 @@ def test_main_alternates_and_fails_on_an_incorrect_run(monkeypatch, capsys, inco
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("pair 1 (parent first); points_per_s 50 -> 60")
     assert "won: change 2, parent 0 of 2" in out[2]
+
+
+@pytest.mark.parametrize("metric, parent, change, unresolved", [
+    (0, [100, 100, 100, 100], [95, 96, 97, 98], False),  # no parent spread
+    (0, [60, 90, 110, 140], [95, 96, 97, 98], True),  # spread 0.35 of the median, overlapping
+    (0, [60, 90, 110, 140], [150, 160, 170, 180], False),  # every change run beats every parent
+    (1, [6, 9, 11, 14], [3, 4, 5, 5.5], False),  # the same, lower is better
+    (1, [6, 9, 11, 14], [3, 4, 5, 6.5], True),
+])
+def test_summary_marks_a_metric_unresolved_when_the_parent_spreads_wider_than_its_bound(
+        metric, parent, change, unresolved):
+    def runs(values):
+        return [(v, 10.0) if metric == 0 else (100, v) for v in values]
+
+    pairs = pairs_of(parent=runs(parent), change=runs(change))
+    line = bench_pairs.summary(pairs, BETTER, {"points_per_s": 0.25, "point_ms_p50": 0.25})[metric]
+    assert line.endswith("; unresolved, parent spread wider than 0.25") is unresolved
+    assert "outside bound" not in line

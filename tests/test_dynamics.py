@@ -17,14 +17,11 @@ from magnonblockade.dynamics import (
     Liouvillian,
     SteadyStateError,
     TraceDriftError,
-    _band_index,
-    _band_kernel,
     _basis,
     _blocked_kernel,
     _coords,
     _density,
     _excitation_blocks,
-    _gather_band,
     _harmonic_system,
     _kernel_state,
     _liouvillian_plan,
@@ -32,6 +29,7 @@ from magnonblockade.dynamics import (
     _one_period_maps,
     _periodic_parts,
     _rk4_steps,
+    _steady_stack,
     _truncated_harmonics,
     build_liouvillian,
     evolve,
@@ -548,8 +546,9 @@ def block_spread(gen, fock_dim):
 
 
 def dense_levels(gens, fock_dim):
-    """The per-block rows ``_blocked_kernel`` reads, gathered from a stack of
-    dense generators as ``steady_state`` gathers them from one."""
+    """The per-block rows ``_blocked_kernel`` reads, gathered from each dense
+    generator of a stack on its own and stacked: the reference for the
+    stacked gather of ``_steady_stack``."""
     return [np.stack([gen.ravel()[g] for gen in gens])
             for g in _excitation_blocks(fock_dim).gather]
 
@@ -562,15 +561,6 @@ def blocked_against_dense(gen, fock_dim):
     assert vouched.tolist() == [True]
     assert np.abs(gen @ x[0]).max() <= 1e-10
     return np.abs(x[0] - _kernel_state(gen, 2 * fock_dim)).max()
-
-
-def band_rows(gens, fock_dim):
-    """The (k, R) band rows of a stack of dense generators, and whether each
-    generator's nonzeros all lie in them."""
-    index = _band_index(fock_dim)
-    band = np.empty((len(gens), index.size))
-    in_band = np.array([_gather_band(gen, index, row) for gen, row in zip(gens, band)])
-    return band, in_band
 
 
 def cubic_generator():
@@ -638,14 +628,13 @@ class TestBlockedKernel:
 
     def test_stacked_solve_flags_only_the_out_of_band_generator(self):
         liouv, space = cubic_generator()
-        n = space.fock_dim
         regular = build_liouvillian(build_h_eff(fig2a_params()), collapse_channels(fig2a_params()))
-        band, in_band = band_rows([liouv.real, regular.real], n)
-        assert in_band.tolist() == [False, True]
-        x, residual, ok = _band_kernel(band, in_band, n)
-        assert ok.tolist() == [False, True]
-        assert identical(_density(x[1]), steady_state(regular).matrix)
-        assert residual[1] == pytest.approx(regular.residual(_density(x[1])), rel=0.5, abs=1e-15)
+        (cubic, cubic_residual), (rho, residual) = _steady_stack(
+            np.stack([liouv.real, regular.real]), space.fock_dim)
+        assert identical(cubic.matrix, _density(_kernel_state(liouv.real, space.total_dim)))
+        assert cubic_residual == liouv.residual(cubic.matrix) <= 1e-10
+        assert identical(rho.matrix, steady_state(regular).matrix)
+        assert residual == regular.residual(rho.matrix) <= 1e-10
 
     def test_stacked_solve_equals_the_solve_of_each_generator(self):
         """The value bits of one stacked elimination equal those of each
@@ -659,8 +648,8 @@ class TestBlockedKernel:
         for gen, row in zip(gens, x):
             alone, _ = _blocked_kernel(dense_levels([gen], 6), 6)
             assert identical(row, alone[0])
-        band, in_band = band_rows(gens, 6)
-        assert identical(_band_kernel(band, in_band, 6)[0], x)
+        for (rho, _), row in zip(_steady_stack(np.stack(gens), 6), x):
+            assert identical(rho.matrix, _density(row))
 
     def test_singular_block_leaves_the_rest_of_the_stack(self):
         """kappa = 0 makes a block singular, which fails the stacked solve;
@@ -669,24 +658,24 @@ class TestBlockedKernel:
         gens = [build_liouvillian(build_h_eff(p), collapse_channels(p)).real for p in ps]
         with pytest.raises(np.linalg.LinAlgError):
             _blocked_kernel(dense_levels(gens, 6), 6)
-        band, in_band = band_rows(gens, 6)
-        x, _, ok = _band_kernel(band, in_band, 6)
-        assert ok.tolist() == [True, False, True]
+        solved = _steady_stack(np.stack(gens), 6)
+        assert isinstance(solved[1], DegenerateKernelError)
         for i in (0, 2):
-            assert identical(_density(x[i]), steady_state(Liouvillian(gens[i], build_h_eff(ps[i]))).matrix)
+            assert identical(solved[i][0].matrix,
+                             steady_state(Liouvillian(gens[i], build_h_eff(ps[i]))).matrix)
 
     def test_steady_states_match_steady_state(self):
         ps = [fig2a_params(), fig2a_params(kappa_m=0.0, kappa_q=0.0), fig2a_params(Omega_m=0.0),
               fig2a_params(m_th=0.05)]
         solved = steady_states(ps)
-        assert solved[1] is None
+        assert isinstance(solved[1], DegenerateKernelError)
         for i in (0, 2, 3):
             rho, residual = solved[i]
             liouv = build_liouvillian(build_h_eff(ps[i]), collapse_channels(ps[i]))
             alone = steady_state(liouv)
             assert identical(rho.matrix, alone.matrix)
             assert rho.space == alone.space
-            assert residual <= 1e-10 and liouv.residual(alone.matrix) <= 1e-10
+            assert residual == liouv.residual(alone.matrix) <= 1e-10
         assert steady_states([]) == []
         with pytest.raises(ValueError, match="one truncation"):
             steady_states([fig2a_params(), fig7b_params(4)])
@@ -704,7 +693,8 @@ class TestBlockedKernel:
         monkeypatch.setattr(dynamics_mod, "_check_densities", fail_stacks)
         solved = steady_states([fig2a_params(), fig2a_params(m_th=0.05), fig2a_params(m_th=0.1)])
         assert calls == [3, 1, 1, 1]
-        assert [s is None for s in solved] == [False, True, False]
+        assert [isinstance(s, ValueError) for s in solved] == [False, True, False]
+        assert str(solved[1]) == "density matrix has negative eigenvalue"
 
     def test_mislabelled_bare_magnon_generator_gives_the_dense_state(self):
         # six magnon levels read as qubit(x)3 levels: m moves the label's

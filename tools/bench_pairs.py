@@ -11,8 +11,11 @@ Prints each pair, then for each end-to-end metric of ``BENCHMARK.json`` the
 median and quartiles per side and the number of pairs each side won, by the
 metric's ``better`` direction. A metric whose change median is worse than the
 parent's by more than its ``bound``, as a fraction of the parent's median, is
-flagged "outside bound": that is the benchmark's rejection rule. Exits with
-status 1 if any run is not ``correct``.
+flagged "outside bound": that is the benchmark's rejection rule. A metric
+whose parent runs spread wider than its bound (interquartile range over
+median) is flagged "unresolved", since the pairs cannot then tell a change
+within the bound from none, unless every change run beats every parent run.
+Exits with status 1 if any run is not ``correct``.
 """
 
 from __future__ import annotations
@@ -45,6 +48,16 @@ def outside_bound(ratio: float, direction: str, bound: float) -> bool:
     ``direction``, by more than ``bound`` of the parent's."""
     worse = 1.0 - ratio if direction == "higher" else ratio - 1.0
     return worse > bound
+
+
+def unresolved(parent: list, change: list, direction: str, bound: float) -> bool:
+    """Whether the parent runs' interquartile range is wider than ``bound`` of
+    their median while some change run fails to beat, in ``direction``,
+    every parent run."""
+    q1, median, q3 = _quartiles(parent)
+    sign = 1.0 if direction == "higher" else -1.0
+    separated = min(sign * v for v in change) > max(sign * v for v in parent)
+    return q3 - q1 > bound * abs(median) and not separated
 
 
 def order(pair: int) -> tuple:
@@ -93,7 +106,8 @@ def pair_line(pair: int, results: dict, better: dict) -> str:
 def summary(pairs: list, better: dict, limits: dict | None = None) -> list:
     """Per metric: median [q1, q3] of each side, the change's median over the
     parent's, and the pairs each side won (ties count for neither); with
-    ``limits``, {metric: bound}, a metric outside its bound is flagged."""
+    ``limits``, {metric: bound}, a metric outside its bound or unresolved is
+    flagged."""
     lines = []
     for name, direction in better.items():
         values = {side: [_value(p[side], name) for p in pairs] for side in SIDES}
@@ -101,7 +115,8 @@ def summary(pairs: list, better: dict, limits: dict | None = None) -> list:
                     if all(values[side][i] is not None for side in SIDES)]
         if not complete:
             continue
-        stats = {side: _quartiles([values[side][i] for i in complete]) for side in SIDES}
+        runs = {side: [values[side][i] for i in complete] for side in SIDES}
+        stats = {side: _quartiles(runs[side]) for side in SIDES}
         sign = 1.0 if direction == "higher" else -1.0
         wins = {side: 0 for side in SIDES}
         for i in complete:
@@ -113,8 +128,11 @@ def summary(pairs: list, better: dict, limits: dict | None = None) -> list:
                           f"{stats[side][2]:.4g}]" for side in SIDES)
         line = (f"{name} ({direction} is better): {sides}; change/parent {ratio:.3f}; "
                 f"won: change {wins['change']}, parent {wins['parent']} of {len(complete)}")
-        if limits and name in limits and outside_bound(ratio, direction, limits[name]):
-            line += f"; outside bound {limits[name]:g}"
+        if limits and name in limits:
+            if outside_bound(ratio, direction, limits[name]):
+                line += f"; outside bound {limits[name]:g}"
+            if unresolved(runs["parent"], runs["change"], direction, limits[name]):
+                line += f"; unresolved, parent spread wider than {limits[name]:g}"
         lines.append(line)
     return lines
 
