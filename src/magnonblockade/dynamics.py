@@ -12,8 +12,9 @@ period-averaged one, G = L0 + 2 Re(L- S_1), reduced from the Fourier
 harmonics of the state by a matrix continued fraction; G is dense, and its
 kernel comes from a bordered LU solve of the whole matrix, which is also the
 static fallback. Every trajectory is a power of one RK4 step of the static
-generator. Every solver works in float64, apart from the complex harmonic
-recursion.
+generator; the same textbook RK4 loop over a drive period gives the periodic
+state's reference. Every solver works in float64, apart from the complex
+harmonic recursion.
 
 Coordinates: a d x d Hermitian rho is the real vector x = (diagonal of rho,
 Re rho[i, j], Im rho[i, j]) with i < j in ``np.triu_indices`` order, its
@@ -45,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import _TRACE_TOL, DensityMatrix, HilbertSpace, _check_densities, _read_only, dagger
+from .hilbert import DensityMatrix, HilbertSpace, _check_densities, _density_errors, _read_only, dagger
 from .model import SystemParams, _longitudinal_operator, _nonhermitian, build_h_eff, collapse_channels
 
 __all__ = [
@@ -56,11 +57,8 @@ __all__ = [
     "steady_states",
     "evolve",
     "steady_state_periodic",
-    "vec",
-    "unvec",
     "SteadyStateError",
     "DegenerateKernelError",
-    "TraceDriftError",
 ]
 
 
@@ -79,24 +77,6 @@ class DegenerateKernelError(SteadyStateError):
     def __init__(self, multiplicity: int):
         super().__init__(f"Liouvillian kernel has dimension {multiplicity}, expected 1")
         self.multiplicity = multiplicity
-
-
-class TraceDriftError(RuntimeError):
-    """Trace conservation failed during time evolution."""
-
-    def __init__(self, drift: float, tol: float):
-        super().__init__(f"trace drift {drift:.3e} exceeds tolerance {tol:.3e}")
-        self.drift = drift
-
-
-def vec(rho: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return rho.flatten(order="F")
-
-
-def unvec(v: np.ndarray) -> np.ndarray:
-    d = round(math.isqrt(v.size))
-    return v.reshape(d, d, order="F")
 
 
 class _Basis(NamedTuple):
@@ -156,7 +136,6 @@ class Liouvillian:
     Hermitian coordinates (D = d^2), the form every solver uses."""
 
     real: np.ndarray
-    hamiltonian: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -164,7 +143,7 @@ class Liouvillian:
 
     @property
     def hilbert_dim(self) -> int:
-        return self.hamiltonian.shape[0]
+        return math.isqrt(self.dim)
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -187,9 +166,11 @@ class Liouvillian:
 @dataclass
 class Trajectory:
     """Time-ordered density matrices plus solver metadata: each interval of
-    ``times`` stands for ceil(interval / ``step``) RK4 steps. ``populations``
-    holds the magnon Fock populations of every state as one (samples, N)
-    array, as ``evolve`` fills it."""
+    ``times`` stands for ceil(interval / ``step``) RK4 steps, and
+    ``trace_drift`` is the largest |tr(rho) - 1| of the states, each of which
+    passed the density check. ``populations`` holds the magnon Fock
+    populations of every state as one (samples, N) array, as ``evolve``
+    fills it."""
 
     times: np.ndarray
     states: list
@@ -289,7 +270,7 @@ def build_liouvillian(h: np.ndarray, channels) -> Liouvillian:
     weight = plan.coef * values[:, None, None]
     dim = d * d
     real = np.bincount(plan.target, weight.real.ravel(), minlength=dim * dim)
-    return Liouvillian(real=real.reshape(dim, dim), hamiltonian=h)
+    return Liouvillian(real=real.reshape(dim, dim))
 
 
 @functools.lru_cache(maxsize=None)
@@ -507,8 +488,8 @@ def _steady_stack(gens: np.ndarray, n: int) -> list:
     residual comes from the point's own L, which catches entries outside the
     band too. ``_kernel_state`` solves every point the elimination does not
     vouch for or whose residual fails; whatever it raises is that point's
-    result. One stacked ``_check_densities`` checks the states, and each
-    alone if it fails."""
+    result. One stacked ``_density_errors`` pass gives each state its
+    verdict: a point whose state fails gets that ValueError."""
     k = len(gens)
     try:
         x, vouched = _blocked_kernel(_gather_levels(gens, n), n)
@@ -532,18 +513,9 @@ def _steady_stack(gens: np.ndarray, n: int) -> list:
                 results[i] = exc
     solved = [i for i, result in enumerate(results) if result is None]
     rhos = _density(x[solved])
-    try:
-        _check_densities(rhos)
-    except ValueError:
-        for i, rho in zip(solved, rhos):
-            try:
-                _check_densities(rho[None])
-            except ValueError as exc:
-                results[i] = exc
     space = HilbertSpace(n)
-    for i, rho in zip(solved, rhos):
-        if results[i] is None:
-            results[i] = DensityMatrix(rho, space), float(residual[i])
+    for i, rho, error in zip(solved, rhos, _density_errors(rhos)):
+        results[i] = error or (DensityMatrix(rho, space), float(residual[i]))
     return results
 
 
@@ -703,30 +675,18 @@ def _rk4_steps(gen, v: np.ndarray, t0: float, t1: float, n: int):
     matrix of them, and is left unchanged.
 
     ``gen`` is called once per distinct stage time: t0, then t + h/2 and t + h
-    per step, the last being the next step's t. The stages run in buffers
-    allocated once, in the operation order of the allocating form
-    k1 = L(t) v, k2 = L(t + h/2)(v + (h/2) k1), k3 = L(t + h/2)(v + (h/2) k2),
-    k4 = L(t + h)(v + h k3), v + (h/6)(((k1 + 2 k2) + 2 k3) + k4), so every
-    bit is the same; each yielded state is a new array.
+    per step, the last being the next step's t.
     """
     h = (t1 - t0) / n
-    half = h / 2.0
     t = t0
     g_start = gen(t)
-    k1, k2, k3, k4, w = (np.empty(v.shape, np.result_type(g_start, v)) for _ in range(5))
     for _ in range(n):
-        g_mid, g_end = gen(t + half), gen(t + h)
-        np.matmul(g_start, v, out=k1)
-        np.add(v, np.multiply(half, k1, out=w), out=w)
-        np.matmul(g_mid, w, out=k2)
-        np.add(v, np.multiply(half, k2, out=w), out=w)
-        np.matmul(g_mid, w, out=k3)
-        np.add(v, np.multiply(h, k3, out=w), out=w)
-        np.matmul(g_end, w, out=k4)
-        np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
-        np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
-        np.add(k1, k4, out=k1)
-        v = v + np.multiply(h / 6.0, k1, out=k1)
+        g_mid, g_end = gen(t + h / 2.0), gen(t + h)
+        k1 = g_start @ v
+        k2 = g_mid @ (v + (h / 2.0) * k1)
+        k3 = g_mid @ (v + (h / 2.0) * k2)
+        k4 = g_end @ (v + h * k3)
+        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         g_start = g_end
         t += h
         yield v
@@ -741,8 +701,7 @@ def _one_period_maps(p: SystemParams, steps_per_period: int = 64):
     A x is the period average of the trajectory that starts from x at drive
     phase 0. A period takes ``steps_per_period`` steps (an integer of at least
     1, not a bool, else ValueError), or more where a step would exceed
-    ``_max_step``. Each L(t) is a copy of L0 with only the nonzeros of L_c and
-    L_s rewritten.
+    ``_max_step``.
     """
     if (isinstance(steps_per_period, bool) or not isinstance(steps_per_period, numbers.Integral)
             or steps_per_period < 1):
@@ -750,17 +709,11 @@ def _one_period_maps(p: SystemParams, steps_per_period: int = 64):
             f"steps_per_period must be an integer of at least 1, got {steps_per_period!r}")
     liouv, lc, ls, omega = _periodic_parts(p)
     period = 2.0 * math.pi / omega
-    n_sub = max(steps_per_period, math.ceil(period / _max_step(p, liouv.hamiltonian)))
-    l0 = liouv.real
-    # Elsewhere (l0 + cos lc) + sin ls only adds signed zeros to l0, which
-    # holds no -0.0 (np.bincount sums from +0.0), so the copy has the same bits.
-    varying = np.flatnonzero((lc.real != 0.0) | (ls.real != 0.0))
-    l0_v, lc_v, ls_v = (x.ravel()[varying] for x in (l0, lc.real, ls.real))
+    n_sub = max(steps_per_period, math.ceil(period / _max_step(p, build_h_eff(p))))
+    l0, lc, ls = liouv.real, lc.real, ls.real
 
     def gen(t):
-        lt = l0.copy()
-        lt.ravel()[varying] = l0_v + math.cos(omega * t) * lc_v + math.sin(omega * t) * ls_v
-        return lt
+        return l0 + math.cos(omega * t) * lc + math.sin(omega * t) * ls
 
     avg = np.zeros_like(l0)
     for prop in _rk4_steps(gen, np.eye(liouv.dim), 0.0, period, n_sub):
@@ -774,9 +727,9 @@ def evolve(rho0: DensityMatrix, p: SystemParams, t_grid) -> Trajectory:
     ``rho0``: each grid interval takes ceil(spacing / ``Trajectory.step``)
     equal steps, with ``step`` the ``_max_step`` bound. The longitudinal
     coupling makes the generator time-dependent, so g_rp > 0 is a ValueError.
-    Trace drift beyond ``hilbert._TRACE_TOL`` raises TraceDriftError; the
-    samples before the first such one are checked as density matrices in one
-    stacked call.
+    The samples are checked as density matrices in one stacked call, which
+    raises the ValueError of the first one that fails, a trace drift beyond
+    ``hilbert._TRACE_TOL`` included.
     """
     if p.g_rp > 0.0:
         raise ValueError(f"evolve requires g_rp = 0 (a static generator), got {p.g_rp}")
@@ -788,8 +741,9 @@ def evolve(rho0: DensityMatrix, p: SystemParams, t_grid) -> Trajectory:
         raise ValueError("t_grid must start at 0 and increase in equal steps")
     rho0.validate()
     dt = t_grid[-1] / gaps.size
-    liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
-    step = _max_step(p, liouv.hamiltonian)
+    h = build_h_eff(p)
+    liouv = build_liouvillian(h, collapse_channels(p))
+    step = _max_step(p, h)
     n = max(1, math.ceil(dt / step))
     one_step = next(_rk4_steps(lambda t: liouv.real, np.eye(liouv.dim), 0.0, dt / n, 1))
     interval = np.linalg.matrix_power(one_step, n)
@@ -800,17 +754,13 @@ def evolve(rho0: DensityMatrix, p: SystemParams, t_grid) -> Trajectory:
         np.matmul(interval, xs[k - 1], out=xs[k])
     space = p.space
     n, d = space.fock_dim, space.total_dim
-    drift = np.abs(xs[:, :d].sum(axis=1) - 1.0)
-    over = np.flatnonzero(drift > _TRACE_TOL)
-    stop = over[0] if over.size else t_grid.size
-    rhos = _density(xs[:stop])
+    rhos = _density(xs)
     _check_densities(rhos)
-    if over.size:
-        raise TraceDriftError(drift[stop], _TRACE_TOL)
     states = [DensityMatrix(rho, space) for rho in rhos]
     # the diagonal of rho is the first d coordinates, qubit g then e
     return Trajectory(times=t_grid, states=states, params=p, step=step,
-                      trace_drift=float(drift.max()), populations=xs[:, :n] + xs[:, n:d])
+                      trace_drift=float(np.abs(xs[:, :d].sum(axis=1) - 1.0).max()),
+                      populations=xs[:, :n] + xs[:, n:d])
 
 
 def steady_state_periodic(p: SystemParams, steps_per_period: int | None = None) -> DensityMatrix:

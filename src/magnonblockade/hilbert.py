@@ -77,24 +77,33 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _check_densities(m: np.ndarray) -> None:
-    """Check each matrix of a (k, d, d) stack for hermiticity, unit trace and
-    numerical positive semidefiniteness against ``_HERM_TOL``, ``_TRACE_TOL``
-    and ``_EIG_FLOOR``, and raise the ValueError of the first one that fails."""
+def _density_errors(m: np.ndarray) -> list:
+    """Per matrix of a (k, d, d) stack, the ValueError of the first check it
+    fails, of hermiticity, unit trace and numerical positive semidefiniteness
+    against ``_HERM_TOL``, ``_TRACE_TOL`` and ``_EIG_FLOOR``, or None."""
     mh = m.conj().swapaxes(-1, -2)
     herm = np.abs(m - mh).max(axis=(-2, -1))
     tr = np.trace(m, axis1=-2, axis2=-1)
     lowest = np.linalg.eigvalsh((m + mh) / 2).min(axis=-1)
-    failed = np.flatnonzero((herm > _HERM_TOL) | (abs(tr - 1.0) > _TRACE_TOL)
-                            | (lowest < _EIG_FLOOR))
-    if not failed.size:
-        return
-    i = failed[0]
-    if herm[i] > _HERM_TOL:
-        raise ValueError(f"density matrix not Hermitian: max deviation {herm[i]:.3e}")
-    if abs(tr[i] - 1.0) > _TRACE_TOL:
-        raise ValueError(f"density matrix trace {tr[i]} deviates from 1 by {abs(tr[i] - 1.0):.3e}")
-    raise ValueError(f"density matrix has negative eigenvalue {lowest[i]:.3e}")
+    errors = [None] * len(m)
+    for i in np.flatnonzero((herm > _HERM_TOL) | (abs(tr - 1.0) > _TRACE_TOL)
+                            | (lowest < _EIG_FLOOR)):
+        if herm[i] > _HERM_TOL:
+            errors[i] = ValueError(f"density matrix not Hermitian: max deviation {herm[i]:.3e}")
+        elif abs(tr[i] - 1.0) > _TRACE_TOL:
+            errors[i] = ValueError(
+                f"density matrix trace {tr[i]} deviates from 1 by {abs(tr[i] - 1.0):.3e}")
+        else:
+            errors[i] = ValueError(f"density matrix has negative eigenvalue {lowest[i]:.3e}")
+    return errors
+
+
+def _check_densities(m: np.ndarray) -> None:
+    """Raise the ValueError of the first matrix of a (k, d, d) stack that
+    fails a check of ``_density_errors``."""
+    for error in _density_errors(m):
+        if error is not None:
+            raise error
 
 
 @dataclass(frozen=True)

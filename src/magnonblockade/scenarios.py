@@ -162,6 +162,11 @@ class SweepAxis:
         return SweepAxis.from_linspace(self.path, *self.linspace, num, paired=self.paired)
 
 
+def _is_truncation(n) -> bool:
+    """Whether ``n`` can be a Fock truncation: an integer of at least 3, not a bool."""
+    return not isinstance(n, bool) and isinstance(n, numbers.Integral) and n >= 3
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     name: str
@@ -210,8 +215,8 @@ class ScenarioConfig:
             if key not in mode.options:
                 raise ConfigError(f"{self.mode} scenarios do not read option {key!r}; "
                                   f"they read {sorted(mode.options)}")
-        if self.fock_dim < 3:
-            raise ConfigError(f"fock_dim must be >= 3, got {self.fock_dim}")
+        if not _is_truncation(self.fock_dim):
+            raise ConfigError(f"fock_dim must be an integer >= 3, got {self.fock_dim!r}")
         for quantity in sorted(mode.required - setters.keys()):
             keys = [key for key, quantities in _PARAM_KEYS.items() if quantity in quantities]
             raise ConfigError(f"{self.mode} scenarios need {quantity}: set "
@@ -619,9 +624,11 @@ def convergence_check(cfg: ScenarioConfig, fock_dims) -> ConvergenceReport:
     below ``_CONVERGENCE_RTOL`` (0.1%). A point whose g2 is undefined (no
     magnon population) is recorded as nan with an infinite change and fails.
     """
+    fock_dims = list(fock_dims)
+    if (len(fock_dims) < 2 or not all(map(_is_truncation, fock_dims))
+            or len(set(fock_dims)) < len(fock_dims)):
+        raise ConfigError(f"need at least two distinct integer truncations >= 3, got {fock_dims}")
     fock_dims = sorted(fock_dims)
-    if len(fock_dims) < 2 or len(set(fock_dims)) < len(fock_dims) or fock_dims[0] < 3:
-        raise ConfigError(f"need at least two distinct truncations >= 3, got {fock_dims}")
     state = _MODES[cfg.mode].state
     if state is None:
         raise ConfigError(f"{cfg.mode} scenarios have no truncation to converge")

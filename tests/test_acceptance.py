@@ -28,7 +28,7 @@ from magnonblockade.analytic import (
     quartic_coefficients,
     second_derivative,
 )
-from magnonblockade.dynamics import build_liouvillian, evolve, steady_state, steady_state_periodic, unvec, vec
+from magnonblockade.dynamics import build_liouvillian, evolve, steady_state, steady_state_periodic
 from magnonblockade.hilbert import DensityMatrix
 from magnonblockade.model import (
     MHZ,
@@ -39,6 +39,8 @@ from magnonblockade.model import (
 )
 from magnonblockade.observables import g2_from_populations, g2_zero, populations
 from magnonblockade.scenarios import ScenarioConfig, convergence_check
+
+from column_stacking import unvec, vec
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:

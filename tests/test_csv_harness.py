@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import os
+import sys
 
 import pytest
 
@@ -68,3 +69,37 @@ def test_thread_count_mismatch_is_a_difference(tmp_path, capsys):
     assert out[0] == f"OPENBLAS_NUM_THREADS: 1 in {tmp_path / 'a'}, default in {tmp_path / 'b'}"
     assert out[1].startswith("thread counts differ")
     assert "3 rows, 0 changed" in out[2]
+
+
+def test_run_records_the_package_it_imported(tmp_path, monkeypatch):
+    import magnonblockade
+    import magnonblockade.scenarios
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(magnonblockade.scenarios, "built_in_scenarios", lambda: [])
+    csv_harness.run(str(tmp_path / "out"), os.path.join(os.path.dirname(__file__), "..", "src"))
+    assert (csv_harness.package(str(tmp_path / "out"))
+            == os.path.dirname(os.path.abspath(magnonblockade.__file__)))
+    assert csv_harness.threads(str(tmp_path / "out")) != "not recorded"
+
+
+def test_one_package_on_both_sides_is_a_difference(tmp_path, capsys):
+    for side in ("a", "b"):
+        write(tmp_path / side, "s.csv", BASE)
+        (tmp_path / side / "package.txt").write_text("/x/src/magnonblockade\n")
+    assert csv_harness.main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "3 rows, 0 changed" in out[1]
+    assert out[2] == (f"magnonblockade: /x/src/magnonblockade in {tmp_path / 'a'}, "
+                      f"/x/src/magnonblockade in {tmp_path / 'b'}")
+    assert out[3].startswith("both sides ran one package")
+
+
+def test_two_packages_compare_equal(tmp_path, capsys):
+    for side in ("a", "b"):
+        write(tmp_path / side, "s.csv", BASE)
+        (tmp_path / side / "package.txt").write_text(f"/{side}/src/magnonblockade\n")
+    assert csv_harness.main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == (f"magnonblockade: /a/src/magnonblockade in {tmp_path / 'a'}, "
+                       f"/b/src/magnonblockade in {tmp_path / 'b'}")

@@ -16,7 +16,6 @@ from magnonblockade.dynamics import (
     DegenerateKernelError,
     Liouvillian,
     SteadyStateError,
-    TraceDriftError,
     _basis,
     _blocked_kernel,
     _coords,
@@ -36,8 +35,6 @@ from magnonblockade.dynamics import (
     steady_state,
     steady_state_periodic,
     steady_states,
-    unvec,
-    vec,
 )
 from magnonblockade.hilbert import (
     DensityMatrix,
@@ -58,6 +55,8 @@ from magnonblockade.scenarios import (
     parse_config,
     run_scenario,
 )
+
+from column_stacking import unvec, vec
 
 FIG2A = dict(J=20.0 * MHZ, Delta_plus=20.0 * MHZ, Omega_m=0.1 * MHZ,
              Omega_q=0.1 * MHZ, kappa_m=1.0 * MHZ, kappa_q=1.0 * MHZ)
@@ -388,8 +387,7 @@ class TestSteadyState:
     def test_missing_kernel_detected(self):
         p = fig2a_params()
         liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
-        shifted = Liouvillian(real=liouv.real - 0.5 * np.eye(liouv.dim),
-                              hamiltonian=liouv.hamiltonian)
+        shifted = Liouvillian(real=liouv.real - 0.5 * np.eye(liouv.dim))
         with pytest.raises(SteadyStateError, match="no Liouvillian kernel"):
             steady_state(shifted)
 
@@ -662,7 +660,7 @@ class TestBlockedKernel:
         assert isinstance(solved[1], DegenerateKernelError)
         for i in (0, 2):
             assert identical(solved[i][0].matrix,
-                             steady_state(Liouvillian(gens[i], build_h_eff(ps[i]))).matrix)
+                             steady_state(Liouvillian(gens[i])).matrix)
 
     def test_steady_states_match_steady_state(self):
         ps = [fig2a_params(), fig2a_params(kappa_m=0.0, kappa_q=0.0), fig2a_params(Omega_m=0.0),
@@ -680,21 +678,32 @@ class TestBlockedKernel:
         with pytest.raises(ValueError, match="one truncation"):
             steady_states([fig2a_params(), fig7b_params(4)])
 
-    def test_failed_density_check_is_repeated_point_by_point(self, monkeypatch):
-        calls = []
-        check = dynamics_mod._check_densities
+    def test_failed_density_check_decides_only_its_point(self, monkeypatch):
+        # the middle state of a chunk is made to fail the density check: that
+        # point alone gets the check's ValueError, its neighbours their own bits
+        ps = [fig2a_params(), fig2a_params(m_th=0.05), fig2a_params(m_th=0.1)]
+        alone = [steady_state(build_liouvillian(build_h_eff(p), collapse_channels(p))) for p in ps]
+        density = dynamics_mod._density
+        bad = []
 
-        def fail_stacks(m):
-            calls.append(m.shape[0])
-            if m.shape[0] > 1 or len(calls) == 3:
-                raise ValueError("density matrix has negative eigenvalue")
-            check(m)
+        def break_middle(x):
+            rhos = density(x)
+            if len(rhos) == 3:
+                shift = rhos[1, 0, 0].real + 1e-3  # trace kept, one eigenvalue negative
+                rhos[1, 0, 0] -= shift
+                rhos[1, 1, 1] += shift
+                bad.append(rhos[1].copy())
+            return rhos
 
-        monkeypatch.setattr(dynamics_mod, "_check_densities", fail_stacks)
-        solved = steady_states([fig2a_params(), fig2a_params(m_th=0.05), fig2a_params(m_th=0.1)])
-        assert calls == [3, 1, 1, 1]
+        monkeypatch.setattr(dynamics_mod, "_density", break_middle)
+        solved = steady_states(ps)
         assert [isinstance(s, ValueError) for s in solved] == [False, True, False]
-        assert str(solved[1]) == "density matrix has negative eigenvalue"
+        with pytest.raises(ValueError) as err:
+            DensityMatrix(bad[0], ps[1].space).validate()
+        assert "negative eigenvalue" in str(err.value)
+        assert str(solved[1]) == str(err.value)
+        for i in (0, 2):
+            assert identical(solved[i][0].matrix, alone[i].matrix)
 
     def test_mislabelled_bare_magnon_generator_gives_the_dense_state(self):
         # six magnon levels read as qubit(x)3 levels: m moves the label's
@@ -805,27 +814,27 @@ class TestEvolve:
                 pass
             assert np.abs(state.matrix - unvec(v)).max() <= 1e-12
 
-    # a drift just above the 1e-9 trace tolerance is a TraceDriftError too,
-    # not the bare ValueError of DensityMatrix.validate
+    # a drift just above the 1e-9 trace tolerance is reported too, by the
+    # density check of the first sample that drifts
     @pytest.mark.parametrize("leak", [1e-3, 1e-9])
     def test_trace_drift_is_reported(self, monkeypatch, leak):
         import magnonblockade.dynamics as dynamics_mod
 
         def leaky(h, channels):
             liouv = build_liouvillian(h, channels)
-            return Liouvillian(real=liouv.real - leak * np.eye(liouv.dim),
-                               hamiltonian=liouv.hamiltonian)
+            return Liouvillian(real=liouv.real - leak * np.eye(liouv.dim))
 
         monkeypatch.setattr(dynamics_mod, "build_liouvillian", leaky)
         p = fig2a_params(fock_dim=3)
-        with pytest.raises(TraceDriftError) as err:
+        with pytest.raises(ValueError, match="density matrix trace") as err:
             evolve(vacuum(p), p, np.linspace(0.0, 9.0 / p.kappa_m, 3))
-        assert err.value.drift > 1e-9
+        drift = float(re.search(r"deviates from 1 by (\S+)$", str(err.value)).group(1))
+        assert drift > 1e-9
 
 
 class TestRk4Stepper:
-    """The in-place stepper against the allocating loop of ``textbook_rk4``,
-    bit for bit."""
+    """The stepper against the allocating loop of ``textbook_rk4``, bit for
+    bit, and its calls of the generator."""
 
     @staticmethod
     def periodic_generator(p):
@@ -855,7 +864,7 @@ class TestRk4Stepper:
         # samples one RK4 step apart: each is the one-step map times the last
         p = fig2a_params(fock_dim=4)
         liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
-        dt = 0.75 * _max_step(p, liouv.hamiltonian)
+        dt = 0.75 * _max_step(p, build_h_eff(p))
         traj = evolve(vacuum(p), p, dt * np.arange(4))
         prop = textbook_rk4(lambda t: liouv.real, np.eye(liouv.dim), 0.0, dt, 1)[-1]
         x = _coords(vacuum(p).matrix)

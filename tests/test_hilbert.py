@@ -7,6 +7,7 @@ from magnonblockade.hilbert import (
     DensityMatrix,
     HilbertSpace,
     _check_densities,
+    _density_errors,
     dagger,
     embed_qubit,
     fock_annihilation,
@@ -162,3 +163,20 @@ class TestDensityMatrix:
         assert "negative eigenvalue" in str(per_state.value)
         assert str(stacked.value) == str(per_state.value)
         _check_densities(stack[:2])
+
+    def test_stacked_verdicts_are_the_per_state_checks(self):
+        # one pass gives every state of a stack its own verdict
+        rng = np.random.default_rng(8)
+        stack = np.array([random_density(rng, 12) for _ in range(6)])
+        stack[1] = np.diag([1.2, -0.2] + [0.0] * 10)
+        stack[4] *= 1.0 + 3e-9
+        errors = _density_errors(stack)
+        assert [e is None for e in errors] == [True, False, True, True, False, True]
+        for i in (1, 4):
+            with pytest.raises(ValueError) as alone:
+                DensityMatrix(stack[i], HilbertSpace(6)).validate()
+            assert isinstance(errors[i], ValueError)
+            assert str(errors[i]) == str(alone.value)
+        assert "negative eigenvalue" in str(errors[1])
+        assert "trace" in str(errors[4])
+        assert _density_errors(stack[[0, 2]]) == [None, None]

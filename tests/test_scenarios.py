@@ -75,6 +75,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="integer"):
             ScenarioConfig(name="x", mode="time_series", params={}, options=options)
 
+    @pytest.mark.parametrize("fock_dim", [6.0, "6", True, 2])
+    def test_truncation_must_be_an_integer_of_at_least_three(self, fock_dim):
+        with pytest.raises(ConfigError, match="fock_dim must be an integer >= 3"):
+            replace(get_scenario("fig7b"), fock_dim=fock_dim)
+
+    @pytest.mark.parametrize("fock_dims", [[4, 6.0], [4, "6"], [True, 4], [4, 4], [2, 4], [4]])
+    def test_convergence_truncations_must_be_distinct_integers(self, fock_dims):
+        with pytest.raises(ConfigError, match="distinct integer truncations >= 3"):
+            convergence_check(get_scenario("fig7b"), fock_dims)
+
     @pytest.mark.parametrize("mode, options, match", [
         ("periodic", {"steps_per_period": 64}, "unknown option"),
         ("steady", {"kappa_t_max": 5.0}, "do not read"),
@@ -899,6 +909,14 @@ class TestTimeSeriesRows:
         # g2 of the vacuum is undefined and that of |g, 1> is 0: no log10 either way
         assert cols["log10_g2"][0] is None
         assert all(v is not None for v in cols["log10_g2"][1:])
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the powered RK4 map pushes the g1 trajectory below the -1e-9 "
+                              "eigenvalue floor at fock_dim 3 (ROADMAP item 1)")
+    def test_g1_trajectory_at_three_levels_has_no_error_row(self):
+        result = run_scenario(replace(get_scenario("fig11"), fock_dim=3))
+        errors = {row[-1] for row in result.rows}
+        assert errors == {None}
 
     def test_undriven_series_has_no_log10_g2(self):
         user = dict(FIG2A_USER, Omega_m_over_2pi_MHz=0.0)

@@ -10,13 +10,16 @@ as they are. The program comes from ``src/`` of this checkout, or from the
 ``src`` directory named by ``--src`` (a checkout of the parent commit, say).
 Cells depend on the BLAS thread count, so run both sides with the same
 ``OPENBLAS_NUM_THREADS``; ``run`` records its value, or ``default`` when it
-is unset, in DIR/threads.txt.
+is unset, in DIR/threads.txt, and the directory it imported
+``magnonblockade`` from in DIR/package.txt.
 
 ``compare`` prints both recorded thread counts, then one line per CSV: the
 rows changed, the rows changed outside ``residual_inf``, the largest
 |difference| in each log10 column and in ``residual_inf``, and the largest
-relative |difference| in P0-P3. It exits with status 1 if the thread counts
-differ, any row differs or a CSV is missing on one side.
+relative |difference| in P0-P3; last, both recorded package directories. It
+exits with status 1 if the thread counts differ, any row differs, a CSV is
+missing on one side or both sides recorded the same package directory, as a
+program compared with itself shows nothing.
 """
 
 from __future__ import annotations
@@ -30,17 +33,21 @@ GRID = 7
 _POPULATIONS = ("P0", "P1", "P2", "P3")
 _RESIDUAL = "residual_inf"
 _THREADS = "threads.txt"
+_PACKAGE = "package.txt"
 
 
 def run(out_dir: str, src: str) -> None:
     """Write every scenario's CSV into ``out_dir``."""
     sys.path.insert(0, os.path.abspath(src))
+    import magnonblockade
     from magnonblockade import cli
     from magnonblockade.scenarios import built_in_scenarios
 
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, _THREADS), "w") as fh:
         fh.write(os.environ.get("OPENBLAS_NUM_THREADS", "default") + "\n")
+    with open(os.path.join(out_dir, _PACKAGE), "w") as fh:
+        fh.write(os.path.dirname(os.path.abspath(magnonblockade.__file__)) + "\n")
     for cfg in built_in_scenarios():
         grid = ["--grid", str(GRID)] if any(ax.linspace is not None for ax in cfg.axes) else []
         path = os.path.join(out_dir, f"{cfg.name}.csv")
@@ -110,18 +117,29 @@ def _line(name: str, report: dict | None) -> str:
     return "; ".join(parts)
 
 
-def threads(directory: str) -> str:
-    """The OPENBLAS_NUM_THREADS value ``run`` recorded in ``directory``."""
+def _recorded(directory: str, name: str) -> str | None:
     try:
-        with open(os.path.join(directory, _THREADS)) as fh:
+        with open(os.path.join(directory, name)) as fh:
             return fh.read().strip()
     except FileNotFoundError:
-        return "not recorded"
+        return None
+
+
+def threads(directory: str) -> str:
+    """The OPENBLAS_NUM_THREADS value ``run`` recorded in ``directory``."""
+    return _recorded(directory, _THREADS) or "not recorded"
+
+
+def package(directory: str) -> str | None:
+    """The directory ``run`` imported magnonblockade from, as recorded in
+    ``directory``, or None."""
+    return _recorded(directory, _PACKAGE)
 
 
 def compare(dir_a: str, dir_b: str) -> bool:
-    """Print the thread counts and one line per CSV in either directory; True
-    if the thread counts and all rows agree."""
+    """Print the thread counts, one line per CSV in either directory and the
+    package directories; True if the thread counts and all rows agree and
+    the two sides did not record one package directory."""
     counts = [threads(d) for d in (dir_a, dir_b)]
     print(f"OPENBLAS_NUM_THREADS: {counts[0]} in {dir_a}, {counts[1]} in {dir_b}")
     same = counts[0] == counts[1]
@@ -134,6 +152,12 @@ def compare(dir_a: str, dir_b: str) -> bool:
         print(_line(name[:-len(".csv")], report))
         same = same and report is not None and not report["shape_differs"] \
             and report["changed"] == 0
+    packages = [package(d) for d in (dir_a, dir_b)]
+    print(f"magnonblockade: {packages[0] or 'not recorded'} in {dir_a}, "
+          f"{packages[1] or 'not recorded'} in {dir_b}")
+    if packages[0] is not None and packages[0] == packages[1]:
+        print("both sides ran one package: the comparison shows nothing")
+        return False
     return same
 
 
