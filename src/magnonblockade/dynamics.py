@@ -2,16 +2,18 @@
 Hermitian basis, direct steady state, fixed-step time evolution,
 and the period-averaged steady state of the periodically driven
 (longitudinal-coupling) problem. Both steady states are the unit-trace kernel
-vector of a generator. The static generator is block tridiagonal when the
-coordinates are grouped by excitation number, and its kernel is found by
-block elimination in that ordering, with one stacked solve per level for a
-whole stack of generators: ``_steady_stack`` solves one point or a chunk of
-sweep points, gathers the level rows from the dense generators and takes
-each residual from them. The periodic state's generator is the
-period-averaged one, G = L0 + 2 Re(L- S_1), reduced from the Fourier
-harmonics of the state by a matrix continued fraction; G is dense, and its
-kernel comes from a bordered LU solve of the whole matrix, which is also the
-static fallback. Every trajectory is a power of one RK4 step of the static
+vector of a generator. A Liouvillian is held as its entries, (index, value)
+pairs from a cached plan, and forms its dense matrix only when that is read.
+The static generator is block tridiagonal when the coordinates are grouped
+by excitation number, and its kernel is found by block elimination in that
+ordering, with one stacked solve per level for a whole stack of generators:
+``_steady_stack`` solves one point or a chunk of sweep points, forms their
+level rows and row 0 straight from the entries with one ``np.bincount`` and
+takes each residual from them; no D x D generator is formed on that path.
+The periodic state's generator is the period-averaged one,
+G = L0 + 2 Re(L- S_1), reduced from the Fourier harmonics of the state by a
+matrix continued fraction; G is dense, and its kernel comes from a bordered
+LU solve of the whole matrix, which is also the static fallback. Every trajectory is a power of one RK4 step of the static
 generator; the same textbook RK4 loop over a drive period gives the periodic
 state's reference. Every solver works in float64, apart from the complex
 harmonic recursion.
@@ -130,20 +132,37 @@ def _density(x: np.ndarray) -> np.ndarray:
     return rho
 
 
-@dataclass(frozen=True)
 class Liouvillian:
-    """Master-equation generator: ``real`` is the float64 D x D matrix of L in
-    Hermitian coordinates (D = d^2), the form every solver uses."""
+    """Master-equation generator L in Hermitian coordinates (D = d^2), held as
+    entries: ``weight[i]`` adds to the entry ``layout.target[i]`` of the
+    float64 D x D matrix ``real``, the entries of one target in order.
+    ``real``, the form of the dense solvers, is formed on first read; the
+    static steady solve reads the entries straight into level rows (see
+    ``_band_rows``). ``Liouvillian(real)`` holds the dense matrix it is given,
+    with its nonzeros as the entries."""
 
-    real: np.ndarray
+    def __init__(self, real: np.ndarray | None = None, *, layout: _Layout | None = None,
+                 weight: np.ndarray | None = None):
+        if real is not None:
+            target = np.flatnonzero(real)
+            layout, weight = _Layout(math.isqrt(real.shape[0]), target), real.ravel()[target]
+            self.real = real
+        self.layout = layout
+        self.weight = weight
+
+    @functools.cached_property
+    def real(self) -> np.ndarray:
+        """The float64 D x D matrix of L, from one ``np.bincount`` of the entries."""
+        dim = self.dim
+        return np.bincount(self.layout.target, self.weight, minlength=dim * dim).reshape(dim, dim)
 
     @property
     def dim(self) -> int:
-        return self.real.shape[0]
+        return self.layout.d ** 2
 
     @property
     def hilbert_dim(self) -> int:
-        return math.isqrt(self.dim)
+        return self.layout.d
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -157,10 +176,24 @@ class Liouvillian:
                 out += basis.coefs[:, s, None] * block * basis.coefs[None, :, t].conj()
         return out
 
+    @functools.cached_property
+    def _rows(self) -> np.ndarray:
+        """The (1, S) level rows, row 0 and out-of-band sums of ``_group_rows``,
+        kept for the residual of the state ``steady_state`` returns."""
+        return _group_rows(self.layout, [self.weight])
+
     def residual(self, rho: np.ndarray) -> float:
         """max|L x| of the Hermitian d x d matrix ``rho`` in Hermitian coordinates x,
-        the quantity the steady-state solve checks."""
-        return float(np.abs(self.real @ _coords(rho)).max())
+        the quantity the steady-state solve checks: from the level rows and
+        row 0 by ``_residuals``, with the bits of the steady solve's, or from
+        the dense L where L has a nonzero outside them (or d is odd)."""
+        x = _coords(rho)
+        d = self.hilbert_dim
+        if d % 2 == 0:
+            rows, in_band = _band_rows([self], d // 2)
+            if in_band[0]:
+                return float(_residuals(rows, x[None], d // 2)[0])
+        return float(np.abs(self.real @ x).max())
 
 
 @dataclass
@@ -183,10 +216,25 @@ class Trajectory:
 _PLAN_CACHE_SIZE = 8  # nonzero patterns whose plans are kept; a sweep uses one to three
 
 
+class _Layout:
+    """Where the entries of a Liouvillian go: ``target``, the flat index of
+    each entry in the D x D real matrix, and, on first read, ``slots``."""
+
+    def __init__(self, d: int, target: np.ndarray):
+        self.d = d
+        self.target = target
+
+    @functools.cached_property
+    def slots(self) -> tuple[np.ndarray, int]:
+        """Each entry's slot in a point's level-row vector of
+        ``_excitation_blocks(d // 2)`` and the vector's length (d even)."""
+        return _band_slots(self.d // 2, self.target)
+
+
 class _Plan(NamedTuple):
     source: np.ndarray  # (n,): index into the values of ``_entry_values`` of each kept entry
     coef: np.ndarray  # (n, 2, 2): conj(U[row, s]) U[col, t], the factor of each value in slot (s, t)
-    target: np.ndarray  # (4 n,): flat index of the real matrix each (entry, s, t) adds to
+    layout: _Layout  # target (4 n,): flat index of the real matrix each (entry, s, t) adds to
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -198,7 +246,8 @@ def _liouvillian_plan(d: int, pattern: bytes, channel_patterns: tuple) -> _Plan:
     The column-stacked nonzeros of I kron K, conj(K) kron I and each conj(C)
     kron C come in that order; of them, those in a row for rho[a, b] with
     a <= b are kept, and each goes through the coordinate table of ``_basis``
-    to four (row, column) slots of the real matrix.
+    to four (row, column) entries of the real matrix. The layout maps each
+    of them to its slot in the level rows when a steady solve first asks.
     """
     span = d * np.arange(d)
     a, c = np.nonzero(np.frombuffer(pattern, dtype=bool).reshape(d, d))
@@ -225,7 +274,8 @@ def _liouvillian_plan(d: int, pattern: bytes, channel_patterns: tuple) -> _Plan:
     # row alone, at weight 1, gives both.
     target = basis.coords[rows][:, :, None] * (d * d) + basis.coords[cols][:, None, :]
     coef = basis.coefs[rows].conj()[:, :, None] * basis.coefs[cols][:, None, :]
-    return _Plan(*_read_only(source, coef, target.ravel()))
+    source, coef, target = _read_only(source, coef, target.ravel())
+    return _Plan(source, coef, _Layout(d, target))
 
 
 def _entry_values(k: np.ndarray, k_nonzero: np.ndarray, channels, nonzeros) -> np.ndarray:
@@ -250,8 +300,9 @@ def build_liouvillian(h: np.ndarray, channels) -> Liouvillian:
     is formed. L preserves Hermiticity, so the row for rho[b, a] is the
     conjugate of the row for rho[a, b] and adds the same real parts. Where
     each nonzero goes depends only on the nonzero patterns, so it comes from
-    the cached ``_liouvillian_plan``; a call forms the values, their products
-    with the plan's coefficients and one ``np.bincount``.
+    the cached ``_liouvillian_plan``; a call forms the values and their
+    products with the plan's coefficients, the Liouvillian's entries. The
+    dense matrix is their ``np.bincount``, formed only where it is read.
     """
     d = h.shape[0]
     if h.shape != (d, d):
@@ -268,9 +319,7 @@ def build_liouvillian(h: np.ndarray, channels) -> Liouvillian:
     plan = _liouvillian_plan(d, k_nonzero.tobytes(), tuple(x.tobytes() for x in nonzeros))
     values = _entry_values(k, k_nonzero, channels, nonzeros)[plan.source]
     weight = plan.coef * values[:, None, None]
-    dim = d * d
-    real = np.bincount(plan.target, weight.real.ravel(), minlength=dim * dim)
-    return Liouvillian(real=real.reshape(dim, dim))
+    return Liouvillian(layout=plan.layout, weight=weight.real.ravel())
 
 
 @functools.lru_cache(maxsize=None)
@@ -369,10 +418,12 @@ def _kernel_state(gen: np.ndarray, d: int) -> np.ndarray:
 class _Blocks(NamedTuple):
     index: tuple  # per block, its coordinates; coordinate 0 is left out of block 0
     columns: tuple  # per block b, the coordinates of blocks b-1, b, b+1, then 0
-    gather: tuple  # per block, flat indices into gen of its rows at ``columns``
     widths: tuple  # per block, (size of block b-1, size of block b)
     probe: tuple  # per block, its rows of _condition_probe(D - 1) as one column
     probe_norm: float  # ||_condition_probe(D - 1)||_1
+    offsets: np.ndarray  # (N + 2,): per block, the first slot of its rows; then row 0's
+    level: np.ndarray  # (D,): the block of each coordinate
+    position: np.ndarray  # (D,): the place of each coordinate in its block's ``index``
 
 
 @functools.lru_cache(maxsize=None)
@@ -382,7 +433,10 @@ def _excitation_blocks(n: int) -> _Blocks:
     tridiagonal. State i = q N + n' carries e_i = q + n' excitations; the
     coordinate (i, j) goes to block floor((e_i + e_j)/2), which gives N + 1
     blocks. A Hamiltonian term changes e_i + e_j by at most 1 and a C rho C'
-    term of m, m' or sigma- by 2, so no entry couples blocks further apart."""
+    term of m, m' or sigma- by 2, so no entry couples blocks further apart.
+
+    A point's level rows are one vector: block b's rows at its ``columns``,
+    row-major from ``offsets[b]``, then row 0 of L from ``offsets[-1]``."""
     d = 2 * n
     e = np.add.outer(np.arange(2), np.arange(n)).ravel()
     rows, cols = _basis(d).upper
@@ -390,31 +444,113 @@ def _excitation_blocks(n: int) -> _Blocks:
     level = np.concatenate([e, pair, pair])
     index = [np.flatnonzero(level == b) for b in range(n + 1)]
     index[0] = index[0][1:]
+    position = np.zeros(d * d, dtype=np.intp)
     probe = _condition_probe(d * d - 1)
     empty = np.zeros(0, dtype=np.intp)
-    columns, gather, widths = [], [], []
+    columns, widths = [], []
     for b, idx in enumerate(index):
+        position[idx] = np.arange(idx.size)
         lower = index[b - 1] if b else empty
         upper = index[b + 1] if b < n else empty
         columns.append(np.concatenate([lower, idx, upper, [0]]))
-        gather.append(idx[:, None] * (d * d) + columns[-1])
         widths.append((lower.size, idx.size))
-    return _Blocks(_read_only(*index), _read_only(*columns), _read_only(*gather), tuple(widths),
+    offsets = np.cumsum([0] + [idx.size * c.size for idx, c in zip(index, columns)])
+    return _Blocks(_read_only(*index), _read_only(*columns), tuple(widths),
                    _read_only(*(probe[idx - 1][:, None] for idx in index)),
-                   float(np.abs(probe).sum()))
+                   float(np.abs(probe).sum()), *_read_only(offsets, level, position))
+
+
+def _band_slots(n: int, target: np.ndarray) -> tuple[np.ndarray, int]:
+    """Slot of each flat D x D index of ``target`` in a level-row vector of
+    ``_excitation_blocks(n)``, and the vector's length. An entry of row 0
+    goes to row 0's slots; one outside every block's columns goes to one of
+    the slots after those, one per distinct target, whose sums a point in
+    the band leaves at zero. Only tables of D positions are indexed."""
+    blocks = _excitation_blocks(n)
+    dim = 4 * n * n
+    row, col = np.divmod(target, dim)
+    b = blocks.level[row]
+    shift = blocks.level[col] - b
+    lower, size = (np.array(w)[b] for w in zip(*blocks.widths))
+    width = np.array([c.size for c in blocks.columns])[b]
+    place = blocks.position[col] + np.where(shift < 0, 0, lower) + np.where(shift > 0, size, 0)
+    place[col == 0] = width[col == 0] - 1
+    slot = blocks.offsets[b] + blocks.position[row] * width + place
+    top = row == 0
+    slot[top] = blocks.offsets[-1] + col[top]
+    band = blocks.offsets[-1] + dim
+    outside = ~top & (col != 0) & (np.abs(shift) > 1)
+    distinct, slot[outside] = np.unique(target[outside], return_inverse=True)
+    slot[outside] += band
+    return _read_only(slot)[0], band + distinct.size
 
 
 _CHUNK_POINTS = 16  # most static points that share one stacked elimination
-_CHUNK_BYTES = 1 << 20  # most bytes of level rows that one chunk's elimination gathers
+_CHUNK_BYTES = 1 << 20  # most bytes of level rows that one chunk's elimination reads
 
 
 def _chunk_size(n: int) -> int:
     """Points of truncation ``n`` that ``steady_states`` should be given at
     once: 10 at N = 6, and 1 from N = 11 up, where the level rows of two
-    points pass the byte budget. The chunk also holds its generators, about
-    1.7 times the bytes of their level rows at N = 6."""
-    rows = sum(g.size for g in _excitation_blocks(n).gather)
+    points pass the byte budget. A chunk holds its level rows, one
+    (k, slots) array, and each point's entries, about a quarter of those
+    bytes at N = 6; no D x D generator."""
+    rows = int(_excitation_blocks(n).offsets[-1])
     return max(1, min(_CHUNK_POINTS, _CHUNK_BYTES // (8 * rows)))
+
+
+def _group_rows(layout: _Layout, weights: list) -> np.ndarray:
+    """The (k, S) level-row vectors of k Liouvillians of one layout with the
+    entries ``weights``, from one ``np.bincount``. Each slot sums the same
+    entries in the same order as the dense matrix's entry, so the level rows
+    are the dense matrix's, bit for bit."""
+    slot, size = layout.slots
+    k = len(weights)
+    flat = (np.arange(k)[:, None] * size + slot).ravel() if k > 1 else slot
+    return np.bincount(flat, np.concatenate(weights), minlength=k * size).reshape(k, size)
+
+
+def _band_rows(liouvs: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, S') level rows and row 0 of a stack of Liouvillians with N =
+    ``n``, one ``_group_rows`` per layout (that of a stack of one is kept
+    with its Liouvillian), and the mask of those with no nonzero outside
+    them."""
+    band = int(_excitation_blocks(n).offsets[-1]) + 4 * n * n
+    groups = {}
+    for i, liouv in enumerate(liouvs):
+        groups.setdefault(id(liouv.layout), []).append(i)
+    if len(groups) == 1:
+        rows = liouvs[0]._rows if len(liouvs) == 1 else _group_rows(
+            liouvs[0].layout, [liouv.weight for liouv in liouvs])
+        return rows, ~rows[:, band:].any(axis=1)
+    rows, in_band = np.empty((len(liouvs), band)), np.empty(len(liouvs), dtype=bool)
+    for members in groups.values():
+        group = _group_rows(liouvs[members[0]].layout, [liouvs[i].weight for i in members])
+        rows[members] = group[:, :band]
+        in_band[members] = ~group[:, band:].any(axis=1)
+    return rows, in_band
+
+
+def _levels(rows: np.ndarray, n: int) -> list:
+    """Per block, the (k, s_b, c_b) view of its rows in a stack of level-row
+    vectors, the input of ``_blocked_kernel``."""
+    blocks = _excitation_blocks(n)
+    return [rows[:, start:start + idx.size * columns.size].reshape(-1, idx.size, columns.size)
+            for start, idx, columns in zip(blocks.offsets, blocks.index, blocks.columns)]
+
+
+def _residuals(rows: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """max|L x| of each point of a stack of level-row vectors, at its
+    coordinates x, from its level rows and row 0: the residual of the steady
+    solve, for one point or a chunk, and of ``Liouvillian.residual``, with
+    the same bits for a point whatever the stack."""
+    blocks = _excitation_blocks(n)
+    top = rows[:, blocks.offsets[-1]:blocks.offsets[-1] + 4 * n * n]
+    image = np.empty(x.shape)  # L x, row 0 and then each block's rows
+    image[:, :1] = (top[:, None, :] @ x[:, :, None])[:, 0]
+    for level, idx, columns in zip(_levels(rows, n), blocks.index, blocks.columns):
+        image[:, idx] = (level @ x[:, columns, None])[:, :, 0]
+    return np.abs(image).max(axis=1)
 
 
 def _blocked_kernel(levels, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -425,7 +561,7 @@ def _blocked_kernel(levels, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     ``levels`` gives, per block b, the (..., s_b, c_b) rows [A_b | B_b | C_b
     | gen[:, 0]] of the generators at ``_Blocks.columns[b]``, the leading
-    axes being the stack's, from ``_gather_levels``.
+    axes being the stack's, from ``_levels``.
     With x_0 = 1 and row 0 dropped (the trace row of gen is zero, so row 0
     depends on the others), the reduced matrix M, gen without row and
     column 0, solves M y = -gen[1:, 0]. M is nonsingular exactly when the
@@ -437,8 +573,9 @@ def _blocked_kernel(levels, n: int) -> tuple[np.ndarray, np.ndarray]:
     Returns x, (..., D), and the mask of the states the elimination vouches
     for: those with ||M||_1 ||M^-1 p||_1 / ||p||_1 at most 1/_KERNEL_RTOL. A
     singular block raises LinAlgError for the whole stack. The residual
-    max|gen x|, which also catches entries outside the band, is the check
-    of ``_steady_stack``. No D x D array is formed.
+    max|gen x| of ``_residuals`` is the check of ``_steady_stack``, which
+    also sends a point with an entry outside the band to the dense solve.
+    No D x D array is formed.
     """
     blocks = _excitation_blocks(n)
     colsum = None
@@ -471,46 +608,43 @@ def _blocked_kernel(levels, n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, vouched
 
 
-def _gather_levels(gens: np.ndarray, n: int):
-    """The level rows that ``_blocked_kernel`` reads, gathered lazily from a
-    (k, D, D) stack of generators. A stack of one gathers from its flat
-    generator, in 2/3 of the time of a gather along the entry axis at N = 12."""
-    entries = gens.reshape(len(gens), -1)
-    for g in _excitation_blocks(n).gather:
-        yield entries[0][g][None] if len(gens) == 1 else np.take(entries, g, axis=1)
+def _steady_stack(liouvs: list, n: int) -> list:
+    """Per Liouvillian of a stack of static generators with N = ``n`` Fock
+    states, its steady state and residual max|L x|, as (DensityMatrix,
+    float), or the exception that decides it.
 
-
-def _steady_stack(gens: np.ndarray, n: int) -> list:
-    """Per generator of a (k, D, D) stack of static generators with N = ``n``
-    Fock states, its steady state and residual max|L x|, as (DensityMatrix,
-    float), or the exception that decides it. One stacked ``_blocked_kernel``
-    serves the stack, or each point alone where a block is singular. Each
-    residual comes from the point's own L, which catches entries outside the
-    band too. ``_kernel_state`` solves every point the elimination does not
-    vouch for or whose residual fails; whatever it raises is that point's
-    result. One stacked ``_density_errors`` pass gives each state its
-    verdict: a point whose state fails gets that ValueError."""
-    k = len(gens)
+    The level rows of the stack come straight from the entries
+    (``_band_rows``), and one stacked ``_blocked_kernel`` serves the stack,
+    or each point alone where a block is singular. Each residual comes from
+    ``_residuals``, as ``Liouvillian.residual`` takes it. A point with a
+    nonzero outside the level rows, or one the elimination does not vouch
+    for or whose residual fails, is solved by ``_kernel_state`` from its
+    dense L, the one place a D x D generator is formed, and takes its
+    residual from ``Liouvillian.residual``; whatever the solve raises is the
+    point's result. One stacked
+    ``_density_errors`` pass gives each state its verdict: a point whose
+    state fails gets that ValueError."""
+    k = len(liouvs)
+    rows, in_band = _band_rows(liouvs, n)
     try:
-        x, vouched = _blocked_kernel(_gather_levels(gens, n), n)
+        x, vouched = _blocked_kernel(_levels(rows, n), n)
     except np.linalg.LinAlgError:
-        x, vouched = np.empty(gens.shape[:2]), np.zeros(k, dtype=bool)
+        x, vouched = np.zeros((k, 4 * n * n)), np.zeros(k, dtype=bool)
         for i in range(k):
             try:
-                x[i:i + 1], vouched[i:i + 1] = _blocked_kernel(_gather_levels(gens[i:i + 1], n), n)
+                x[i:i + 1], vouched[i:i + 1] = _blocked_kernel(_levels(rows[i:i + 1], n), n)
             except np.linalg.LinAlgError:
                 pass
-    results = [None] * k
+    ok = vouched & in_band
     residual = np.full(k, np.inf)
-    for i, gen in enumerate(gens):
-        if vouched[i]:
-            residual[i] = np.abs(gen @ x[i]).max()
-        if not residual[i] <= _RESIDUAL_TOL:
-            try:
-                x[i] = _kernel_state(gen, 2 * n)
-                residual[i] = np.abs(gen @ x[i]).max()
-            except Exception as exc:  # the point's result; the rest of the stack goes on
-                results[i] = exc
+    residual[ok] = _residuals(rows, x, n) if ok.all() else _residuals(rows[ok], x[ok], n)
+    results = [None] * k
+    for i in np.flatnonzero(~(residual <= _RESIDUAL_TOL)):
+        try:
+            x[i] = _kernel_state(liouvs[i].real, 2 * n)
+            residual[i] = liouvs[i].residual(_density(x[i]))
+        except Exception as exc:  # the point's result; the rest of the stack goes on
+            results[i] = exc
     solved = [i for i, result in enumerate(results) if result is None]
     rhos = _density(x[solved])
     space = HilbertSpace(n)
@@ -526,7 +660,7 @@ def steady_state(liouv: Liouvillian) -> DensityMatrix:
     d = liouv.hilbert_dim
     if d % 2:
         raise ValueError(f"odd dimension {d} cannot be a composite space")
-    (result,) = _steady_stack(liouv.real[None], d // 2)
+    (result,) = _steady_stack([liouv], d // 2)
     if isinstance(result, Exception):
         raise result
     return result[0]
@@ -534,9 +668,9 @@ def steady_state(liouv: Liouvillian) -> DensityMatrix:
 
 def steady_states(params) -> list:
     """Steady states of a chunk of static problems of one truncation N, from
-    one ``_steady_stack`` of their Liouvillians, each built into one
-    preallocated (k, D, D) stack: per point of ``params``, its
-    (DensityMatrix, residual max|L x|) or the exception ``steady_state``
+    one ``_steady_stack`` of their Liouvillians, whose level rows it forms
+    with one ``np.bincount`` per nonzero pattern: per point of ``params``,
+    its (DensityMatrix, residual max|L x|) or the exception ``steady_state``
     would raise for it."""
     params = list(params)
     if not params:
@@ -544,11 +678,7 @@ def steady_states(params) -> list:
     n = params[0].space.fock_dim
     if any(p.space.fock_dim != n for p in params):
         raise ValueError("steady_states needs one truncation for the whole chunk")
-    dim = 4 * n * n
-    gens = np.empty((len(params), dim, dim))
-    for gen, p in zip(gens, params):
-        gen[...] = build_liouvillian(build_h_eff(p), collapse_channels(p)).real
-    return _steady_stack(gens, n)
+    return _steady_stack([build_liouvillian(build_h_eff(p), collapse_channels(p)) for p in params], n)
 
 
 def _periodic_parts(p: SystemParams):

@@ -79,16 +79,28 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _density_errors(m: np.ndarray) -> list:
     """Per matrix of a (k, d, d) stack, the ValueError of the first check it
-    fails, of hermiticity, unit trace and numerical positive semidefiniteness
-    against ``_HERM_TOL``, ``_TRACE_TOL`` and ``_EIG_FLOOR``, or None."""
+    fails, of finite entries, hermiticity, unit trace and numerical positive
+    semidefiniteness against ``_HERM_TOL``, ``_TRACE_TOL`` and
+    ``_EIG_FLOOR``, or None. The eigenvalues are taken of the finite
+    matrices only."""
     mh = m.conj().swapaxes(-1, -2)
-    herm = np.abs(m - mh).max(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite matrix
+        herm = np.abs(m - mh).max(axis=(-2, -1))
+    # m[i, j] - conj(m[j, i]) is not finite where either entry is not, so
+    # neither is the largest deviation
+    finite = np.isfinite(herm)
     tr = np.trace(m, axis1=-2, axis2=-1)
-    lowest = np.linalg.eigvalsh((m + mh) / 2).min(axis=-1)
+    if finite.all():
+        lowest = np.linalg.eigvalsh((m + mh) / 2).min(axis=-1)
+    else:
+        lowest = np.zeros(len(m))
+        lowest[finite] = np.linalg.eigvalsh((m[finite] + mh[finite]) / 2).min(axis=-1)
     errors = [None] * len(m)
-    for i in np.flatnonzero((herm > _HERM_TOL) | (abs(tr - 1.0) > _TRACE_TOL)
+    for i in np.flatnonzero(~finite | (herm > _HERM_TOL) | (abs(tr - 1.0) > _TRACE_TOL)
                             | (lowest < _EIG_FLOOR)):
-        if herm[i] > _HERM_TOL:
+        if not finite[i]:
+            errors[i] = ValueError("density matrix has non-finite entries")
+        elif herm[i] > _HERM_TOL:
             errors[i] = ValueError(f"density matrix not Hermitian: max deviation {herm[i]:.3e}")
         elif abs(tr[i] - 1.0) > _TRACE_TOL:
             errors[i] = ValueError(
@@ -114,8 +126,8 @@ class DensityMatrix:
     space: HilbertSpace
 
     def validate(self) -> "DensityMatrix":
-        """Check hermiticity, unit trace and numerical positive semidefiniteness
-        against ``_HERM_TOL``, ``_TRACE_TOL`` and ``_EIG_FLOOR``."""
+        """Check finite entries, hermiticity, unit trace and numerical positive
+        semidefiniteness against ``_HERM_TOL``, ``_TRACE_TOL`` and ``_EIG_FLOOR``."""
         m = self.matrix
         d = self.space.total_dim
         if m.shape != (d, d):

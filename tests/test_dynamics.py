@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import re
@@ -16,6 +17,7 @@ from magnonblockade.dynamics import (
     DegenerateKernelError,
     Liouvillian,
     SteadyStateError,
+    _band_rows,
     _basis,
     _blocked_kernel,
     _coords,
@@ -23,6 +25,7 @@ from magnonblockade.dynamics import (
     _excitation_blocks,
     _harmonic_system,
     _kernel_state,
+    _levels,
     _liouvillian_plan,
     _max_step,
     _one_period_maps,
@@ -545,10 +548,42 @@ def block_spread(gen, fock_dim):
 
 def dense_levels(gens, fock_dim):
     """The per-block rows ``_blocked_kernel`` reads, gathered from each dense
-    generator of a stack on its own and stacked: the reference for the
-    stacked gather of ``_steady_stack``."""
-    return [np.stack([gen.ravel()[g] for gen in gens])
-            for g in _excitation_blocks(fock_dim).gather]
+    generator of a stack at the coordinates of ``_excitation_blocks`` and
+    stacked: the reference for the level rows that ``_band_rows`` forms
+    straight from the entries."""
+    blocks = _excitation_blocks(fock_dim)
+    return [np.stack([gen[np.ix_(idx, columns)] for gen in gens])
+            for idx, columns in zip(blocks.index, blocks.columns)]
+
+
+def assert_rows_are_the_dense_rows(liouvs, fock_dim):
+    """The level rows and row 0 that ``_band_rows`` forms from the entries of
+    a stack of Liouvillians equal, bit for bit, those gathered from each
+    dense matrix."""
+    rows, in_band = _band_rows(liouvs, fock_dim)
+    assert in_band.all()
+    gens = [liouv.real for liouv in liouvs]
+    for level, dense in zip(_levels(rows, fock_dim), dense_levels(gens, fock_dim), strict=True):
+        assert identical(level, dense)
+    start = _excitation_blocks(fock_dim).offsets[-1]
+    assert identical(rows[:, start:start + gens[0].shape[0]], np.stack([gen[0] for gen in gens]))
+
+
+@pytest.fixture
+def dense_reads(monkeypatch):
+    """The Liouvillians that form their dense matrix from their entries while
+    the test runs, in order."""
+    formed = []
+    form = Liouvillian.real.func
+
+    def counted(liouv):
+        formed.append(liouv)
+        return form(liouv)
+
+    real = functools.cached_property(counted)
+    real.__set_name__(Liouvillian, "real")
+    monkeypatch.setattr(Liouvillian, "real", real)
+    return formed
 
 
 def blocked_against_dense(gen, fock_dim):
@@ -616,6 +651,53 @@ class TestBlockedKernel:
         for gen in generators:
             assert block_spread(gen, cfg.fock_dim) <= 1
 
+    @settings(max_examples=30, deadline=None)
+    @given(random_params())
+    def test_level_rows_are_the_dense_rows(self, p):
+        liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
+        assert_rows_are_the_dense_rows([liouv], p.space.fock_dim)
+
+    @pytest.mark.parametrize("fock_dim", [12, 20])
+    def test_level_rows_are_the_dense_rows_at_large_truncations(self, fock_dim):
+        p = fig7b_params(fock_dim)
+        assert_rows_are_the_dense_rows([build_liouvillian(build_h_eff(p), collapse_channels(p))],
+                                       fock_dim)
+
+    def test_level_rows_of_a_chunk_of_mixed_patterns(self):
+        """m_th = 0, m_th > 0 and Omega_q = 0 give three nonzero patterns (kappa
+        = 0 keeps its channels, at rate 0), so the chunk's rows come from one
+        bincount per pattern; each point's rows are its dense rows, and the
+        singular kappa = 0 point leaves its neighbours the bits of their own
+        solves."""
+        ps = [fig2a_params(), fig2a_params(m_th=0.05), fig2a_params(kappa_q=0.3 * MHZ),
+              fig2a_params(Omega_q=0.0), fig2a_params(kappa_m=0.0, kappa_q=0.0)]
+        liouvs = [build_liouvillian(build_h_eff(p), collapse_channels(p)) for p in ps]
+        assert len({id(liouv.layout) for liouv in liouvs}) == 3
+        assert_rows_are_the_dense_rows(liouvs, 6)
+        solved = _steady_stack(liouvs, 6)
+        assert isinstance(solved[4], DegenerateKernelError)
+        for i in range(4):
+            alone = steady_state(Liouvillian(liouvs[i].real))
+            assert identical(solved[i][0].matrix, alone.matrix)
+
+    @pytest.mark.parametrize("name", [cfg.name for cfg in built_in_scenarios()
+                                      if cfg.mode in ("steady", "roots")])
+    def test_static_point_forms_no_dense_generator(self, dense_reads, name):
+        result = run_scenario(first_point(get_scenario(name)))
+        assert not any(result.column("error"))
+        assert dense_reads == []
+
+    def test_large_truncation_sweep_forms_no_dense_generator(self, dense_reads):
+        result = run_scenario(replace(get_scenario("fig7b").with_grid(3), fock_dim=12))
+        assert len(result.rows) == 3 and not any(result.column("error"))
+        assert dense_reads == []
+
+    def test_out_of_band_generator_forms_its_dense_matrix(self, dense_reads):
+        liouv, space = cubic_generator()
+        rho = steady_state(liouv)
+        assert dense_reads == [liouv]
+        assert identical(rho.matrix, _density(_kernel_state(liouv.real, space.total_dim)))
+
     def test_out_of_band_generator_falls_back(self):
         liouv, space = cubic_generator()
         assert block_spread(liouv.real, space.fock_dim) == 2
@@ -627,8 +709,7 @@ class TestBlockedKernel:
     def test_stacked_solve_flags_only_the_out_of_band_generator(self):
         liouv, space = cubic_generator()
         regular = build_liouvillian(build_h_eff(fig2a_params()), collapse_channels(fig2a_params()))
-        (cubic, cubic_residual), (rho, residual) = _steady_stack(
-            np.stack([liouv.real, regular.real]), space.fock_dim)
+        (cubic, cubic_residual), (rho, residual) = _steady_stack([liouv, regular], space.fock_dim)
         assert identical(cubic.matrix, _density(_kernel_state(liouv.real, space.total_dim)))
         assert cubic_residual == liouv.residual(cubic.matrix) <= 1e-10
         assert identical(rho.matrix, steady_state(regular).matrix)
@@ -638,25 +719,27 @@ class TestBlockedKernel:
         """The value bits of one stacked elimination equal those of each
         generator's own, so a chunk's states do not depend on its other
         points."""
-        gens = [build_liouvillian(build_h_eff(p), collapse_channels(p)).real
-                for p in (fig2a_params(), fig2a_params(m_th=0.05), fig2a_params(kappa_q=0.3 * MHZ),
-                          fig2a_params(Omega_q=0.0))]
+        liouvs = [build_liouvillian(build_h_eff(p), collapse_channels(p))
+                  for p in (fig2a_params(), fig2a_params(m_th=0.05), fig2a_params(kappa_q=0.3 * MHZ),
+                            fig2a_params(Omega_q=0.0))]
+        gens = [liouv.real for liouv in liouvs]
         x, vouched = _blocked_kernel(dense_levels(gens, 6), 6)
         assert vouched.all()
         for gen, row in zip(gens, x):
             alone, _ = _blocked_kernel(dense_levels([gen], 6), 6)
             assert identical(row, alone[0])
-        for (rho, _), row in zip(_steady_stack(np.stack(gens), 6), x):
+        for (rho, _), row in zip(_steady_stack(liouvs, 6), x):
             assert identical(rho.matrix, _density(row))
 
     def test_singular_block_leaves_the_rest_of_the_stack(self):
         """kappa = 0 makes a block singular, which fails the stacked solve;
         the stack then goes point by point and keeps its regular points."""
         ps = [fig2a_params(), fig2a_params(kappa_m=0.0, kappa_q=0.0), fig2a_params(m_th=0.05)]
-        gens = [build_liouvillian(build_h_eff(p), collapse_channels(p)).real for p in ps]
+        liouvs = [build_liouvillian(build_h_eff(p), collapse_channels(p)) for p in ps]
+        gens = [liouv.real for liouv in liouvs]
         with pytest.raises(np.linalg.LinAlgError):
             _blocked_kernel(dense_levels(gens, 6), 6)
-        solved = _steady_stack(np.stack(gens), 6)
+        solved = _steady_stack(liouvs, 6)
         assert isinstance(solved[1], DegenerateKernelError)
         for i in (0, 2):
             assert identical(solved[i][0].matrix,
@@ -705,6 +788,26 @@ class TestBlockedKernel:
         for i in (0, 2):
             assert identical(solved[i][0].matrix, alone[i].matrix)
 
+    def test_non_finite_state_decides_only_its_point(self, monkeypatch):
+        # an all-NaN state in a chunk gets its own ValueError; the density
+        # check does not end the chunk, and the neighbours keep their bits
+        ps = [fig2a_params(), fig2a_params(m_th=0.05), fig2a_params(m_th=0.1)]
+        alone = [steady_state(build_liouvillian(build_h_eff(p), collapse_channels(p))) for p in ps]
+        density = dynamics_mod._density
+
+        def nan_middle(x):
+            rhos = density(x)
+            if len(rhos) == 3:
+                rhos[1] = np.nan
+            return rhos
+
+        monkeypatch.setattr(dynamics_mod, "_density", nan_middle)
+        solved = steady_states(ps)
+        assert isinstance(solved[1], ValueError)
+        assert str(solved[1]) == "density matrix has non-finite entries"
+        for i in (0, 2):
+            assert identical(solved[i][0].matrix, alone[i].matrix)
+
     def test_mislabelled_bare_magnon_generator_gives_the_dense_state(self):
         # six magnon levels read as qubit(x)3 levels: m moves the label's
         # excitation number by +-1, so the generator stays in the band and
@@ -716,19 +819,20 @@ class TestBlockedKernel:
         assert blocked_against_dense(liouv.real, 3) <= 1e-12
 
     def test_large_truncation_allocates_no_dense_temporary(self):
-        """The peak traced allocation of one N = 12 steady state stays below one
-        D x D float64 array (2.65 MB), which a copy, a gather or an elementwise
-        pass over the generator would take."""
+        """The peak traced allocation of one N = 12 Liouvillian build and
+        steady state stays below one D x D float64 array (2.65 MB), which a
+        dense generator, a copy, a gather or an elementwise pass over it
+        would take."""
         p = fig7b_params(12)
-        liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
-        steady_state(liouv)
+        h, channels = build_h_eff(p), collapse_channels(p)
+        steady_state(build_liouvillian(h, channels))  # the plan and block tables are cached
         tracemalloc.start()
         try:
-            steady_state(liouv)
+            steady_state(build_liouvillian(h, channels))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < liouv.real.nbytes
+        assert peak < (4 * 12 ** 2) ** 2 * 8
 
 
 class TestEvolve:

@@ -180,3 +180,25 @@ class TestDensityMatrix:
         assert "negative eigenvalue" in str(errors[1])
         assert "trace" in str(errors[4])
         assert _density_errors(stack[[0, 2]]) == [None, None]
+
+    def test_validate_rejects_a_nan_entry(self):
+        # every comparison with NaN is false, so the NaN needs its own check
+        rho = np.eye(6, dtype=complex) / 6
+        rho[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite entries"):
+            DensityMatrix(rho, HilbertSpace(3)).validate()
+
+    def test_non_finite_state_gets_its_own_verdict(self):
+        # an all-NaN or infinite state is a ValueError of its own; eigvalsh,
+        # which does not converge on it, runs on the finite states alone
+        rng = np.random.default_rng(11)
+        stack = np.array([random_density(rng, 6) for _ in range(4)])
+        stack[1] = np.nan
+        stack[2, 3, 4] = np.inf
+        stack[3] = np.diag([1.2, -0.2] + [0.0] * 4)
+        errors = _density_errors(stack)
+        assert errors[0] is None
+        assert [str(e) for e in errors[1:3]] == ["density matrix has non-finite entries"] * 2
+        assert "negative eigenvalue" in str(errors[3])
+        with pytest.raises(ValueError, match="non-finite entries"):
+            _check_densities(stack[1:])
