@@ -3,13 +3,16 @@ Hermitian basis, direct steady state, fixed-step time evolution,
 and the period-averaged steady state of the periodically driven
 (longitudinal-coupling) problem. Both steady states are the unit-trace kernel
 vector of a generator. A Liouvillian is held as its entries, (index, value)
-pairs from a cached plan, and forms its dense matrix only when that is read.
+pairs from a cached plan, and forms its dense matrix only when that is read;
+one stacked core forms the entries of a stack of generators, and a chunk of
+static sweep points is built as arrays, with the bits of a point built alone.
 The static generator is block tridiagonal when the coordinates are grouped
 by excitation number, and its kernel is found by block elimination in that
 ordering, with one stacked solve per level for a whole stack of generators:
-``_steady_stack`` solves one point or a chunk of sweep points, forms their
-level rows and row 0 straight from the entries with one ``np.bincount`` and
-takes each residual from them; no D x D generator is formed on that path.
+``_steady_stack`` solves one point or a chunk of sweep points from their
+level rows and row 0, one ``np.bincount`` of the entries per nonzero
+pattern, and takes each residual from them; no D x D generator is formed
+on that path.
 The periodic state's generator is the period-averaged one,
 G = L0 + 2 Re(L- S_1), reduced from the Fourier harmonics of the state by a
 matrix continued fraction; G is dense, and its kernel comes from a bordered
@@ -49,7 +52,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .hilbert import DensityMatrix, HilbertSpace, _check_densities, _density_errors, _read_only, dagger
-from .model import SystemParams, _longitudinal_operator, _nonhermitian, build_h_eff, collapse_channels
+from .model import (SystemParams, _channel_stack, _h_eff_stack, _longitudinal_operator, _nonhermitian,
+                    build_h_eff, collapse_channels)
 
 __all__ = [
     "Liouvillian",
@@ -138,7 +142,7 @@ class Liouvillian:
     float64 D x D matrix ``real``, the entries of one target in order.
     ``real``, the form of the dense solvers, is formed on first read; the
     static steady solve reads the entries straight into level rows (see
-    ``_band_rows``). ``Liouvillian(real)`` holds the dense matrix it is given,
+    ``_group_rows``). ``Liouvillian(real)`` holds the dense matrix it is given,
     with its nonzeros as the entries."""
 
     def __init__(self, real: np.ndarray | None = None, *, layout: _Layout | None = None,
@@ -149,6 +153,7 @@ class Liouvillian:
             self.real = real
         self.layout = layout
         self.weight = weight
+        self._solved = None  # the bytes of the state steady_state returned, and its residual
 
     @functools.cached_property
     def real(self) -> np.ndarray:
@@ -180,19 +185,20 @@ class Liouvillian:
     def _rows(self) -> np.ndarray:
         """The (1, S) level rows, row 0 and out-of-band sums of ``_group_rows``,
         kept for the residual of the state ``steady_state`` returns."""
-        return _group_rows(self.layout, [self.weight])
+        return _group_rows(self.layout, self.weight[None])
 
     def residual(self, rho: np.ndarray) -> float:
         """max|L x| of the Hermitian d x d matrix ``rho`` in Hermitian coordinates x,
-        the quantity the steady-state solve checks: from the level rows and
-        row 0 by ``_residuals``, with the bits of the steady solve's, or from
-        the dense L where L has a nonzero outside them (or d is odd)."""
+        the quantity the steady-state solve checks (that solve's own for the
+        state ``steady_state`` returned): from the level rows and row 0 by
+        ``_residuals``, or from the dense L where L has a nonzero outside them
+        (or d is odd)."""
+        if self._solved is not None and self._solved[0] == rho.tobytes():
+            return self._solved[1]
         x = _coords(rho)
         d = self.hilbert_dim
-        if d % 2 == 0:
-            rows, in_band = _band_rows([self], d // 2)
-            if in_band[0]:
-                return float(_residuals(rows, x[None], d // 2)[0])
+        if d % 2 == 0 and _in_band(self._rows, d // 2)[0]:
+            return float(_residuals(self._rows, x[None], d // 2)[0])
         return float(np.abs(self.real @ x).max())
 
 
@@ -232,8 +238,8 @@ class _Layout:
 
 
 class _Plan(NamedTuple):
-    source: np.ndarray  # (n,): index into the values of ``_entry_values`` of each kept entry
-    coef: np.ndarray  # (n, 2, 2): conj(U[row, s]) U[col, t], the factor of each value in slot (s, t)
+    pick: np.ndarray  # (4 n,): index into the (re, im) pairs of the values of ``_stacked_weights``
+    sign: np.ndarray  # (4 n,): the factor, 1, -1 or 0, of the picked part
     layout: _Layout  # target (4 n,): flat index of the real matrix each (entry, s, t) adds to
 
 
@@ -246,8 +252,10 @@ def _liouvillian_plan(d: int, pattern: bytes, channel_patterns: tuple) -> _Plan:
     The column-stacked nonzeros of I kron K, conj(K) kron I and each conj(C)
     kron C come in that order; of them, those in a row for rho[a, b] with
     a <= b are kept, and each goes through the coordinate table of ``_basis``
-    to four (row, column) entries of the real matrix. The layout maps each
-    of them to its slot in the level rows when a steady solve first asks.
+    to four (row, column) entries of the real matrix, whose weight is the
+    real part of the value times conj(U[row, s]) U[col, t], a factor of 0,
+    +-1 or +-1j: exactly +-Re v, +-Im v or 0, the part and sign the plan
+    picks. The layout maps each entry to its level-row slot on first ask.
     """
     span = d * np.arange(d)
     a, c = np.nonzero(np.frombuffer(pattern, dtype=bool).reshape(d, d))
@@ -273,26 +281,46 @@ def _liouvillian_plan(d: int, pattern: bytes, channel_patterns: tuple) -> _Plan:
     # rows (a, b) and (b, a) add equal real parts at weight 1/2 each, so the upper
     # row alone, at weight 1, gives both.
     target = basis.coords[rows][:, :, None] * (d * d) + basis.coords[cols][:, None, :]
-    coef = basis.coefs[rows].conj()[:, :, None] * basis.coefs[cols][:, None, :]
-    source, coef, target = _read_only(source, coef, target.ravel())
-    return _Plan(source, coef, _Layout(d, target))
+    coef = (basis.coefs[rows].conj()[:, :, None] * basis.coefs[cols][:, None, :]).ravel()
+    # Re(coef v) = coef.re Re v - coef.im Im v, one term of which is zero
+    imaginary = coef.real == 0.0
+    pick = 2 * np.repeat(source, 4) + imaginary
+    sign = np.where(imaginary, -coef.imag, coef.real)
+    pick, sign, target = _read_only(pick, sign, target.ravel())
+    return _Plan(pick, sign, _Layout(d, target))
 
 
-def _entry_values(k: np.ndarray, k_nonzero: np.ndarray, channels, nonzeros) -> np.ndarray:
-    """The values ``_Plan.source`` indexes: the nonzeros of K, their conjugates
-    and, per channel (g, C), g conj(C[b, e]) C[a, c] over pairs of nonzeros."""
-    kv = k[k_nonzero]
-    values = [kv, kv.conj()]
-    for (rate, op), nonzero in zip(channels, nonzeros):
-        cv = op[nonzero]
-        values.append(rate * (cv[:, None] * cv.conj()).ravel())
-    return np.concatenate(values)
+def _stacked_weights(k: np.ndarray, channels) -> list:
+    """The entries of the Liouvillians of a (m, d, d) stack of K = -i
+    ``model._nonhermitian`` with channels [(rates, C), ...], rates (m,): per
+    nonzero pattern of K, (members, layout, (len(members), entries) weights).
+    A plan reads the nonzeros of K, their conjugates and, per channel,
+    g conj(C[b, e]) C[a, c] over pairs of nonzeros."""
+    nonzeros = [c != 0 for _, c in channels]
+    products = [(c[x][:, None] * c[x].conj()).ravel() for (_, c), x in zip(channels, nonzeros)]
+    k_nonzero = k != 0
+    groups: dict[bytes, list] = {}
+    for i, pattern in enumerate(k_nonzero):
+        groups.setdefault(pattern.tobytes(), []).append(i)
+    out = []
+    for pattern, members in groups.items():
+        plan = _liouvillian_plan(k.shape[-1], pattern, tuple(x.tobytes() for x in nonzeros))
+        kv = k[members][:, k_nonzero[members[0]]]
+        # complex rates: each product is the complex one of a scalar times the pairs
+        values = np.concatenate([kv, kv.conj(), *(np.asarray(rate, complex)[members, None] * pairs
+                                                  for (rate, _), pairs in zip(channels, products))],
+                                axis=1)
+        weights = np.take(values.view(float), plan.pick, axis=1)
+        weights *= plan.sign
+        out.append((members, plan.layout, weights))
+    return out
 
 
 def build_liouvillian(h: np.ndarray, channels) -> Liouvillian:
     """Assemble L rho = K rho + rho K' + sum g C rho C' = -i[H, rho]
     + sum (g/2)(2 C rho C' - {C'C, rho}), where K = -i ``model._nonhermitian``,
-    as the real matrix U^-1 L U in Hermitian coordinates.
+    as the real matrix U^-1 L U in Hermitian coordinates (``_stacked_weights``
+    of a stack of one).
 
     Each nonzero of the column-stacked I kron K, conj(K) kron I and g conj(C)
     kron C in a row for rho[a, b] with a <= b goes to at most four entries of
@@ -300,9 +328,9 @@ def build_liouvillian(h: np.ndarray, channels) -> Liouvillian:
     is formed. L preserves Hermiticity, so the row for rho[b, a] is the
     conjugate of the row for rho[a, b] and adds the same real parts. Where
     each nonzero goes depends only on the nonzero patterns, so it comes from
-    the cached ``_liouvillian_plan``; a call forms the values and their
-    products with the plan's coefficients, the Liouvillian's entries. The
-    dense matrix is their ``np.bincount``, formed only where it is read.
+    the cached ``_liouvillian_plan``; a call forms the values and from them
+    the Liouvillian's entries. The dense matrix is their ``np.bincount``,
+    formed only where it is read.
     """
     d = h.shape[0]
     if h.shape != (d, d):
@@ -313,13 +341,9 @@ def build_liouvillian(h: np.ndarray, channels) -> Liouvillian:
     for _, c in channels:
         if c.shape != (d, d):
             raise ValueError(f"channel operator shape {c.shape} does not match H {h.shape}")
-    k = -1j * _nonhermitian(h, channels)
-    k_nonzero = k != 0
-    nonzeros = [c != 0 for _, c in channels]
-    plan = _liouvillian_plan(d, k_nonzero.tobytes(), tuple(x.tobytes() for x in nonzeros))
-    values = _entry_values(k, k_nonzero, channels, nonzeros)[plan.source]
-    weight = plan.coef * values[:, None, None]
-    return Liouvillian(layout=plan.layout, weight=weight.real.ravel())
+    channels = [(np.array([rate]), c) for rate, c in channels]
+    ((_, layout, weight),) = _stacked_weights(-1j * _nonhermitian(h[None], channels), channels)
+    return Liouvillian(layout=layout, weight=weight[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -493,42 +517,41 @@ def _chunk_size(n: int) -> int:
     """Points of truncation ``n`` that ``steady_states`` should be given at
     once: 10 at N = 6, and 1 from N = 11 up, where the level rows of two
     points pass the byte budget. A chunk holds its level rows, one
-    (k, slots) array, and each point's entries, about a quarter of those
-    bytes at N = 6; no D x D generator."""
+    (k, slots) array, and its (k, entries) weights, about a quarter of those
+    bytes at N = 6; no D x D generator and no per-point Liouvillian."""
     rows = int(_excitation_blocks(n).offsets[-1])
     return max(1, min(_CHUNK_POINTS, _CHUNK_BYTES // (8 * rows)))
 
 
-def _group_rows(layout: _Layout, weights: list) -> np.ndarray:
+def _group_rows(layout: _Layout, weights: np.ndarray) -> np.ndarray:
     """The (k, S) level-row vectors of k Liouvillians of one layout with the
-    entries ``weights``, from one ``np.bincount``. Each slot sums the same
-    entries in the same order as the dense matrix's entry, so the level rows
-    are the dense matrix's, bit for bit."""
+    (k, entries) ``weights``, from one ``np.bincount``. Each slot sums the
+    same entries in the same order as the dense matrix's entry, so the level
+    rows are the dense matrix's, bit for bit."""
     slot, size = layout.slots
     k = len(weights)
     flat = (np.arange(k)[:, None] * size + slot).ravel() if k > 1 else slot
-    return np.bincount(flat, np.concatenate(weights), minlength=k * size).reshape(k, size)
+    return np.bincount(flat, weights.ravel(), minlength=k * size).reshape(k, size)
 
 
-def _band_rows(liouvs: list, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (k, S') level rows and row 0 of a stack of Liouvillians with N =
-    ``n``, one ``_group_rows`` per layout (that of a stack of one is kept
-    with its Liouvillian), and the mask of those with no nonzero outside
-    them."""
-    band = int(_excitation_blocks(n).offsets[-1]) + 4 * n * n
-    groups = {}
-    for i, liouv in enumerate(liouvs):
-        groups.setdefault(id(liouv.layout), []).append(i)
+def _in_band(rows: np.ndarray, n: int) -> np.ndarray:
+    """Which level-row vectors have no nonzero outside the rows and row 0."""
+    return ~rows[:, int(_excitation_blocks(n).offsets[-1]) + 4 * n * n:].any(axis=1)
+
+
+def _chunk_rows(groups: list, k: int, n: int) -> np.ndarray:
+    """The (k, S') level-row vectors of k points with N = ``n`` in groups
+    (members, layout, weights), one ``_group_rows`` per group; of several
+    groups, only the out-of-band flag of ``_in_band`` follows row 0."""
     if len(groups) == 1:
-        rows = liouvs[0]._rows if len(liouvs) == 1 else _group_rows(
-            liouvs[0].layout, [liouv.weight for liouv in liouvs])
-        return rows, ~rows[:, band:].any(axis=1)
-    rows, in_band = np.empty((len(liouvs), band)), np.empty(len(liouvs), dtype=bool)
-    for members in groups.values():
-        group = _group_rows(liouvs[members[0]].layout, [liouvs[i].weight for i in members])
-        rows[members] = group[:, :band]
-        in_band[members] = ~group[:, band:].any(axis=1)
-    return rows, in_band
+        return _group_rows(*groups[0][1:])
+    band = int(_excitation_blocks(n).offsets[-1]) + 4 * n * n
+    rows = np.zeros((k, band + 1))
+    for members, layout, weights in groups:
+        group = _group_rows(layout, weights)
+        rows[members, :band] = group[:, :band]
+        rows[members, band] = ~_in_band(group, n)
+    return rows
 
 
 def _levels(rows: np.ndarray, n: int) -> list:
@@ -578,23 +601,30 @@ def _blocked_kernel(levels, n: int) -> tuple[np.ndarray, np.ndarray]:
     No D x D array is formed.
     """
     blocks = _excitation_blocks(n)
-    colsum = None
     solved = []
-    for rows, columns, (n_lo, n_b), probe in zip(levels, blocks.columns, blocks.widths,
-                                                 blocks.probe):
+    norm = upper = partial = None  # ||M||_1 so far, and column sums of |M| not yet complete
+    for rows, (n_lo, n_b), probe in zip(levels, blocks.widths, blocks.probe):
         stack = rows.shape[:-2]
-        if colsum is None:
-            colsum = np.zeros(stack + (4 * n * n,))
-        colsum[..., columns] += np.abs(rows).sum(axis=-2)
-        work = np.empty(stack + (n_b, rows.shape[-1] - n_lo + 1))
-        work[..., :-1] = rows[..., n_lo:]
+        # a column of block b sums |M| over levels b - 1, b and b + 1, in that order
+        sums = np.abs(rows).sum(axis=-2)
+        if n_lo:
+            done = (partial + sums[..., :n_lo]).max(axis=-1)
+            norm = done if norm is None else np.maximum(norm, done)
+        partial = sums[..., n_lo:n_lo + n_b] if upper is None else upper + sums[..., n_lo:n_lo + n_b]
+        upper = sums[..., n_lo + n_b:-1]
+        work = np.empty(stack + (n_b, rows.shape[-1] - n_lo + 1))  # [S_b | C_b | rhs | probe]
         work[..., -1:] = probe
         if n_lo:
             update = rows[..., :n_lo] @ solved[-1]
-            work[..., :n_b] -= update[..., :n_b]
-            work[..., -2:] -= update[..., n_b:]
+            np.subtract(rows[..., n_lo:n_lo + n_b], update[..., :n_b], out=work[..., :n_b])
+            work[..., n_b:-2] = rows[..., n_lo + n_b:-1]
+            np.subtract(rows[..., -1:], update[..., n_b:-1], out=work[..., -2:-1])
+            work[..., -1:] -= update[..., -1:]
+        else:
+            work[..., :-1] = rows
         solved.append(np.linalg.solve(work[..., :n_b], work[..., n_b:]))  # [G_b | g_b | probe]
-    x = np.empty(colsum.shape)
+    norm = np.maximum(norm, partial.max(axis=-1))
+    x = np.empty(stack + (4 * n * n,))
     x[..., 0] = 1.0
     y = np.zeros(stack + (0, 2))
     probe_norm = np.zeros(stack)
@@ -602,30 +632,25 @@ def _blocked_kernel(levels, n: int) -> tuple[np.ndarray, np.ndarray]:
         y = level[..., -2:] - level[..., :-2] @ y
         x[..., idx] = -y[..., 0]
         probe_norm += np.abs(y[..., 1]).sum(axis=-1)
-    colsum[..., 0] = 0.0
-    vouched = colsum.max(axis=-1) * probe_norm / blocks.probe_norm <= 1.0 / _KERNEL_RTOL
+    vouched = norm * probe_norm / blocks.probe_norm <= 1.0 / _KERNEL_RTOL
     x /= x[..., :2 * n].sum(axis=-1, keepdims=True)
     return x, vouched
 
 
-def _steady_stack(liouvs: list, n: int) -> list:
-    """Per Liouvillian of a stack of static generators with N = ``n`` Fock
-    states, its steady state and residual max|L x|, as (DensityMatrix,
-    float), or the exception that decides it.
+def _steady_stack(rows: np.ndarray, liouvillian, n: int) -> list:
+    """Per level-row vector of a stack of static generators with N = ``n``
+    (``_chunk_rows``), its steady state and residual max|L x|, as
+    (DensityMatrix, float), or the exception that decides it.
 
-    The level rows of the stack come straight from the entries
-    (``_band_rows``), and one stacked ``_blocked_kernel`` serves the stack,
-    or each point alone where a block is singular. Each residual comes from
-    ``_residuals``, as ``Liouvillian.residual`` takes it. A point with a
-    nonzero outside the level rows, or one the elimination does not vouch
-    for or whose residual fails, is solved by ``_kernel_state`` from its
-    dense L, the one place a D x D generator is formed, and takes its
-    residual from ``Liouvillian.residual``; whatever the solve raises is the
-    point's result. One stacked
-    ``_density_errors`` pass gives each state its verdict: a point whose
-    state fails gets that ValueError."""
-    k = len(liouvs)
-    rows, in_band = _band_rows(liouvs, n)
+    One stacked ``_blocked_kernel`` serves the stack, or each point alone
+    where a block is singular. Each residual comes from ``_residuals``, as
+    ``Liouvillian.residual`` takes it. A point with a nonzero outside the
+    level rows, or one the elimination does not vouch for or whose residual
+    fails, is solved by ``_kernel_state`` from the dense L of its
+    Liouvillian ``liouvillian(i)``, the one place a D x D generator is
+    formed; whatever that raises is the point's result. One stacked
+    ``_density_errors`` pass gives each state its verdict."""
+    k = len(rows)
     try:
         x, vouched = _blocked_kernel(_levels(rows, n), n)
     except np.linalg.LinAlgError:
@@ -635,14 +660,15 @@ def _steady_stack(liouvs: list, n: int) -> list:
                 x[i:i + 1], vouched[i:i + 1] = _blocked_kernel(_levels(rows[i:i + 1], n), n)
             except np.linalg.LinAlgError:
                 pass
-    ok = vouched & in_band
+    ok = vouched & _in_band(rows, n)
     residual = np.full(k, np.inf)
     residual[ok] = _residuals(rows, x, n) if ok.all() else _residuals(rows[ok], x[ok], n)
     results = [None] * k
     for i in np.flatnonzero(~(residual <= _RESIDUAL_TOL)):
         try:
-            x[i] = _kernel_state(liouvs[i].real, 2 * n)
-            residual[i] = liouvs[i].residual(_density(x[i]))
+            liouv = liouvillian(i)
+            x[i] = _kernel_state(liouv.real, 2 * n)
+            residual[i] = liouv.residual(_density(x[i]))
         except Exception as exc:  # the point's result; the rest of the stack goes on
             results[i] = exc
     solved = [i for i, result in enumerate(results) if result is None]
@@ -660,25 +686,48 @@ def steady_state(liouv: Liouvillian) -> DensityMatrix:
     d = liouv.hilbert_dim
     if d % 2:
         raise ValueError(f"odd dimension {d} cannot be a composite space")
-    (result,) = _steady_stack([liouv], d // 2)
+    (result,) = _steady_stack(liouv._rows, lambda i: liouv, d // 2)
     if isinstance(result, Exception):
         raise result
-    return result[0]
+    rho, residual = result
+    liouv._solved = rho.matrix.tobytes(), residual
+    return rho
+
+
+def _chunk_entries(params: list) -> list:
+    """``_stacked_weights`` of the static Liouvillians of points of one space,
+    from one ``model._h_eff_stack`` and one K stack per channel set, with
+    the bits of each ``build_liouvillian(build_h_eff(p), collapse_channels(p))``."""
+    h = _h_eff_stack(params)
+    groups = []
+    for heated in dict.fromkeys(p.m_th > 0.0 for p in params):
+        members = [i for i, p in enumerate(params) if (p.m_th > 0.0) == heated]
+        channels = _channel_stack([params[i] for i in members])
+        groups += [([members[i] for i in sub], layout, weights) for sub, layout, weights
+                   in _stacked_weights(-1j * _nonhermitian(h[members], channels), channels)]
+    return groups
 
 
 def steady_states(params) -> list:
-    """Steady states of a chunk of static problems of one truncation N, from
-    one ``_steady_stack`` of their Liouvillians, whose level rows it forms
-    with one ``np.bincount`` per nonzero pattern: per point of ``params``,
-    its (DensityMatrix, residual max|L x|) or the exception ``steady_state``
-    would raise for it."""
+    """Steady states of a chunk of static problems of one truncation N: per
+    point of ``params``, its (DensityMatrix, residual max|L x|) or the
+    exception ``steady_state`` would raise for it, with the same bits: one
+    ``_steady_stack`` of the ``_chunk_rows`` of the ``_chunk_entries``. A
+    point forms its Liouvillian only where it needs the dense fallback."""
     params = list(params)
     if not params:
         return []
     n = params[0].space.fock_dim
     if any(p.space.fock_dim != n for p in params):
         raise ValueError("steady_states needs one truncation for the whole chunk")
-    return _steady_stack([build_liouvillian(build_h_eff(p), collapse_channels(p)) for p in params], n)
+    groups = _chunk_entries(params)
+
+    def liouvillian(i: int) -> Liouvillian:
+        for members, layout, weights in groups:
+            if i in members:
+                return Liouvillian(layout=layout, weight=weights[members.index(i)])
+
+    return _steady_stack(_chunk_rows(groups, len(params), n), liouvillian, n)
 
 
 def _periodic_parts(p: SystemParams):

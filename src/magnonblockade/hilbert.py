@@ -81,8 +81,9 @@ def _density_errors(m: np.ndarray) -> list:
     """Per matrix of a (k, d, d) stack, the ValueError of the first check it
     fails, of finite entries, hermiticity, unit trace and numerical positive
     semidefiniteness against ``_HERM_TOL``, ``_TRACE_TOL`` and
-    ``_EIG_FLOOR``, or None. The eigenvalues are taken of the finite
-    matrices only."""
+    ``_EIG_FLOOR``, or None. One stacked Cholesky factorization of the
+    finite Hermitian parts minus ``_EIG_FLOOR`` I passes them all; only if
+    it fails are eigenvalues taken, to name the states below the floor."""
     mh = m.conj().swapaxes(-1, -2)
     with np.errstate(invalid="ignore"):  # inf - inf in a non-finite matrix
         herm = np.abs(m - mh).max(axis=(-2, -1))
@@ -90,11 +91,12 @@ def _density_errors(m: np.ndarray) -> list:
     # neither is the largest deviation
     finite = np.isfinite(herm)
     tr = np.trace(m, axis1=-2, axis2=-1)
-    if finite.all():
-        lowest = np.linalg.eigvalsh((m + mh) / 2).min(axis=-1)
-    else:
-        lowest = np.zeros(len(m))
-        lowest[finite] = np.linalg.eigvalsh((m[finite] + mh[finite]) / 2).min(axis=-1)
+    lowest = np.zeros(len(m))
+    sym = (m[finite] + mh[finite]) / 2
+    try:
+        np.linalg.cholesky(sym - _EIG_FLOOR * np.eye(m.shape[-1]))
+    except np.linalg.LinAlgError:
+        lowest[finite] = np.linalg.eigvalsh(sym).min(axis=-1)
     errors = [None] * len(m)
     for i in np.flatnonzero(~finite | (herm > _HERM_TOL) | (abs(tr - 1.0) > _TRACE_TOL)
                             | (lowest < _EIG_FLOOR)):

@@ -139,20 +139,28 @@ def _longitudinal_operator(space: HilbertSpace) -> np.ndarray:
     return (dagger(sm) @ sm) @ m
 
 
+def _h_eff_stack(params: list) -> np.ndarray:
+    """The (k, d, d) ``build_h_eff`` of points of one space, term by term in the
+    order of the sum (each weight a complex scalar), so each matrix has the
+    bits of its point's own."""
+    weights = np.array([(p.Delta_plus - p.Delta_minus, p.Delta_plus + p.Delta_minus, p.J,
+                         p.Omega_m, p.Omega_q) for p in params], dtype=complex).T[..., None, None]
+    terms = _hamiltonian_terms(params[0].space)
+    h = weights[0] * terms[0]
+    for weight, term in zip(weights[1:], terms[1:]):
+        h = h + weight * term
+    return h
+
+
 def build_h_eff(p: SystemParams) -> np.ndarray:
     """Rotating-frame Hamiltonian of the driven/probed system.
 
     H = Delta_q sigma+sigma- + Delta_m m'm + J(m sigma+ + m' sigma-)
         + Omega_m (m' + m) + Omega_q (sigma+ + sigma-),
-    embedded on the composite space. The longitudinal coupling is ignored here.
+    embedded on the composite space: ``_h_eff_stack`` of one point. The
+    longitudinal coupling is ignored here.
     """
-    qubit, magnon, hopping, magnon_drive, qubit_drive = _hamiltonian_terms(p.space)
-    h = (p.Delta_plus - p.Delta_minus) * qubit
-    h = h + (p.Delta_plus + p.Delta_minus) * magnon
-    h = h + p.J * hopping
-    h = h + p.Omega_m * magnon_drive
-    h = h + p.Omega_q * qubit_drive
-    return h
+    return _h_eff_stack([p])[0]
 
 
 def build_h_longitudinal(p: SystemParams, t: float) -> np.ndarray:
@@ -175,16 +183,29 @@ def build_h_longitudinal(p: SystemParams, t: float) -> np.ndarray:
 
 def _nonhermitian(h: np.ndarray, channels) -> np.ndarray:
     """H - (i/2) sum gamma C'C for channels [(gamma, C), ...], the no-jump part of the
-    master equation drho/dt = K rho + rho K' + sum gamma C rho C' with K = -i times it."""
+    master equation drho/dt = K rho + rho K' + sum gamma C rho C' with K = -i times it.
+    ``h`` may be a (k, d, d) stack whose rates gamma are (k,) arrays."""
     k = h.astype(complex)
     for rate, c in channels:
-        k -= 0.5j * rate * (dagger(c) @ c)
+        k -= (0.5j * np.asarray(rate))[..., None, None] * (dagger(c) @ c)
     return k
 
 
 def build_h_nonhermitian(p: SystemParams) -> np.ndarray:
     """``_nonhermitian`` of ``build_h_eff(p)`` and ``collapse_channels(p)``, for any rates."""
     return _nonhermitian(build_h_eff(p), collapse_channels(p))
+
+
+def _channel_stack(params: list) -> list:
+    """``collapse_channels`` of points of one space that all have m_th > 0 or
+    all m_th = 0, with a (k,) array for each rate."""
+    m, sm = _mode_operators(params[0].space)
+    kappa_m, m_th, kappa_q = np.array([(p.kappa_m, p.m_th, p.kappa_q) for p in params]).T
+    channels = [(kappa_m * (m_th + 1.0), m)]
+    if params[0].m_th > 0.0:
+        channels.append((kappa_m * m_th, dagger(m)))
+    channels.append((kappa_q, sm))
+    return channels
 
 
 def collapse_channels(p: SystemParams) -> list[tuple[float, np.ndarray]]:
@@ -194,12 +215,7 @@ def collapse_channels(p: SystemParams) -> list[tuple[float, np.ndarray]]:
     to drho/dt. Magnon decay carries the thermal enhancement (m_th + 1), and a
     heating channel on m' appears for m_th > 0.
     """
-    m, sm = _mode_operators(p.space)
-    channels = [(p.kappa_m * (p.m_th + 1.0), m)]
-    if p.m_th > 0.0:
-        channels.append((p.kappa_m * p.m_th, dagger(m)))
-    channels.append((p.kappa_q, sm))
-    return channels
+    return [(float(rate[0]), c) for rate, c in _channel_stack([p])]
 
 
 def thermal_occupation(omega_m: float, temperature_K: float) -> float:

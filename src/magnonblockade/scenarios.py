@@ -22,7 +22,7 @@ from .dynamics import (_chunk_size, build_liouvillian, evolve, steady_state, ste
                        steady_states)
 from .hilbert import DensityMatrix
 from .model import MHZ, SystemParams, build_h_eff, collapse_channels, rabi_from_power, thermal_occupation
-from .observables import UndefinedCorrelationError, g2_time_series, g2_zero, populations
+from .observables import OCCUPATION_FLOOR, UndefinedCorrelationError, _g2, g2_time_series, g2_zero, populations
 
 __all__ = [
     "ConfigError",
@@ -316,16 +316,17 @@ def _state_columns(rho: DensityMatrix) -> dict:
     return out
 
 
-def _static_state(p: SystemParams):
-    """Steady state of the time-independent problem and its Liouvillian."""
-    liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
-    return steady_state(liouv), liouv
+def _state(result) -> DensityMatrix:
+    """The state of a ``steady_states`` result, or its exception raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result[0]
 
 
 def _periodic_state(p: SystemParams, options: dict) -> DensityMatrix:
     """Period-averaged state; without longitudinal coupling the static one."""
     if p.g_rp == 0.0:
-        return _static_state(p)[0]
+        return _state(steady_states([p])[0])
     return steady_state_periodic(p)
 
 
@@ -343,43 +344,74 @@ def _one_row(rec: dict) -> dict:
     return {col: [value] for col, value in rec.items()}
 
 
+def _analytic_column(user: dict, p: SystemParams) -> float | None:
+    if not _analytic_applicable(user):
+        return None
+    return _norm(_log10_or_error(g2_analytic(p.J, p.kappa_m, p.Omega_m, p.Omega_q)[1]))
+
+
 def _steady_columns(user: dict, p: SystemParams, rho: DensityMatrix, residual: float) -> dict:
     rec = _state_columns(rho)
     rec["residual_inf"] = _norm(residual)
-    if _analytic_applicable(user):
-        rec["log10_g2_analytic"] = _norm(
-            _log10_or_error(g2_analytic(p.J, p.kappa_m, p.Omega_m, p.Omega_q)[1])
-        )
-    else:
-        rec["log10_g2_analytic"] = None
+    rec["log10_g2_analytic"] = _analytic_column(user, p)
     return _one_row(rec)
 
 
 def _steady_rows(user: dict, fock_dim: int, options: dict) -> dict:
+    """The columns of a point solved alone by ``steady_state``, with the
+    residual that solve checked."""
     p = _system_params(user, fock_dim)
-    rho, liouv = _static_state(p)
+    liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
+    rho = steady_state(liouv)
     return _steady_columns(user, p, rho, liouv.residual(rho.matrix))
+
+
+def _log10_all(g2: np.ndarray) -> np.ndarray:
+    """log10 of every value of an array of positive values, by ``math.log10``:
+    numpy's SIMD log10 differs from the C library's in the last bit for some
+    inputs."""
+    return np.fromiter(map(math.log10, g2.tolist()), float, g2.size)
 
 
 def _steady_chunk(users: list, fock_dim: int, options: dict) -> list:
     """Per point of ``users``, its columns or the exception it raised, from
-    one ``steady_states`` call on the chunk."""
-    params = []
+    one ``steady_states`` call on the chunk, each column formed for the
+    chunk at once (populations, g2 from one ``observables._g2``, one
+    ``_norm_array``), with the bits and errors of the one-point path."""
+    out = []
     for user in users:
         try:
-            params.append(_system_params(user, fock_dim))
+            out.append(_system_params(user, fock_dim))
         except Exception as exc:  # recorded in-band, never silently dropped
-            params.append(exc)
-    solved = iter(steady_states([p for p in params if isinstance(p, SystemParams)]))
-    out = []
-    for user, p in zip(users, params):
-        result = p if isinstance(p, Exception) else next(solved)
-        if not isinstance(result, Exception):
-            try:
-                result = _steady_columns(user, p, *result)
-            except Exception as exc:  # recorded in-band, never silently dropped
-                result = exc
-        out.append(result)
+            out.append(exc)
+    points = [i for i, p in enumerate(out) if isinstance(p, SystemParams)]
+    solved = []
+    for i, result in zip(points, steady_states([out[i] for i in points])):
+        if isinstance(result, Exception):
+            out[i] = result
+        else:
+            solved.append((i, *result))
+    if not solved:
+        return out
+    diagonal = np.array([np.diagonal(rho.matrix).real for _, rho, _ in solved])
+    pops = diagonal[:, :fock_dim] + diagonal[:, fock_dim:]
+    n1, g2 = _g2(pops)
+    defined = (n1 >= OCCUPATION_FLOOR) & ~(g2 <= 0.0)
+    log10_g2 = np.zeros(len(solved))
+    log10_g2[defined] = _log10_all(g2[defined])
+    levels = min(fock_dim, len(_POPULATIONS))
+    cells = _norm_array(np.column_stack([log10_g2, [r for *_, r in solved], pops[:, :levels]]))
+    for (i, rho, _), ok, (log10, residual, *pop_cells) in zip(solved, defined, cells):
+        try:
+            if not ok:
+                _log10_or_error(g2_zero(rho))  # raises the point's own error
+            analytic = _analytic_column(users[i], out[i])
+        except Exception as exc:  # recorded in-band, never silently dropped
+            out[i] = exc
+            continue
+        pop_cells += [None] * (len(_POPULATIONS) - levels)
+        out[i] = _one_row({"log10_g2": log10, "log10_g2_analytic": analytic,
+                           **dict(zip(_POPULATIONS, pop_cells)), "residual_inf": residual})
     return out
 
 
@@ -404,9 +436,7 @@ def _time_series_rows(user: dict, fock_dim: int, options: dict) -> dict:
     g2 = g2_time_series(traj)
     positive = g2 > 0.0
     log10_g2 = np.zeros(g2.size)
-    # math.log10, not np.log10: numpy's SIMD log10 differs from the C
-    # library's in the last bit for some inputs
-    log10_g2[positive] = np.fromiter(map(math.log10, g2[positive].tolist()), float)
+    log10_g2[positive] = _log10_all(g2[positive])
     levels = min(fock_dim, len(_POPULATIONS))
     kappa_t, log10_g2, *pops = _norm_array(
         np.vstack([p.kappa_m * traj.times, log10_g2, traj.populations[:, :levels].T]))
@@ -427,13 +457,12 @@ def _roots_rows(user: dict, fock_dim: int, options: dict) -> dict:
         "l1_numeric": _norm(numeric.l1),
         "l2_numeric": _norm(numeric.l2),
     }
-    for tag, l in (("l1", radical.l1), ("l2", radical.l2)):
+    roots = (("l1", radical.l1), ("l2", radical.l2))
+    points = [_system_params({**u, "kappa_over_2pi_MHz": r * u["J_over_2pi_MHz"],
+                              "Omega_q_over_Omega_m": l + 1.0}, fock_dim) for _, l in roots]
+    for (tag, l), result in zip(roots, steady_states(points)):
         rec[f"log10_g2_analytic_{tag}"] = _norm(_log10_or_error(g2_dimensionless(l, r)))
-        point = dict(u)
-        point["kappa_over_2pi_MHz"] = r * point["J_over_2pi_MHz"]
-        point["Omega_q_over_Omega_m"] = l + 1.0
-        rho, _ = _static_state(_system_params(point, fock_dim))
-        rec[f"log10_g2_numeric_{tag}"] = _norm(_log10_or_error(g2_zero(rho)))
+        rec[f"log10_g2_numeric_{tag}"] = _norm(_log10_or_error(g2_zero(_state(result))))
     return _one_row(rec)
 
 
@@ -450,8 +479,7 @@ class _Mode(NamedTuple):
 _MODES = {
     "steady": _Mode(
         ("log10_g2", "log10_g2_analytic", *_POPULATIONS, "residual_inf"),
-        frozenset(), _STATIC_QUANTITIES, _REQUIRED, _steady_rows,
-        lambda p, options: _static_state(p)[0], _steady_chunk),
+        frozenset(), _STATIC_QUANTITIES, _REQUIRED, _steady_rows, _periodic_state, _steady_chunk),
     "periodic": _Mode(
         ("log10_g2", *_POPULATIONS),
         frozenset(), _STATIC_QUANTITIES | {"g_rp"}, _REQUIRED, _periodic_rows, _periodic_state),

@@ -17,13 +17,15 @@ from magnonblockade.dynamics import (
     DegenerateKernelError,
     Liouvillian,
     SteadyStateError,
-    _band_rows,
     _basis,
     _blocked_kernel,
+    _chunk_entries,
+    _chunk_rows,
     _coords,
     _density,
     _excitation_blocks,
     _harmonic_system,
+    _in_band,
     _kernel_state,
     _levels,
     _liouvillian_plan,
@@ -52,6 +54,8 @@ from magnonblockade.model import MHZ, SystemParams, build_h_eff, collapse_channe
 from magnonblockade.observables import g2_zero, populations
 from magnonblockade.scenarios import (
     SweepAxis,
+    _steady_chunk,
+    _steady_rows,
     _system_params,
     built_in_scenarios,
     get_scenario,
@@ -549,19 +553,31 @@ def block_spread(gen, fock_dim):
 def dense_levels(gens, fock_dim):
     """The per-block rows ``_blocked_kernel`` reads, gathered from each dense
     generator of a stack at the coordinates of ``_excitation_blocks`` and
-    stacked: the reference for the level rows that ``_band_rows`` forms
+    stacked: the reference for the level rows that ``_group_rows`` forms
     straight from the entries."""
     blocks = _excitation_blocks(fock_dim)
     return [np.stack([gen[np.ix_(idx, columns)] for gen in gens])
             for idx, columns in zip(blocks.index, blocks.columns)]
 
 
+def stack_rows(liouvs, fock_dim):
+    """The level-row vectors of a stack of Liouvillians, as ``_chunk_rows``
+    forms those of a chunk, with each Liouvillian a group of its own."""
+    groups = [([i], liouv.layout, liouv.weight[None]) for i, liouv in enumerate(liouvs)]
+    return _chunk_rows(groups, len(liouvs), fock_dim)
+
+
+def stack_solve(liouvs, fock_dim):
+    """``_steady_stack`` of a stack of Liouvillians."""
+    return _steady_stack(stack_rows(liouvs, fock_dim), liouvs.__getitem__, fock_dim)
+
+
 def assert_rows_are_the_dense_rows(liouvs, fock_dim):
-    """The level rows and row 0 that ``_band_rows`` forms from the entries of
+    """The level rows and row 0 that ``_chunk_rows`` forms from the entries of
     a stack of Liouvillians equal, bit for bit, those gathered from each
     dense matrix."""
-    rows, in_band = _band_rows(liouvs, fock_dim)
-    assert in_band.all()
+    rows = stack_rows(liouvs, fock_dim)
+    assert _in_band(rows, fock_dim).all()
     gens = [liouv.real for liouv in liouvs]
     for level, dense in zip(_levels(rows, fock_dim), dense_levels(gens, fock_dim), strict=True):
         assert identical(level, dense)
@@ -614,6 +630,76 @@ def first_point(cfg):
         for ax in cfg.axes))
 
 
+def assert_stacked_build_is_the_point_build(params):
+    """The entries and level rows of ``_chunk_entries`` and the states and
+    residuals of ``steady_states`` equal, bit for bit, those of each point
+    built and solved alone."""
+    n = params[0].space.fock_dim
+    groups = _chunk_entries(params)
+    assert sorted(i for members, *_ in groups for i in members) == list(range(len(params)))
+    rows = _chunk_rows(groups, len(params), n)
+    band = int(_excitation_blocks(n).offsets[-1]) + 4 * n * n
+    for members, layout, weights in groups:
+        for i, weight in zip(members, weights, strict=True):
+            liouv = build_liouvillian(build_h_eff(params[i]), collapse_channels(params[i]))
+            assert liouv.layout is layout
+            assert identical(weight, liouv.weight)
+            assert identical(rows[i, :band], liouv._rows[0, :band])
+    assert _in_band(rows, n).all()
+    for p, result in zip(params, steady_states(params), strict=True):
+        liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
+        rho, residual = result
+        assert identical(rho.matrix, steady_state(liouv).matrix)
+        assert residual == liouv.residual(rho.matrix)
+
+
+def assert_chunk_columns_are_the_point_columns(users, fock_dim):
+    """Every column of ``_steady_chunk`` is, bit for bit, that of the point
+    solved alone by ``_steady_rows``, and a failed point has its error."""
+    for user, chunked in zip(users, _steady_chunk(users, fock_dim, {}), strict=True):
+        try:
+            alone = _steady_rows(user, fock_dim, {})
+        except Exception as exc:
+            assert type(chunked) is type(exc) and str(chunked) == str(exc)
+            continue
+        assert chunked.keys() == alone.keys()
+        for column, values in alone.items():
+            assert [None if v is None else float(v).hex() for v in chunked[column]] == \
+                [None if v is None else float(v).hex() for v in values]
+
+
+class TestStackedBuild:
+    """A chunk is built as arrays, with the bits of each point's own build."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(random_params(), min_size=1, max_size=4))
+    def test_random_chunks(self, params):
+        n = params[0].fock_dim
+        assert_stacked_build_is_the_point_build([replace(p, fock_dim=n) for p in params])
+
+    @pytest.mark.parametrize("fock_dim", [6, 12])
+    def test_grid_chunks(self, fock_dim):
+        cfg = get_scenario("fig6a").with_grid(3)
+        users = cfg.grid_points()
+        assert_stacked_build_is_the_point_build([_system_params(u, fock_dim) for u in users])
+        assert_chunk_columns_are_the_point_columns(users, fock_dim)
+
+    def test_chunk_of_mixed_channels_drives_and_rates(self):
+        """m_th = 0 and m_th > 0 have different channels, Omega_q = 0 and kappa
+        = 0 other nonzero patterns; kappa = 0 has no unique steady state."""
+        base = {"J_over_2pi_MHz": 20.0, "kappa_over_2pi_MHz": 1.0,
+                "Omega_m_over_2pi_MHz": 0.1, "Omega_q_over_Omega_m": 3.0}
+        users = [base, {**base, "m_th": 0.05}, {**base, "Omega_q_over_Omega_m": 0.0},
+                 {**base, "kappa_over_2pi_MHz": 0.0}, {**base, "m_th": 0.02, "Delta_plus_over_J": 0.5},
+                 {**base, "Omega_m_over_2pi_MHz": 0.0}]
+        params = [_system_params(u, 6) for u in users]
+        groups = _chunk_entries(params)
+        assert len(groups) == 4
+        assert_stacked_build_is_the_point_build([params[i] for i in (0, 1, 2, 4, 5)])
+        assert isinstance(steady_states(params)[3], DegenerateKernelError)
+        assert_chunk_columns_are_the_point_columns(users, 6)
+
+
 class TestBlockedKernel:
     def test_blocks_partition_the_coordinates(self):
         index = _excitation_blocks(6).index
@@ -644,7 +730,14 @@ class TestBlockedKernel:
             generators.append(liouv.real)
             return steady_state(liouv)
 
+        def recording_chunk(params):
+            params = list(params)
+            generators.extend(build_liouvillian(build_h_eff(p), collapse_channels(p)).real
+                              for p in params)
+            return steady_states(params)
+
         monkeypatch.setattr(scenarios_mod, "steady_state", recording)
+        monkeypatch.setattr(scenarios_mod, "steady_states", recording_chunk)
         cfg = get_scenario(name)
         run_scenario(first_point(cfg))
         assert generators
@@ -674,7 +767,7 @@ class TestBlockedKernel:
         liouvs = [build_liouvillian(build_h_eff(p), collapse_channels(p)) for p in ps]
         assert len({id(liouv.layout) for liouv in liouvs}) == 3
         assert_rows_are_the_dense_rows(liouvs, 6)
-        solved = _steady_stack(liouvs, 6)
+        solved = stack_solve(liouvs, 6)
         assert isinstance(solved[4], DegenerateKernelError)
         for i in range(4):
             alone = steady_state(Liouvillian(liouvs[i].real))
@@ -709,7 +802,7 @@ class TestBlockedKernel:
     def test_stacked_solve_flags_only_the_out_of_band_generator(self):
         liouv, space = cubic_generator()
         regular = build_liouvillian(build_h_eff(fig2a_params()), collapse_channels(fig2a_params()))
-        (cubic, cubic_residual), (rho, residual) = _steady_stack([liouv, regular], space.fock_dim)
+        (cubic, cubic_residual), (rho, residual) = stack_solve([liouv, regular], space.fock_dim)
         assert identical(cubic.matrix, _density(_kernel_state(liouv.real, space.total_dim)))
         assert cubic_residual == liouv.residual(cubic.matrix) <= 1e-10
         assert identical(rho.matrix, steady_state(regular).matrix)
@@ -728,7 +821,7 @@ class TestBlockedKernel:
         for gen, row in zip(gens, x):
             alone, _ = _blocked_kernel(dense_levels([gen], 6), 6)
             assert identical(row, alone[0])
-        for (rho, _), row in zip(_steady_stack(liouvs, 6), x):
+        for (rho, _), row in zip(stack_solve(liouvs, 6), x):
             assert identical(rho.matrix, _density(row))
 
     def test_singular_block_leaves_the_rest_of_the_stack(self):
@@ -739,7 +832,7 @@ class TestBlockedKernel:
         gens = [liouv.real for liouv in liouvs]
         with pytest.raises(np.linalg.LinAlgError):
             _blocked_kernel(dense_levels(gens, 6), 6)
-        solved = _steady_stack(liouvs, 6)
+        solved = stack_solve(liouvs, 6)
         assert isinstance(solved[1], DegenerateKernelError)
         for i in (0, 2):
             assert identical(solved[i][0].matrix,

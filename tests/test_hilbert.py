@@ -202,3 +202,35 @@ class TestDensityMatrix:
         assert "negative eigenvalue" in str(errors[3])
         with pytest.raises(ValueError, match="non-finite entries"):
             _check_densities(stack[1:])
+
+
+def rotated_state(rng, eigenvalues):
+    """A dense state with the given eigenvalues: their diagonal matrix turned by
+    a random unitary."""
+    q, _ = np.linalg.qr(random_operator(rng, len(eigenvalues)))
+    return (q * np.asarray(eigenvalues)) @ q.conj().T
+
+
+class TestPositivityVerdicts:
+    """One stacked Cholesky decides positivity; the eigenvalues name the failures."""
+
+    @pytest.mark.parametrize("lowest, passes", [(-0.99e-9, True), (-1.01e-9, False)])
+    def test_states_either_side_of_the_floor(self, lowest, passes):
+        rng = np.random.default_rng(21)
+        rho = rotated_state(rng, [0.6 - lowest, 0.4, lowest, 0.0, 0.0, 0.0])
+        (error,) = _density_errors(rho[None])
+        assert (error is None) == passes
+        if not passes:
+            assert str(error) == f"density matrix has negative eigenvalue {lowest:.3e}"
+
+    def test_nan_failing_and_good_states_keep_their_verdicts(self):
+        rng = np.random.default_rng(22)
+        stack = np.array([random_density(rng, 6),
+                          rotated_state(rng, [0.7, 0.3 + 2e-9, -2e-9, 0.0, 0.0, 0.0]),
+                          random_density(rng, 6)])
+        stack[0, 2, 2] = np.nan
+        errors = _density_errors(stack)
+        assert str(errors[0]) == "density matrix has non-finite entries"
+        assert str(errors[1]) == "density matrix has negative eigenvalue -2.000e-09"
+        assert errors[2] is None
+        assert _density_errors(stack[[2, 1]])[0] is None

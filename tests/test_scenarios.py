@@ -434,6 +434,25 @@ class TestChunkedSteadySweep:
             assert cells["error"] == ""
             assert cells["residual_inf"] <= 1e-10
 
+    def test_one_point_sweep_takes_the_residual_of_its_solve(self, monkeypatch):
+        import magnonblockade.dynamics as dynamics_mod
+
+        residuals = dynamics_mod._residuals
+        stacks = []
+
+        def counted(rows, x, n):
+            stacks.append(len(x))
+            return residuals(rows, x, n)
+
+        monkeypatch.setattr(dynamics_mod, "_residuals", counted)
+        kappas = [0.3, 0.7, 1.1]
+        alone = run_scenario(kappa_sweep(kappas[1:2]))
+        assert stacks == [1]
+        chunked = run_scenario(kappa_sweep(kappas))
+        assert stacks == [1, 3]
+        assert [cell_bits(v) if not isinstance(v, str) else v for v in alone.rows[0]] == \
+            [cell_bits(v) if not isinstance(v, str) else v for v in chunked.rows[1]]
+
     @pytest.mark.parametrize("svd_fails, error", [
         (False, "DegenerateKernelError: "), (True, "LinAlgError: SVD did not converge")])
     def test_failed_points_keep_their_errors_and_spare_their_neighbours(self, monkeypatch,
@@ -916,7 +935,12 @@ class TestTimeSeriesRows:
     def test_g1_trajectory_at_three_levels_has_no_error_row(self):
         result = run_scenario(replace(get_scenario("fig11"), fock_dim=3))
         errors = {row[-1] for row in result.rows}
-        assert errors == {None}
+        assert errors == {""}
+
+    def test_g1_trajectory_at_six_levels_has_no_error_row(self):
+        # the assertion of the strict xfail above, which a successful row meets
+        result = run_scenario(get_scenario("fig11"))
+        assert {row[-1] for row in result.rows} == {""}
 
     def test_undriven_series_has_no_log10_g2(self):
         user = dict(FIG2A_USER, Omega_m_over_2pi_MHz=0.0)
