@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 import time
@@ -23,6 +24,31 @@ EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 
 _GRID_HELP = "points on each linspace axis (a config error if the scenario has none)"
+
+# glibc mallopt parameters and the ceilings its dynamic thresholds reach on a
+# 64-bit build: DEFAULT_MMAP_THRESHOLD_MAX, and twice that for the trim threshold
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 * 1024 * 1024
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+
+
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds of this process at their dynamic
+    ceilings. Under the dynamic thresholds glibc hands the top of the heap
+    back to the kernel when a grid point frees its arrays, and the next point
+    faults the same pages in again; pinned, a sweep's points after the first
+    reuse them. Arrays of 32 MiB or more are still mapped and unmapped on
+    their own. A no-op where the C library has no ``mallopt`` (not glibc)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library handle, or no mallopt in it
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    # mallopt returns 0 where it refuses a value; the process then keeps glibc's defaults
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def _load_config(target: str, grid: int | None, fock_dim: int | None):
@@ -118,6 +144,7 @@ def main(argv=None) -> int:
     conv_p.add_argument("--grid", type=int, help=_GRID_HELP)
 
     args = parser.parse_args(argv)
+    _pin_malloc_thresholds()
     try:
         if args.command == "list":
             return _cmd_list(args)

@@ -52,8 +52,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .hilbert import DensityMatrix, HilbertSpace, _check_densities, _density_errors, _read_only, dagger
-from .model import (SystemParams, _channel_stack, _h_eff_stack, _longitudinal_operator, _nonhermitian,
-                    build_h_eff, collapse_channels)
+from .model import (_SPACE_CACHE_SIZE, SystemParams, _channel_stack, _h_eff_stack, _longitudinal_operator,
+                    _nonhermitian, build_h_eff, collapse_channels)
 
 __all__ = [
     "Liouvillian",
@@ -335,12 +335,17 @@ def build_liouvillian(h: np.ndarray, channels) -> Liouvillian:
     d = h.shape[0]
     if h.shape != (d, d):
         raise ValueError(f"Hamiltonian must be square, got {h.shape}")
+    # a nan passes the comparisons below, since nan > tol is false
+    if not np.isfinite(h).all():
+        raise ValueError("Hamiltonian has a non-finite entry")
     herm = np.abs(h - h.conj().T).max()
     if herm > 1e-9 * max(1.0, np.abs(h).max()):
         raise ValueError(f"Hamiltonian not Hermitian: max deviation {herm:.3e}")
-    for _, c in channels:
+    for rate, c in channels:
         if c.shape != (d, d):
             raise ValueError(f"channel operator shape {c.shape} does not match H {h.shape}")
+        if not (np.isfinite(rate) and np.isfinite(c).all()):
+            raise ValueError(f"channel of rate {rate} has a non-finite rate or operator entry")
     channels = [(np.array([rate]), c) for rate, c in channels]
     ((_, layout, weight),) = _stacked_weights(-1j * _nonhermitian(h[None], channels), channels)
     return Liouvillian(layout=layout, weight=weight[0])
@@ -730,14 +735,31 @@ def steady_states(params) -> list:
     return _steady_stack(_chunk_rows(groups, len(params), n), liouvillian, n)
 
 
+def _coupling_parts(a: np.ndarray) -> tuple[Liouvillian, Liouvillian]:
+    """The Liouvillians L_c, L_s of the longitudinal term
+    A e^{-iwt} + A' e^{iwt} = (A + A') cos(wt) + i(A' - A) sin(wt)."""
+    return tuple(build_liouvillian(x, []) for x in (a + dagger(a), 1j * (dagger(a) - a)))
+
+
 def _periodic_parts(p: SystemParams):
     """Static Liouvillian L0 and the parts L_c, L_s of the longitudinal coupling,
-    L(t) = L0 + cos(wt) L_c + sin(wt) L_s: with A = g_rp sigma+ sigma- m,
-    A e^{-iwt} + A' e^{iwt} = (A + A') cos(wt) + i(A' - A) sin(wt)."""
+    L(t) = L0 + cos(wt) L_c + sin(wt) L_s, with A = g_rp sigma+ sigma- m."""
     liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
-    a = p.g_rp * _longitudinal_operator(p.space)
-    lc, ls = (build_liouvillian(x, []) for x in (a + dagger(a), 1j * (dagger(a) - a)))
-    return liouv, lc, ls, p.omega_drive
+    return (liouv, *_coupling_parts(p.g_rp * _longitudinal_operator(p.space)), p.omega_drive)
+
+
+@functools.lru_cache(maxsize=_SPACE_CACHE_SIZE)
+def _unit_coupling(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coordinates S that L+ = (L_c - i L_s)/2 touches (its row or column
+    support), the rest T, and L+ on S x S at g_rp = 1, read-only, once per
+    space. L+ at g_rp is g_rp times it, bit for bit: each entry of L_c and L_s
+    is one weight or the sum of two of equal magnitude, which scale exactly."""
+    lc, ls = (x.real for x in _coupling_parts(_longitudinal_operator(space)))
+    nonzero = (lc != 0.0) | (ls != 0.0)
+    on = nonzero.any(axis=0) | nonzero.any(axis=1)
+    s = np.flatnonzero(on)
+    ss = np.ix_(s, s)
+    return _read_only(s, np.flatnonzero(~on), (lc[ss] - 1j * ls[ss]) / 2.0)
 
 
 class _Harmonics(NamedTuple):
@@ -756,14 +778,10 @@ class _Harmonics(NamedTuple):
 
 
 def _harmonic_system(p: SystemParams) -> _Harmonics:
-    liouv, lc, ls, omega = _periodic_parts(p)
-    l0, lc, ls = liouv.real, lc.real, ls.real
-    nonzero = (lc != 0.0) | (ls != 0.0)
-    on = nonzero.any(axis=0) | nonzero.any(axis=1)
-    s, t = np.flatnonzero(on), np.flatnonzero(~on)
-    ss = np.ix_(s, s)
-    return _Harmonics(l0, omega, s, l0[ss], l0[np.ix_(s, t)], l0[np.ix_(t, s)], l0[np.ix_(t, t)],
-                      (lc[ss] - 1j * ls[ss]) / 2.0)
+    l0 = build_liouvillian(build_h_eff(p), collapse_channels(p)).real
+    s, t, unit = _unit_coupling(p.space)
+    return _Harmonics(l0, p.omega_drive, s, l0[np.ix_(s, s)], l0[np.ix_(s, t)], l0[np.ix_(t, s)],
+                      l0[np.ix_(t, t)], p.g_rp * unit)
 
 
 def _truncated_harmonics(system: _Harmonics, harmonics: int):

@@ -69,6 +69,10 @@ class SystemParams:
     fock_dim: int = 6
 
     def __post_init__(self):
+        for name in ("omega_q", "omega_m", "omega_drive", "J", "Omega_m", "Omega_q",
+                     "kappa_m", "kappa_q", "g_rp", "m_th"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("Omega_m", "Omega_q", "kappa_m", "kappa_q", "g_rp", "m_th"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")

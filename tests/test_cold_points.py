@@ -1,5 +1,8 @@
+import ctypes
 import importlib.util
 import os
+
+import pytest
 
 _PATH = os.path.join(os.path.dirname(__file__), "..", "tools", "cold_points.py")
 _spec = importlib.util.spec_from_file_location("cold_points", _PATH)
@@ -41,4 +44,32 @@ def test_prints_the_first_points(tmp_path, capsys):
     assert lines[0].startswith("sweep: 3 points in ")
     assert "minor faults, exit 0" in lines[0]
     assert lines[1].split() == ["index", "wall_time_s", "chunk", "solve_faults"]
-    assert [line.split()[0] for line in lines[2:]] == ["0", "1"]
+    assert [line.split()[0] for line in lines[2:4]] == ["0", "1"]
+    # the three points are one solve, so no solve comes after the first two
+    assert lines[4:] == ["solves after the first 2: 0, minor faults largest 0, total 0"]
+
+
+PERIODIC = """
+scenario = tiny_periodic
+mode = periodic
+fock_dim = 6
+params.J_over_2pi_MHz = 35
+params.kappa_over_2pi_MHz = 0.5
+params.Omega_m_over_2pi_MHz = 0.033
+params.g_rp_over_J = 0.2
+sweep.axis1.path = params.Omega_q_over_Omega_m
+sweep.axis1.values = 2.6 2.9 3.1 3.4 3.8 4.0
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="C library has no mallopt")
+def test_periodic_points_after_the_first_do_not_fault_their_heap_again(tmp_path):
+    # under glibc's dynamic trim threshold each periodic point handed its heap
+    # back to the kernel and faulted it in again, about 620 minor faults a point
+    config = tmp_path / "periodic.cfg"
+    config.write_text(PERIODIC)
+    report = cold_points.measure(str(config), os.path.join(cold_points.ROOT, "src"))
+    assert report["status"] == 0
+    faults = [f for _, f in report["solves"]]
+    assert len(faults) == 6
+    assert max(faults[2:]) < 60, faults

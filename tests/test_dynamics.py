@@ -262,6 +262,28 @@ class TestBuildLiouvillian:
         with pytest.raises(ValueError, match="shape"):
             build_liouvillian(np.eye(4, dtype=complex), [(1.0, np.eye(6, dtype=complex))])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_hamiltonian(self, value):
+        # a real nan or inf on the diagonal gives a nan deviation, which passes
+        # the Hermiticity check, since nan > tol is false
+        p = fig2a_params()
+        h = build_h_eff(p)
+        h[1, 1] = value
+        with pytest.raises(ValueError, match="Hamiltonian has a non-finite entry"):
+            build_liouvillian(h, collapse_channels(p))
+
+    @pytest.mark.parametrize("bad", ["rate", "operator"])
+    def test_rejects_non_finite_channel(self, bad):
+        p = fig2a_params()
+        (rate, c), *rest = collapse_channels(p)
+        if bad == "rate":
+            rate = math.nan
+        else:
+            c = c.copy()
+            c[0, 1] = math.inf
+        with pytest.raises(ValueError, match="non-finite rate or operator entry"):
+            build_liouvillian(build_h_eff(p), [(rate, c), *rest])
+
 
 class TestLiouvillianPlanCache:
     """A build that reuses a cached index plan gives the bits of a build from a
@@ -1284,6 +1306,20 @@ class TestSteadyStatePeriodic:
         got, ref = steady_state_periodic(p), sambe_period_average(p, 8)
         assert log10_g2(got) == pytest.approx(log10_g2(ref), abs=1e-10)
         assert populations(got)[1] == pytest.approx(populations(ref)[1], rel=1e-9)
+
+    @pytest.mark.parametrize("fock_dim", [3, 6])
+    def test_harmonic_system_scales_cached_coupling_bit_for_bit(self, fock_dim):
+        # the cached L+ at g_rp = 1 times g_rp is the L+ of the parts built at g_rp
+        for g_over_j in (0.118713, 0.167559, 0.263448, 1.0 / 3.0, 0.7):
+            p = fig9a_params(g_over_j, 3.0, fock_dim=fock_dim)
+            liouv, lc, ls, _ = _periodic_parts(p)
+            system = _harmonic_system(p)
+            s = system.touched
+            nonzero = (lc.real != 0.0) | (ls.real != 0.0)
+            assert np.array_equal(np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1)), s)
+            assert np.array_equal(system.l0, liouv.real)
+            ss = np.ix_(s, s)
+            assert np.array_equal(system.l_plus, (lc.real[ss] - 1j * ls.real[ss]) / 2.0)
 
     @pytest.mark.parametrize("g_over_j", [0.1, 0.2, 0.3])
     @pytest.mark.parametrize("ratio", [2.5, 3.0, 4.0])

@@ -48,6 +48,16 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             params(**bad)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["omega_q", "omega_m", "omega_drive", "J", "Omega_m",
+                                      "Omega_q", "kappa_m", "kappa_q", "g_rp", "m_th"])
+    def test_rejects_non_finite_field_by_name(self, name, value):
+        # nan < 0 is false, so a nan rate would pass the sign check
+        fields = dict(omega_q=1.0, omega_m=1.0, omega_drive=1.0, J=1.0, Omega_m=0.1,
+                      Omega_q=0.1, kappa_m=0.1, kappa_q=0.1, g_rp=0.1, m_th=0.1)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SystemParams(**{**fields, name: value})
+
     def test_rejects_small_truncation(self):
         with pytest.raises(ValueError):
             params(fock_dim=2)

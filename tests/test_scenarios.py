@@ -3,10 +3,12 @@ import math
 import os
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from magnonblockade import cli
 from magnonblockade.analytic import g2_analytic
 from magnonblockade.cli import main as cli_main
 from magnonblockade.dynamics import _chunk_size, _liouvillian_plan, evolve, steady_state_periodic
@@ -771,6 +773,38 @@ class TestCli:
         assert cli_main(["list"]) == 0
         out = capsys.readouterr().out
         assert "fig3" in out and "fig11" in out
+
+    def test_pins_malloc_thresholds_at_glibc_ceilings(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        assert cli_main(["list"]) == 0
+        # M_MMAP_THRESHOLD at DEFAULT_MMAP_THRESHOLD_MAX, M_TRIM_THRESHOLD at twice that
+        assert calls == [(-3, 32 * 1024 * 1024), (-1, 64 * 1024 * 1024)]
+
+    @pytest.mark.parametrize("libc", ["no library", "no mallopt", "refused"])
+    def test_run_without_mallopt_writes_the_same_bytes(self, monkeypatch, tmp_path, libc):
+        cfg_path = tmp_path / "periodic.cfg"
+        cfg_path.write_text("scenario = p\nmode = periodic\nfock_dim = 4\n"
+                            "params.J_over_2pi_MHz = 35\nparams.kappa_over_2pi_MHz = 0.5\n"
+                            "params.Omega_m_over_2pi_MHz = 0.033\nparams.g_rp_over_J = 0.2\n"
+                            "sweep.axis1.path = params.Omega_q_over_Omega_m\n"
+                            "sweep.axis1.values = 2.8 3.2\n")
+        pinned, plain = tmp_path / "pinned.csv", tmp_path / "plain.csv"
+        assert cli_main(["run", str(cfg_path), "--out", str(pinned)]) == 0
+
+        def cdll(name):
+            if libc == "no library":
+                raise OSError("no C library")
+            return SimpleNamespace(**({} if libc == "no mallopt" else {"mallopt": lambda *a: 0}))
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert cli_main(["run", str(cfg_path), "--out", str(plain)]) == 0
+        assert plain.read_bytes() == pinned.read_bytes()
 
     def test_run_builtin_with_overrides(self, tmp_path):
         out = tmp_path / "fig2b.csv"

@@ -13,6 +13,8 @@ and just after the sweep, and around each solve of a grid point or of a
 chunk of them. Prints the sweep's wall time and minor faults, then one line
 for each of the first K points (default 5): its ``wall_time_s`` and
 ``chunk`` from the sidecar and the minor faults of the solve it belongs to.
+The last line gives the largest and the total minor faults of the solves
+after the first K, the cost a warm sweep should not pay.
 """
 
 from __future__ import annotations
@@ -59,8 +61,9 @@ print(json.dumps({"status": status, "wall_s": wall, "faults": faults, "solves": 
 
 
 def measure(config: str, src: str) -> dict:
-    """The child's report: exit status, sweep wall time and faults, and per
-    point of the sidecar its ``wall_time_s``, ``chunk`` and solve faults."""
+    """The child's report: exit status, sweep wall time and faults, the
+    (points, faults) of each solve in order, and per point of the sidecar its
+    ``wall_time_s``, ``chunk`` and solve faults."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "sweep.csv")
         proc = subprocess.run([sys.executable, "-c", _CHILD, os.path.abspath(src),
@@ -69,7 +72,7 @@ def measure(config: str, src: str) -> dict:
         report = json.loads(proc.stdout.splitlines()[-1])
         with open(out + ".diag.jsonl") as fh:
             diags = [json.loads(line) for line in fh if line.strip()]
-    per_point = [faults for points, faults in report.pop("solves") for _ in range(points)]
+    per_point = [faults for points, faults in report["solves"] for _ in range(points)]
     report["points"] = [{"index": d["index"], "wall_time_s": d["wall_time_s"],
                          "chunk": d["chunk"], "faults": faults}
                         for d, faults in zip(diags, per_point)]
@@ -91,6 +94,9 @@ def main(argv=None) -> int:
     for point in points[:args.first]:
         print(f"{point['index']:>5}  {point['wall_time_s']:>11.6f}  {point['chunk']:>5}  "
               f"{point['faults']:>12}")
+    later = [faults for _, faults in report["solves"][args.first:]]
+    print(f"solves after the first {args.first}: {len(later)}, minor faults "
+          f"largest {max(later, default=0)}, total {sum(later)}")
     return 0
 
 
