@@ -1,25 +1,26 @@
 """Lindblad master-equation solvers: the Liouvillian as a real matrix in a
-Hermitian basis, direct steady state, fixed-step time evolution,
-and the period-averaged steady state of the periodically driven
-(longitudinal-coupling) problem. Both steady states are the unit-trace kernel
-vector of a generator. A Liouvillian is held as its entries, (index, value)
-pairs from a cached plan, and forms its dense matrix only when that is read;
-one stacked core forms the entries of a stack of generators, and a chunk of
-static sweep points is built as arrays, with the bits of a point built alone.
+Hermitian basis, direct steady state, fixed-step time evolution, and the
+period-averaged steady state of the periodically driven (longitudinal-coupling)
+problem. Both steady states are the unit-trace kernel vector of a generator.
+A Liouvillian is held as its entries, (index, value) pairs from a cached
+plan, and forms its dense matrix only when that is read; one stacked core
+forms the entries of a stack of generators, so a chunk of static sweep points
+is built as arrays, with the bits of a point built alone.
 The static generator is block tridiagonal when the coordinates are grouped
-by excitation number, and its kernel is found by block elimination in that
-ordering, with one stacked solve per level for a whole stack of generators:
-``_steady_stack`` solves one point or a chunk of sweep points from their
-level rows and row 0, one ``np.bincount`` of the entries per nonzero
-pattern, and takes each residual from them; no D x D generator is formed
-on that path.
+by excitation number, and ``_steady_stack`` finds the kernels of one point or
+a chunk by block elimination in that ordering, one stacked solve per level,
+from level rows and row 0 (one ``np.bincount`` of the entries per nonzero
+pattern), which also give each residual; no D x D generator is formed on that
+path. A pattern with an entry outside those rows (no model point has one)
+gives its layout no slots, and its points take the dense solve.
 The periodic state's generator is the period-averaged one,
 G = L0 + 2 Re(L- S_1), reduced from the Fourier harmonics of the state by a
-matrix continued fraction; G is dense, and its kernel comes from a bordered
-LU solve of the whole matrix, which is also the static fallback. Every trajectory is a power of one RK4 step of the static
-generator; the same textbook RK4 loop over a drive period gives the periodic
-state's reference. Every solver works in float64, apart from the complex
-harmonic recursion.
+matrix continued fraction of L0 and the cached L+; G is dense, and its
+kernel comes from a bordered LU solve of the whole matrix, which is also the
+static fallback. Every trajectory is a power of one RK4 step of the static
+generator; the same RK4 loop over a drive period gives the periodic state's
+reference. Every solver works in float64, apart from the complex harmonic
+recursion.
 
 Coordinates: a d x d Hermitian rho is the real vector x = (diagonal of rho,
 Re rho[i, j], Im rho[i, j]) with i < j in ``np.triu_indices`` order, its
@@ -182,24 +183,22 @@ class Liouvillian:
         return out
 
     @functools.cached_property
-    def _rows(self) -> np.ndarray:
-        """The (1, S) level rows, row 0 and out-of-band sums of ``_group_rows``,
-        kept for the residual of the state ``steady_state`` returns."""
-        return _group_rows(self.layout, self.weight[None])
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_chunk_rows`` of this one generator (d even): the input of
+        ``steady_state``'s solve, kept for the residual of other states."""
+        return _chunk_rows([([0], self.layout, self.weight[None])], 1, self.hilbert_dim // 2)
 
     def residual(self, rho: np.ndarray) -> float:
         """max|L x| of the Hermitian d x d matrix ``rho`` in Hermitian coordinates x,
         the quantity the steady-state solve checks (that solve's own for the
         state ``steady_state`` returned): from the level rows and row 0 by
-        ``_residuals``, or from the dense L where L has a nonzero outside them
-        (or d is odd)."""
+        ``_residuals``, or from the dense L where the layout has no slots."""
         if self._solved is not None and self._solved[0] == rho.tobytes():
             return self._solved[1]
         x = _coords(rho)
-        d = self.hilbert_dim
-        if d % 2 == 0 and _in_band(self._rows, d // 2)[0]:
-            return float(_residuals(self._rows, x[None], d // 2)[0])
-        return float(np.abs(self.real @ x).max())
+        if self.layout.slots is None:
+            return float(np.abs(self.real @ x).max())
+        return float(_residuals(self._rows[0], x[None], self.hilbert_dim // 2)[0])
 
 
 @dataclass
@@ -231,10 +230,11 @@ class _Layout:
         self.target = target
 
     @functools.cached_property
-    def slots(self) -> tuple[np.ndarray, int]:
+    def slots(self) -> tuple[np.ndarray, int] | None:
         """Each entry's slot in a point's level-row vector of
-        ``_excitation_blocks(d // 2)`` and the vector's length (d even)."""
-        return _band_slots(self.d // 2, self.target)
+        ``_excitation_blocks(d // 2)`` and the vector's length, or None where
+        d is odd or an entry lies outside the level rows and row 0."""
+        return None if self.d % 2 else _band_slots(self.d // 2, self.target)
 
 
 class _Plan(NamedTuple):
@@ -489,12 +489,12 @@ def _excitation_blocks(n: int) -> _Blocks:
                    float(np.abs(probe).sum()), *_read_only(offsets, level, position))
 
 
-def _band_slots(n: int, target: np.ndarray) -> tuple[np.ndarray, int]:
+def _band_slots(n: int, target: np.ndarray) -> tuple[np.ndarray, int] | None:
     """Slot of each flat D x D index of ``target`` in a level-row vector of
-    ``_excitation_blocks(n)``, and the vector's length. An entry of row 0
-    goes to row 0's slots; one outside every block's columns goes to one of
-    the slots after those, one per distinct target, whose sums a point in
-    the band leaves at zero. Only tables of D positions are indexed."""
+    ``_excitation_blocks(n)``, and the vector's length; an entry of row 0
+    goes to row 0's slots. None where an entry lies outside every block's
+    columns and row 0: such a generator is not block tridiagonal and takes
+    the dense solve. Only tables of D positions are indexed."""
     blocks = _excitation_blocks(n)
     dim = 4 * n * n
     row, col = np.divmod(target, dim)
@@ -507,11 +507,9 @@ def _band_slots(n: int, target: np.ndarray) -> tuple[np.ndarray, int]:
     slot = blocks.offsets[b] + blocks.position[row] * width + place
     top = row == 0
     slot[top] = blocks.offsets[-1] + col[top]
-    band = blocks.offsets[-1] + dim
-    outside = ~top & (col != 0) & (np.abs(shift) > 1)
-    distinct, slot[outside] = np.unique(target[outside], return_inverse=True)
-    slot[outside] += band
-    return _read_only(slot)[0], band + distinct.size
+    if (~top & (col != 0) & (np.abs(shift) > 1)).any():
+        return None
+    return _read_only(slot)[0], int(blocks.offsets[-1]) + dim
 
 
 _CHUNK_POINTS = 16  # most static points that share one stacked elimination
@@ -532,31 +530,26 @@ def _group_rows(layout: _Layout, weights: np.ndarray) -> np.ndarray:
     """The (k, S) level-row vectors of k Liouvillians of one layout with the
     (k, entries) ``weights``, from one ``np.bincount``. Each slot sums the
     same entries in the same order as the dense matrix's entry, so the level
-    rows are the dense matrix's, bit for bit."""
+    rows are the dense matrix's, bit for bit. The layout has slots."""
     slot, size = layout.slots
     k = len(weights)
     flat = (np.arange(k)[:, None] * size + slot).ravel() if k > 1 else slot
     return np.bincount(flat, weights.ravel(), minlength=k * size).reshape(k, size)
 
 
-def _in_band(rows: np.ndarray, n: int) -> np.ndarray:
-    """Which level-row vectors have no nonzero outside the rows and row 0."""
-    return ~rows[:, int(_excitation_blocks(n).offsets[-1]) + 4 * n * n:].any(axis=1)
-
-
-def _chunk_rows(groups: list, k: int, n: int) -> np.ndarray:
-    """The (k, S') level-row vectors of k points with N = ``n`` in groups
-    (members, layout, weights), one ``_group_rows`` per group; of several
-    groups, only the out-of-band flag of ``_in_band`` follows row 0."""
-    if len(groups) == 1:
-        return _group_rows(*groups[0][1:])
-    band = int(_excitation_blocks(n).offsets[-1]) + 4 * n * n
-    rows = np.zeros((k, band + 1))
+def _chunk_rows(groups: list, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, S) level-row vectors of k points with N = ``n`` in groups
+    (members, layout, weights), one ``_group_rows`` per group, and the (k,)
+    mask of the points whose layout has slots; the others' rows are zero."""
+    if len(groups) == 1 and groups[0][1].slots is not None:
+        return _group_rows(*groups[0][1:]), np.ones(k, dtype=bool)
+    rows = np.zeros((k, int(_excitation_blocks(n).offsets[-1]) + 4 * n * n))
+    slotted = np.zeros(k, dtype=bool)
     for members, layout, weights in groups:
-        group = _group_rows(layout, weights)
-        rows[members, :band] = group[:, :band]
-        rows[members, band] = ~_in_band(group, n)
-    return rows
+        if layout.slots is not None:
+            rows[members] = _group_rows(layout, weights)
+            slotted[members] = True
+    return rows, slotted
 
 
 def _levels(rows: np.ndarray, n: int) -> list:
@@ -601,8 +594,7 @@ def _blocked_kernel(levels, n: int) -> tuple[np.ndarray, np.ndarray]:
     Returns x, (..., D), and the mask of the states the elimination vouches
     for: those with ||M||_1 ||M^-1 p||_1 / ||p||_1 at most 1/_KERNEL_RTOL. A
     singular block raises LinAlgError for the whole stack. The residual
-    max|gen x| of ``_residuals`` is the check of ``_steady_stack``, which
-    also sends a point with an entry outside the band to the dense solve.
+    max|gen x| of ``_residuals`` is the check of ``_steady_stack``.
     No D x D array is formed.
     """
     blocks = _excitation_blocks(n)
@@ -642,30 +634,31 @@ def _blocked_kernel(levels, n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, vouched
 
 
-def _steady_stack(rows: np.ndarray, liouvillian, n: int) -> list:
-    """Per level-row vector of a stack of static generators with N = ``n``
-    (``_chunk_rows``), its steady state and residual max|L x|, as
-    (DensityMatrix, float), or the exception that decides it.
+def _steady_stack(rows: np.ndarray, slotted: np.ndarray, liouvillian, n: int) -> list:
+    """Per point of a stack of static generators with N = ``n``, given by
+    the level rows and slot mask of ``_chunk_rows``, its steady state and
+    residual max|L x|, as (DensityMatrix, float), or the exception that
+    decides it.
 
-    One stacked ``_blocked_kernel`` serves the stack, or each point alone
-    where a block is singular. Each residual comes from ``_residuals``, as
-    ``Liouvillian.residual`` takes it. A point with a nonzero outside the
-    level rows, or one the elimination does not vouch for or whose residual
-    fails, is solved by ``_kernel_state`` from the dense L of its
-    Liouvillian ``liouvillian(i)``, the one place a D x D generator is
-    formed; whatever that raises is the point's result. One stacked
-    ``_density_errors`` pass gives each state its verdict."""
+    One stacked ``_blocked_kernel`` serves the stack, or each point with
+    slots alone where a block is singular (a point without slots has zero
+    rows). Each residual comes from ``_residuals``, as ``Liouvillian.residual``
+    takes it. A point without slots, or one the elimination does not vouch
+    for or whose residual fails, is solved by ``_kernel_state`` from the
+    dense L of its Liouvillian ``liouvillian(i)``, the one place a D x D
+    generator is formed; whatever that raises is the point's result. One
+    stacked ``_density_errors`` pass gives each state its verdict."""
     k = len(rows)
     try:
         x, vouched = _blocked_kernel(_levels(rows, n), n)
     except np.linalg.LinAlgError:
         x, vouched = np.zeros((k, 4 * n * n)), np.zeros(k, dtype=bool)
-        for i in range(k):
+        for i in np.flatnonzero(slotted):
             try:
                 x[i:i + 1], vouched[i:i + 1] = _blocked_kernel(_levels(rows[i:i + 1], n), n)
             except np.linalg.LinAlgError:
                 pass
-    ok = vouched & _in_band(rows, n)
+    ok = vouched & slotted
     residual = np.full(k, np.inf)
     residual[ok] = _residuals(rows, x, n) if ok.all() else _residuals(rows[ok], x[ok], n)
     results = [None] * k
@@ -691,7 +684,7 @@ def steady_state(liouv: Liouvillian) -> DensityMatrix:
     d = liouv.hilbert_dim
     if d % 2:
         raise ValueError(f"odd dimension {d} cannot be a composite space")
-    (result,) = _steady_stack(liouv._rows, lambda i: liouv, d // 2)
+    (result,) = _steady_stack(*liouv._rows, lambda i: liouv, d // 2)
     if isinstance(result, Exception):
         raise result
     rho, residual = result
@@ -718,21 +711,16 @@ def steady_states(params) -> list:
     point of ``params``, its (DensityMatrix, residual max|L x|) or the
     exception ``steady_state`` would raise for it, with the same bits: one
     ``_steady_stack`` of the ``_chunk_rows`` of the ``_chunk_entries``. A
-    point forms its Liouvillian only where it needs the dense fallback."""
+    point builds its Liouvillian only where it needs the dense fallback."""
     params = list(params)
     if not params:
         return []
     n = params[0].space.fock_dim
     if any(p.space.fock_dim != n for p in params):
         raise ValueError("steady_states needs one truncation for the whole chunk")
-    groups = _chunk_entries(params)
-
-    def liouvillian(i: int) -> Liouvillian:
-        for members, layout, weights in groups:
-            if i in members:
-                return Liouvillian(layout=layout, weight=weights[members.index(i)])
-
-    return _steady_stack(_chunk_rows(groups, len(params), n), liouvillian, n)
+    return _steady_stack(*_chunk_rows(_chunk_entries(params), len(params), n),
+                         lambda i: build_liouvillian(build_h_eff(params[i]), collapse_channels(params[i])),
+                         n)
 
 
 def _coupling_parts(a: np.ndarray) -> tuple[Liouvillian, Liouvillian]:
@@ -762,31 +750,12 @@ def _unit_coupling(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray, np.ndar
     return _read_only(s, np.flatnonzero(~on), (lc[ss] - 1j * ls[ss]) / 2.0)
 
 
-class _Harmonics(NamedTuple):
-    """The harmonic system of L(t) = L0 + e^{iwt} L+ + e^{-iwt} L-, with
-    L+ = (L_c - i L_s)/2 and L- = conj(L+), split into the coordinates that L+
-    touches (S: its row or column support) and the rest (T)."""
-
-    l0: np.ndarray  # (D, D) real
-    omega: float
-    touched: np.ndarray  # the coordinates S
-    l0_ss: np.ndarray
-    l0_st: np.ndarray
-    l0_ts: np.ndarray
-    l0_tt: np.ndarray
-    l_plus: np.ndarray  # L+ on S x S, complex; L+ is zero outside it
-
-
-def _harmonic_system(p: SystemParams) -> _Harmonics:
-    l0 = build_liouvillian(build_h_eff(p), collapse_channels(p)).real
-    s, t, unit = _unit_coupling(p.space)
-    return _Harmonics(l0, p.omega_drive, s, l0[np.ix_(s, s)], l0[np.ix_(s, t)], l0[np.ix_(t, s)],
-                      l0[np.ix_(t, t)], p.g_rp * unit)
-
-
-def _truncated_harmonics(system: _Harmonics, harmonics: int):
-    """Period average x0 of the periodic steady state with the harmonics above
-    K = ``harmonics`` set to zero, and the residual that truncation leaves.
+def _truncated_harmonics(p: SystemParams, l0: np.ndarray, harmonics: int):
+    """Period average x0 of the periodic steady state of L(t) = L0 + e^{iwt} L+
+    + e^{-iwt} L- (L0 = ``l0``, the real static L of ``p``; L+ on the
+    coordinates S from ``_unit_coupling``, T the rest; L- = conj(L+)) with the
+    harmonics above K = ``harmonics`` set to zero, and the residual that
+    truncation leaves.
 
     The harmonics x_k of x(t) = sum x_k e^{ikwt} obey
     (L0 - ikw) x_k + L+ x_{k-1} + L- x_{k+1} = 0, and x_{-k} = conj(x_k). With
@@ -802,13 +771,13 @@ def _truncated_harmonics(system: _Harmonics, harmonics: int):
     but the one of harmonic K + 1, where the residual is L+ x_K; its max-norm
     is returned.
     """
-    s = system.touched
-    l_plus = system.l_plus
+    s, t, unit = _unit_coupling(p.space)
+    l_plus = p.g_rp * unit
     l_minus = l_plus.conj()
-    shifts = 1j * system.omega * np.arange(harmonics, 0, -1)
+    shifts = 1j * p.omega_drive * np.arange(harmonics, 0, -1)
     # C_k without L- S_{k+1}, for every level in one stacked solve
-    schur = system.l0_ss - system.l0_st @ np.linalg.solve(
-        system.l0_tt - shifts[:, None, None] * np.eye(system.l0_tt.shape[0]), system.l0_ts)
+    schur = l0[np.ix_(s, s)] - l0[np.ix_(s, t)] @ np.linalg.solve(
+        l0[np.ix_(t, t)] - shifts[:, None, None] * np.eye(t.size), l0[np.ix_(t, s)])
     diag = np.arange(s.size)
     schur[:, diag, diag] -= shifts[:, None]
     coupling = np.zeros(l_plus.shape)  # L- S_{k+1} on S x S
@@ -817,7 +786,7 @@ def _truncated_harmonics(system: _Harmonics, harmonics: int):
         level_schur += coupling
         levels.append(-np.linalg.solve(level_schur, l_plus))
         coupling = l_minus @ levels[-1]
-    gen = system.l0.copy()
+    gen = l0.copy()
     gen[np.ix_(s, s)] += 2.0 * coupling.real
     x = _kernel_state(gen, math.isqrt(gen.shape[0]))
     top = x[s]
@@ -836,11 +805,11 @@ def _harmonic_state(p: SystemParams) -> np.ndarray:
     once K = N - 1 harmonics reach the top rung, and a slower drive needs
     more. SteadyStateError when no K up to the cap passes or a level is
     singular."""
-    system = _harmonic_system(p)
+    l0 = build_liouvillian(build_h_eff(p), collapse_channels(p)).real
     harmonics = p.space.fock_dim - 1
     while True:
         try:
-            x, residual = _truncated_harmonics(system, harmonics)
+            x, residual = _truncated_harmonics(p, l0, harmonics)
         except np.linalg.LinAlgError as exc:
             raise SteadyStateError(f"singular harmonic level at truncation {harmonics}") from exc
         if residual <= _RESIDUAL_TOL:

@@ -9,6 +9,7 @@ Conventions fixed repo-wide:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,11 @@ _TRACE_TOL = 1e-9  # largest accepted |tr(rho) - 1|
 _EIG_FLOOR = -1e-9  # lowest accepted eigenvalue
 
 
+def _is_truncation(n) -> bool:
+    """Whether ``n`` can be a Fock truncation: an integer of at least 3, not a bool."""
+    return not isinstance(n, bool) and isinstance(n, numbers.Integral) and n >= 3
+
+
 @dataclass(frozen=True)
 class HilbertSpace:
     """Composite space of one qubit and a magnon mode truncated to N Fock states."""
@@ -35,10 +41,9 @@ class HilbertSpace:
     fock_dim: int
 
     def __post_init__(self):
-        if self.fock_dim < 3:
-            raise ValueError(
-                f"fock_dim must be >= 3 to resolve the two-excitation sector, got {self.fock_dim}"
-            )
+        if not _is_truncation(self.fock_dim):
+            raise ValueError(f"fock_dim must be an integer >= 3 to resolve the two-excitation "
+                             f"sector, got {self.fock_dim!r}")
 
     @property
     def total_dim(self) -> int:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .hilbert import (
     HilbertSpace,
+    _is_truncation,
     _read_only,
     dagger,
     embed_magnon,
@@ -76,8 +77,8 @@ class SystemParams:
         for name in ("Omega_m", "Omega_q", "kappa_m", "kappa_q", "g_rp", "m_th"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.fock_dim < 3:
-            raise ValueError(f"fock_dim must be >= 3, got {self.fock_dim}")
+        if not _is_truncation(self.fock_dim):
+            raise ValueError(f"fock_dim must be an integer >= 3, got {self.fock_dim!r}")
 
     @property
     def Delta_q(self) -> float:

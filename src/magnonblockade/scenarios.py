@@ -20,7 +20,7 @@ import numpy as np
 from .analytic import derivative_roots, derivative_roots_numeric, g2_analytic, g2_dimensionless
 from .dynamics import (_chunk_size, build_liouvillian, evolve, steady_state, steady_state_periodic,
                        steady_states)
-from .hilbert import DensityMatrix
+from .hilbert import DensityMatrix, _is_truncation
 from .model import MHZ, SystemParams, build_h_eff, collapse_channels, rabi_from_power, thermal_occupation
 from .observables import OCCUPATION_FLOOR, UndefinedCorrelationError, _g2, g2_time_series, g2_zero, populations
 
@@ -95,9 +95,10 @@ _OPTION_TYPES = {int: numbers.Integral, float: numbers.Real, str: str}
 
 
 def _check_finite(name: str, values) -> None:
-    """Reject a value that would reach the solver as nan or inf."""
+    """Reject a value that would reach the solver as nan or inf, or that is a
+    bool (a Real too, which would run as 0 or 1)."""
     for v in values:
-        if not (isinstance(v, numbers.Real) and math.isfinite(v)):
+        if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v)):
             raise ConfigError(f"{name} must be a finite number, got {v!r}")
 
 
@@ -160,11 +161,6 @@ class SweepAxis:
         if self.linspace is None:
             return self
         return SweepAxis.from_linspace(self.path, *self.linspace, num, paired=self.paired)
-
-
-def _is_truncation(n) -> bool:
-    """Whether ``n`` can be a Fock truncation: an integer of at least 3, not a bool."""
-    return not isinstance(n, bool) and isinstance(n, numbers.Integral) and n >= 3
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,19 @@ def test_run_records_the_package_it_imported(tmp_path, monkeypatch):
     assert csv_harness.threads(str(tmp_path / "out")) != "not recorded"
 
 
+def test_run_writes_the_large_truncation_sweep(tmp_path, monkeypatch):
+    import magnonblockade.scenarios
+
+    fig7b = magnonblockade.scenarios.get_scenario("fig7b")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(magnonblockade.scenarios, "built_in_scenarios", lambda: [fig7b])
+    csv_harness.run(str(tmp_path / "out"), os.path.join(os.path.dirname(__file__), "..", "src"))
+    assert sorted(f for f in os.listdir(tmp_path / "out") if f.endswith(".csv")) == \
+        ["fig7b.csv", "fig7b_n12.csv"]
+    lines = (tmp_path / "out" / "fig7b_n12.csv").read_text().splitlines()
+    assert len(lines) == 2 + 3
+
+
 def test_one_package_on_both_sides_is_a_difference(tmp_path, capsys):
     for side in ("a", "b"):
         write(tmp_path / side, "s.csv", BASE)

@@ -24,8 +24,6 @@ from magnonblockade.dynamics import (
     _coords,
     _density,
     _excitation_blocks,
-    _harmonic_system,
-    _in_band,
     _kernel_state,
     _levels,
     _liouvillian_plan,
@@ -35,6 +33,7 @@ from magnonblockade.dynamics import (
     _rk4_steps,
     _steady_stack,
     _truncated_harmonics,
+    _unit_coupling,
     build_liouvillian,
     evolve,
     steady_state,
@@ -158,9 +157,9 @@ def spy_truncations(monkeypatch):
     calls = []
     truncated = dynamics_mod._truncated_harmonics
 
-    def spy(system, harmonics):
+    def spy(p, l0, harmonics):
         calls.append(harmonics)
-        return truncated(system, harmonics)
+        return truncated(p, l0, harmonics)
 
     monkeypatch.setattr(dynamics_mod, "_truncated_harmonics", spy)
     return calls
@@ -583,23 +582,24 @@ def dense_levels(gens, fock_dim):
 
 
 def stack_rows(liouvs, fock_dim):
-    """The level-row vectors of a stack of Liouvillians, as ``_chunk_rows``
-    forms those of a chunk, with each Liouvillian a group of its own."""
+    """The level-row vectors and slot mask of a stack of Liouvillians, as
+    ``_chunk_rows`` forms those of a chunk, with each Liouvillian a group of
+    its own."""
     groups = [([i], liouv.layout, liouv.weight[None]) for i, liouv in enumerate(liouvs)]
     return _chunk_rows(groups, len(liouvs), fock_dim)
 
 
 def stack_solve(liouvs, fock_dim):
     """``_steady_stack`` of a stack of Liouvillians."""
-    return _steady_stack(stack_rows(liouvs, fock_dim), liouvs.__getitem__, fock_dim)
+    return _steady_stack(*stack_rows(liouvs, fock_dim), liouvs.__getitem__, fock_dim)
 
 
 def assert_rows_are_the_dense_rows(liouvs, fock_dim):
     """The level rows and row 0 that ``_chunk_rows`` forms from the entries of
     a stack of Liouvillians equal, bit for bit, those gathered from each
     dense matrix."""
-    rows = stack_rows(liouvs, fock_dim)
-    assert _in_band(rows, fock_dim).all()
+    rows, slotted = stack_rows(liouvs, fock_dim)
+    assert slotted.all()
     gens = [liouv.real for liouv in liouvs]
     for level, dense in zip(_levels(rows, fock_dim), dense_levels(gens, fock_dim), strict=True):
         assert identical(level, dense)
@@ -659,15 +659,14 @@ def assert_stacked_build_is_the_point_build(params):
     n = params[0].space.fock_dim
     groups = _chunk_entries(params)
     assert sorted(i for members, *_ in groups for i in members) == list(range(len(params)))
-    rows = _chunk_rows(groups, len(params), n)
-    band = int(_excitation_blocks(n).offsets[-1]) + 4 * n * n
+    rows, slotted = _chunk_rows(groups, len(params), n)
     for members, layout, weights in groups:
         for i, weight in zip(members, weights, strict=True):
             liouv = build_liouvillian(build_h_eff(params[i]), collapse_channels(params[i]))
             assert liouv.layout is layout
             assert identical(weight, liouv.weight)
-            assert identical(rows[i, :band], liouv._rows[0, :band])
-    assert _in_band(rows, n).all()
+            assert identical(rows[i], liouv._rows[0][0])
+    assert slotted.all()
     for p, result in zip(params, steady_states(params), strict=True):
         liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
         rho, residual = result
@@ -820,6 +819,26 @@ class TestBlockedKernel:
         assert not (vouched[0] and np.abs(liouv.real @ x[0]).max() <= 1e-10)
         rho = steady_state(liouv)
         assert identical(rho.matrix, _density(_kernel_state(liouv.real, space.total_dim)))
+
+    def test_layout_without_slots_takes_the_dense_residual(self, dense_reads):
+        """A pattern with an entry outside the level rows, or an odd d, gives
+        its layout no slots; such a point has zero level rows and a false
+        mask in a chunk, and its residual comes from the dense L."""
+        liouv, space = cubic_generator()
+        regular = build_liouvillian(build_h_eff(fig2a_params()), collapse_channels(fig2a_params()))
+        assert liouv.layout.slots is None and regular.layout.slots is not None
+        rows, slotted = stack_rows([liouv, regular], space.fock_dim)
+        assert slotted.tolist() == [False, True]
+        assert not rows[0].any()
+        assert identical(rows[1], regular._rows[0][0])
+        rho = steady_state(regular).matrix
+        assert liouv.residual(rho) == np.abs(liouv.real @ _coords(rho)).max()
+        assert dense_reads == [liouv]
+        m = fock_annihilation(HilbertSpace(3))
+        odd = build_liouvillian(0.3 * (m + dagger(m)), [(1.0, m)])
+        assert odd.layout.slots is None
+        vacuum = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        assert odd.residual(vacuum) == np.abs(odd.real @ _coords(vacuum)).max() > 0.0
 
     def test_stacked_solve_flags_only_the_out_of_band_generator(self):
         liouv, space = cubic_generator()
@@ -1308,18 +1327,28 @@ class TestSteadyStatePeriodic:
         assert populations(got)[1] == pytest.approx(populations(ref)[1], rel=1e-9)
 
     @pytest.mark.parametrize("fock_dim", [3, 6])
-    def test_harmonic_system_scales_cached_coupling_bit_for_bit(self, fock_dim):
-        # the cached L+ at g_rp = 1 times g_rp is the L+ of the parts built at g_rp
+    def test_harmonic_system_scales_cached_coupling_bit_for_bit(self, monkeypatch, fock_dim):
+        # the cached L+ at g_rp = 1 times g_rp is the L+ of the parts built at g_rp,
+        # and the recursion is handed the L0 of those parts
+        handed = []
+        truncated = dynamics_mod._truncated_harmonics
+
+        def spy(p, l0, harmonics):
+            handed.append(l0)
+            return truncated(p, l0, harmonics)
+
+        monkeypatch.setattr(dynamics_mod, "_truncated_harmonics", spy)
         for g_over_j in (0.118713, 0.167559, 0.263448, 1.0 / 3.0, 0.7):
             p = fig9a_params(g_over_j, 3.0, fock_dim=fock_dim)
             liouv, lc, ls, _ = _periodic_parts(p)
-            system = _harmonic_system(p)
-            s = system.touched
+            s, _, unit = _unit_coupling(p.space)
             nonzero = (lc.real != 0.0) | (ls.real != 0.0)
             assert np.array_equal(np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1)), s)
-            assert np.array_equal(system.l0, liouv.real)
+            handed.clear()
+            steady_state_periodic(p)
+            assert handed and all(np.array_equal(l0, liouv.real) for l0 in handed)
             ss = np.ix_(s, s)
-            assert np.array_equal(system.l_plus, (lc.real[ss] - 1j * ls.real[ss]) / 2.0)
+            assert np.array_equal(p.g_rp * unit, (lc.real[ss] - 1j * ls.real[ss]) / 2.0)
 
     @pytest.mark.parametrize("g_over_j", [0.1, 0.2, 0.3])
     @pytest.mark.parametrize("ratio", [2.5, 3.0, 4.0])
@@ -1327,7 +1356,8 @@ class TestSteadyStatePeriodic:
         p = fig9a_params(g_over_j, ratio)
         calls = spy_truncations(monkeypatch)
         got = steady_state_periodic(p)
-        x, _ = _truncated_harmonics(_harmonic_system(p), calls[-1] + 1)
+        l0 = build_liouvillian(build_h_eff(p), collapse_channels(p)).real
+        x, _ = _truncated_harmonics(p, l0, calls[-1] + 1)
         assert log10_g2(got) == pytest.approx(
             log10_g2(DensityMatrix(_density(x), p.space)), abs=1e-12)
 

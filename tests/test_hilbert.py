@@ -34,6 +34,14 @@ class TestHilbertSpace:
         with pytest.raises(ValueError):
             HilbertSpace(n)
 
+    @pytest.mark.parametrize("n", [4.5, 4.0, "4", True, np.float64(6.0)])
+    def test_rejects_a_truncation_that_is_not_an_integer(self, n):
+        with pytest.raises(ValueError, match="fock_dim must be an integer >= 3"):
+            HilbertSpace(n)
+
+    def test_accepts_a_numpy_integer(self):
+        assert HilbertSpace(np.int64(4)).total_dim == 8
+
 
 class TestFockOperators:
     def test_lowering_of_first_fock_state(self):

@@ -62,6 +62,12 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             params(fock_dim=2)
 
+    @pytest.mark.parametrize("fock_dim", [4.0, 4.5, True])
+    def test_rejects_a_truncation_that_is_not_an_integer(self, fock_dim):
+        # a float truncation used to pass here and fail later, untyped, in build_h_eff
+        with pytest.raises(ValueError, match="^fock_dim must be an integer >= 3"):
+            params(fock_dim=fock_dim)
+
 
 class TestBuildHEff:
     def test_all_zero_gives_zero_matrix(self):

@@ -67,6 +67,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown sweep parameter"):
             SweepAxis("params.bogus", (1.0,))
 
+    def test_bool_parameter_is_rejected(self):
+        with pytest.raises(ConfigError, match=r"params\.kappa_over_2pi_MHz must be a finite"):
+            ScenarioConfig(name="x", mode="steady", params={"kappa_over_2pi_MHz": True})
+
+    @pytest.mark.parametrize("values, paired", [
+        ((False, 0.1), {}),
+        ((0.1, 0.2), {"params.kappa_over_2pi_MHz": (1.0, True)}),
+    ])
+    def test_bool_axis_value_is_rejected(self, values, paired):
+        with pytest.raises(ConfigError, match="must be a finite number"):
+            SweepAxis("params.m_th", values, paired=paired)
+
+    def test_bool_linspace_end_is_rejected(self):
+        with pytest.raises(ConfigError, match=r"params\.m_th must be a finite number"):
+            SweepAxis.from_linspace("params.m_th", False, 0.1, 3)
+
     @pytest.mark.parametrize("options", [
         {"time_points": 2.5},
         {"time_points": "5"},

@@ -1,3 +1,4 @@
+import importlib
 import importlib.util
 import os
 
@@ -41,3 +42,11 @@ def test_prints_one_line_per_stage(tmp_path, capsys):
     assert lines[0].startswith("5 points, 1 BLAS thread")
     assert [line.split()[0] for line in lines[1:]] == [*stage_times.STAGES, "total", "unwrapped"]
     assert all(float(line.split()[1]) >= 0.0 for line in lines[1:])
+
+
+def test_every_stage_name_resolves_in_this_checkout():
+    # the child skips a name it cannot find, so a stale name would time nothing
+    for names in stage_times.STAGES.values():
+        for name in names:
+            module, attr = name.split(".")
+            assert callable(getattr(importlib.import_module("magnonblockade." + module), attr, None)), name

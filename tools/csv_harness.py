@@ -4,10 +4,12 @@
     python3 tools/csv_harness.py compare A B
     cmp A/fig9a.csv B/fig9a.csv
 
-``run`` writes 15 CSVs (and their diagnostics sidecars) into DIR: each
+``run`` writes 16 CSVs (and their diagnostics sidecars) into DIR: each
 built-in scenario with a linspace axis at ``--grid 7``, and fig2a and fig11
-as they are. The program comes from ``src/`` of this checkout, or from the
-``src`` directory named by ``--src`` (a checkout of the parent commit, say).
+as they are; and fig7b at ``--fock-dim 12 --grid 3`` as fig7b_n12.csv, where
+every static point is a chunk of one. The program comes from ``src/`` of
+this checkout, or from the ``src`` directory named by ``--src`` (a checkout
+of the parent commit, say).
 Cells depend on the BLAS thread count, so run both sides with the same
 ``OPENBLAS_NUM_THREADS``; ``run`` records its value, or ``default`` when it
 is unset, in DIR/threads.txt, and the directory it imported
@@ -30,6 +32,8 @@ import os
 import sys
 
 GRID = 7
+# per built-in, its runs beyond the one at GRID: (file name, arguments)
+EXTRA = {"fig7b": [("fig7b_n12", ["--fock-dim", "12", "--grid", "3"])]}
 _POPULATIONS = ("P0", "P1", "P2", "P3")
 _RESIDUAL = "residual_inf"
 _THREADS = "threads.txt"
@@ -50,9 +54,10 @@ def run(out_dir: str, src: str) -> None:
         fh.write(os.path.dirname(os.path.abspath(magnonblockade.__file__)) + "\n")
     for cfg in built_in_scenarios():
         grid = ["--grid", str(GRID)] if any(ax.linspace is not None for ax in cfg.axes) else []
-        path = os.path.join(out_dir, f"{cfg.name}.csv")
-        if cli.main(["run", cfg.name, *grid, "--out", path]) != 0:
-            raise SystemExit(f"{cfg.name} failed")
+        for name, args in [(cfg.name, grid), *EXTRA.get(cfg.name, [])]:
+            path = os.path.join(out_dir, f"{name}.csv")
+            if cli.main(["run", cfg.name, *args, "--out", path]) != 0:
+                raise SystemExit(f"{name} failed")
 
 
 def _read(path: str) -> tuple[list[str], list[list[str]]]:

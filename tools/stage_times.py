@@ -38,9 +38,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 STAGES = {
     "build": ("model.build_h_eff", "model.collapse_channels", "model._h_eff_stack",
-              "model._nonhermitian", "model._channel_stacks", "dynamics.build_liouvillian",
+              "model._nonhermitian", "model._channel_stack", "dynamics.build_liouvillian",
               "dynamics._stacked_weights", "dynamics.steady_states"),
-    "rows": ("dynamics._group_rows", "dynamics._chunk_rows", "dynamics._band_rows"),
+    "rows": ("dynamics._group_rows", "dynamics._chunk_rows"),
     "elimination": ("dynamics._blocked_kernel",),
     "residual": ("dynamics._residuals",),
     "verdicts": ("hilbert._density_errors",),
