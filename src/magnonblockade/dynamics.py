@@ -6,21 +6,24 @@ A Liouvillian is held as its entries, (index, value) pairs from a cached
 plan, and forms its dense matrix only when that is read; one stacked core
 forms the entries of a stack of generators, so a chunk of static sweep points
 is built as arrays, with the bits of a point built alone.
-The static generator is block tridiagonal when the coordinates are grouped
-by excitation number, and ``_steady_stack`` finds the kernels of one point or
-a chunk by block elimination in that ordering, one stacked solve per level,
-from level rows and row 0 (one ``np.bincount`` of the entries per nonzero
-pattern), which also give each residual; no D x D generator is formed on that
-path. A pattern with an entry outside those rows (no model point has one)
-gives its layout no slots, and its points take the dense solve.
+Every steady state is the kernel of a generator found by one routine,
+``_blocked_kernel``: block elimination with x_0 = 1 in an ordering of the
+coordinates (``_blocks``). The static generator is block tridiagonal when
+the coordinates are grouped by excitation number, and ``_steady_stack``
+finds the kernels of one point or a chunk in that ordering, one stacked
+solve per level, from level rows and row 0 (one ``np.bincount`` of the
+entries per nonzero pattern), which also give each residual; no D x D
+generator is formed on that path. A pattern with an entry outside those
+rows (no model point has one) gives its layout no slots, and its points take
+the dense solve, ``_kernel_state``: the same elimination on a one-level
+ordering, one LU of the whole matrix.
 The periodic state's generator is the period-averaged one,
 G = L0 + 2 Re(L- S_1), reduced from the Fourier harmonics of the state by a
 matrix continued fraction of L0 and the cached L+; G is dense, and its
-kernel comes from a bordered LU solve of the whole matrix, which is also the
-static fallback. Every trajectory is a power of one RK4 step of the static
-generator; the same RK4 loop over a drive period gives the periodic state's
-reference. Every solver works in float64, apart from the complex harmonic
-recursion.
+kernel comes from that dense solve. Every trajectory is a power of one RK4
+step of the static generator; the same RK4 loop over a drive period gives
+the periodic state's reference. Every solver works in float64, apart from
+the complex harmonic recursion.
 
 Coordinates: a d x d Hermitian rho is the real vector x = (diagonal of rho,
 Re rho[i, j], Im rho[i, j]) with i < j in ``np.triu_indices`` order, its
@@ -353,10 +356,11 @@ def build_liouvillian(h: np.ndarray, channels) -> Liouvillian:
 
 @functools.lru_cache(maxsize=None)
 def _condition_probe(n: int) -> np.ndarray:
-    """Fixed right-hand side for the condition estimate. Its magnitudes and
-    signs follow Weyl sequences of irrational steps, so it has no structure
-    in common with the Liouvillian and overlaps every near-null direction of
-    the bordered matrix. (numpy.random would add several MB to the process.)"""
+    """Fixed right-hand side for the condition estimate of ``_blocked_kernel``.
+    Its magnitudes and signs follow Weyl sequences of irrational steps, so it
+    has no structure in common with the generator and overlaps every
+    near-null direction of the reduced matrix. (numpy.random would add
+    several MB to the process.)"""
     k = np.arange(n)
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     probe = (1.5 + np.cos(k * math.sqrt(2.0))) * np.cos(2.0 * math.pi * golden * k)
@@ -364,37 +368,7 @@ def _condition_probe(n: int) -> np.ndarray:
     return probe
 
 
-def _bordered_solve(gen: np.ndarray, trace_row: np.ndarray) -> np.ndarray | None:
-    """Solve gen x = 0, tr(x) = 1 with row 0 of gen replaced by the trace row.
-
-    Returns None when the bordered matrix B is singular or its condition
-    number, estimated from below as ||B||_1 ||B^-1 p||_1 / ||p||_1 with the
-    probe p solved alongside, exceeds 1/_KERNEL_RTOL.
-    """
-    bordered = gen.copy()
-    bordered[0] = trace_row
-    n = bordered.shape[0]
-    rhs = np.zeros((n, 2))
-    rhs[0, 0] = 1.0
-    rhs[:, 1] = _condition_probe(n)
-    try:
-        sol = np.linalg.solve(bordered, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    cond = (np.abs(bordered).sum(axis=0).max() * np.abs(sol[:, 1]).sum()
-            / np.abs(rhs[:, 1]).sum())
-    if not cond <= 1.0 / _KERNEL_RTOL:
-        return None
-    x = sol[:, 0]
-    correction = -(bordered @ x)
-    correction[0] += 1.0
-    # This factorizes B a second time: numpy exposes no reuse of an LU
-    # factorization, and importing scipy.linalg for lu_factor would cost
-    # about 300 ms and 29 MB per process.
-    return x + np.linalg.solve(bordered, correction)
-
-
-def _svd_kernel(gen: np.ndarray, trace_row: np.ndarray) -> np.ndarray:
+def _svd_kernel(gen: np.ndarray) -> np.ndarray:
     """Kernel vector with unit trace from a full SVD, after checking that the
     kernel is one-dimensional (singular values at or below ``_KERNEL_RTOL``
     relative to the largest)."""
@@ -407,35 +381,31 @@ def _svd_kernel(gen: np.ndarray, trace_row: np.ndarray) -> np.ndarray:
         )
     if multiplicity > 1:
         raise DegenerateKernelError(multiplicity)
-    return vh[-1] / (trace_row @ vh[-1])
+    return vh[-1] / vh[-1, :math.isqrt(gen.shape[0])].sum()
 
 
-def _kernel_state(gen: np.ndarray, d: int) -> np.ndarray:
-    """Unit-trace Hermitian coordinates x of the d x d density matrix spanning
-    the kernel of the real trace-annihilating generator ``gen`` (trace row
-    zero), for any generator: the solve of the periodic G = (P - I)/T, and of
-    a static L where ``_blocked_kernel`` gives up.
+def _kernel_state(gen: np.ndarray) -> np.ndarray:
+    """Unit-trace Hermitian coordinates x spanning the kernel of the real,
+    trace-annihilating D x D generator ``gen``: the periodic G, the RK4
+    reference's (P - I)/T, or a static L where the excitation-blocked solve
+    gives up. ``_blocked_kernel`` on the one-level ordering of ``_blocks`` is
+    one LU solve of gen without row and column 0 for x_0 = 1, with the
+    condition probe alongside.
 
-    Row 0 of ``gen`` is replaced by the trace row and the bordered system
-    B x = e_0 is solved by one LU solve plus one step of iterative
-    refinement. B is nonsingular exactly when the kernel is one-dimensional. A
-    fixed probe vector is solved in the same call to bound cond(B) from below;
-    the largest accepted estimate is 1/_KERNEL_RTOL. The residual max|gen x|
-    must not exceed ``_RESIDUAL_TOL``.
-
-    Only if the solve fails, the estimate exceeds 1/_KERNEL_RTOL or the
-    residual check fails does a full SVD count the singular values at or
-    below ``_KERNEL_RTOL`` relative to the largest: none raises SteadyStateError,
-    more than one raises DegenerateKernelError, and exactly one gives the
-    state from the SVD null vector, under the same residual check.
+    A singular solve, a state the elimination does not vouch for or a
+    residual max|gen x| above ``_RESIDUAL_TOL`` falls to a full SVD, which
+    counts the singular values at or below ``_KERNEL_RTOL`` relative to the
+    largest: none raises SteadyStateError, more than one
+    DegenerateKernelError, and exactly one gives the SVD null vector, under
+    the same residual check.
     """
-    trace_row = np.zeros(gen.shape[0])
-    trace_row[:d] = 1.0
-    x = _bordered_solve(gen, trace_row)
-    if x is not None:
-        x = x / x[:d].sum()
-    if x is None or not np.abs(gen @ x).max() <= _RESIDUAL_TOL:
-        x = _svd_kernel(gen, trace_row)
+    blocks = _blocks(np.zeros(gen.shape[0], dtype=np.intp).tobytes())
+    try:
+        x, vouched = _blocked_kernel([gen[np.ix_(blocks.index[0], blocks.columns[0])]], blocks)
+    except np.linalg.LinAlgError:
+        x, vouched = None, False
+    if not (vouched and np.abs(gen @ x).max() <= _RESIDUAL_TOL):
+        x = _svd_kernel(gen)
         residual = np.abs(gen @ x).max()
         if not residual <= _RESIDUAL_TOL:
             raise SteadyStateError(
@@ -450,43 +420,55 @@ class _Blocks(NamedTuple):
     widths: tuple  # per block, (size of block b-1, size of block b)
     probe: tuple  # per block, its rows of _condition_probe(D - 1) as one column
     probe_norm: float  # ||_condition_probe(D - 1)||_1
-    offsets: np.ndarray  # (N + 2,): per block, the first slot of its rows; then row 0's
+    offsets: np.ndarray  # (B + 1,): per block, the first slot of its rows; then row 0's
     level: np.ndarray  # (D,): the block of each coordinate
     position: np.ndarray  # (D,): the place of each coordinate in its block's ``index``
 
 
 @functools.lru_cache(maxsize=None)
-def _excitation_blocks(n: int) -> _Blocks:
-    """Ordering of the Hermitian coordinates of the qubit(x)magnon space with N
-    = ``n`` Fock states in which every built-in static generator is block
-    tridiagonal. State i = q N + n' carries e_i = q + n' excitations; the
-    coordinate (i, j) goes to block floor((e_i + e_j)/2), which gives N + 1
-    blocks. A Hamiltonian term changes e_i + e_j by at most 1 and a C rho C'
-    term of m, m' or sigma- by 2, so no entry couples blocks further apart.
+def _blocks(level: bytes) -> _Blocks:
+    """Ordering of the D Hermitian coordinates into blocks, with ``level`` the
+    bytes of a (D,) np.intp array of the block of each coordinate, 0 to B - 1,
+    coordinate 0 in block 0. A block holds its coordinates in increasing
+    order, with coordinate 0 left out: ``_blocked_kernel`` fixes x_0 = 1, and
+    column 0 of a generator is the right-hand side. A generator none of whose
+    entries couples blocks further apart than one is block tridiagonal in the
+    ordering; with one block it is the dense matrix.
 
     A point's level rows are one vector: block b's rows at its ``columns``,
-    row-major from ``offsets[b]``, then row 0 of L from ``offsets[-1]``."""
-    d = 2 * n
-    e = np.add.outer(np.arange(2), np.arange(n)).ravel()
-    rows, cols = _basis(d).upper
-    pair = (e[rows] + e[cols]) // 2
-    level = np.concatenate([e, pair, pair])
-    index = [np.flatnonzero(level == b) for b in range(n + 1)]
+    row-major from ``offsets[b]``, then row 0 of the generator from
+    ``offsets[-1]``."""
+    level = np.frombuffer(level, dtype=np.intp)
+    index = [np.flatnonzero(level == b) for b in range(level.max() + 1)]
     index[0] = index[0][1:]
-    position = np.zeros(d * d, dtype=np.intp)
-    probe = _condition_probe(d * d - 1)
+    position = np.zeros(level.size, dtype=np.intp)
+    probe = _condition_probe(level.size - 1)
     empty = np.zeros(0, dtype=np.intp)
     columns, widths = [], []
     for b, idx in enumerate(index):
         position[idx] = np.arange(idx.size)
         lower = index[b - 1] if b else empty
-        upper = index[b + 1] if b < n else empty
+        upper = index[b + 1] if b + 1 < len(index) else empty
         columns.append(np.concatenate([lower, idx, upper, [0]]))
         widths.append((lower.size, idx.size))
     offsets = np.cumsum([0] + [idx.size * c.size for idx, c in zip(index, columns)])
     return _Blocks(_read_only(*index), _read_only(*columns), tuple(widths),
                    _read_only(*(probe[idx - 1][:, None] for idx in index)),
                    float(np.abs(probe).sum()), *_read_only(offsets, level, position))
+
+
+@functools.lru_cache(maxsize=None)
+def _excitation_blocks(n: int) -> _Blocks:
+    """``_blocks`` of the qubit(x)magnon space with N = ``n`` Fock states in
+    which every built-in static generator is block tridiagonal. State i =
+    q N + n' carries e_i = q + n' excitations; the coordinate (i, j) goes to
+    block floor((e_i + e_j)/2), which gives N + 1 blocks. A Hamiltonian term
+    changes e_i + e_j by at most 1 and a C rho C' term of m, m' or sigma- by
+    2, so no entry couples blocks further apart."""
+    e = np.add.outer(np.arange(2), np.arange(n)).ravel()
+    rows, cols = _basis(2 * n).upper
+    pair = (e[rows] + e[cols]) // 2
+    return _blocks(np.concatenate([e, pair, pair]).astype(np.intp).tobytes())
 
 
 def _band_slots(n: int, target: np.ndarray) -> tuple[np.ndarray, int] | None:
@@ -574,40 +556,39 @@ def _residuals(rows: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     return np.abs(image).max(axis=1)
 
 
-def _blocked_kernel(levels, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _blocked_kernel(levels, blocks: _Blocks) -> tuple[np.ndarray, np.ndarray]:
     """Unit-trace kernel vectors of a stack of generators by block
-    elimination in the ordering of ``_excitation_blocks`` (Golub & Van Loan,
-    Matrix Computations, 4th ed., sec. 4.5.1), with one stacked solve per
-    level for the whole stack.
+    elimination in the ordering ``blocks`` (Golub & Van Loan, Matrix
+    Computations, 4th ed., sec. 4.5.1), with one stacked solve per level for
+    the whole stack: the excitation blocks of a static L, or the one level
+    of a dense generator (``_kernel_state``).
 
     ``levels`` gives, per block b, the (..., s_b, c_b) rows [A_b | B_b | C_b
     | gen[:, 0]] of the generators at ``_Blocks.columns[b]``, the leading
-    axes being the stack's, from ``_levels``.
+    axes being the stack's (``_levels`` reads them from level-row vectors).
     With x_0 = 1 and row 0 dropped (the trace row of gen is zero, so row 0
     depends on the others), the reduced matrix M, gen without row and
     column 0, solves M y = -gen[1:, 0]. M is nonsingular exactly when the
-    kernel is one-dimensional and the |g,0> population x_0 is not zero.
+    kernel is one-dimensional and the population x_0 is not zero.
     S_b = B_b - A_b G_{b-1}, and one solve of S_b gives G_b = S_b^-1 C_b
     together with the right-hand side and the condition probe;
-    y_b = g_b - G_b y_{b+1} on the way back.
+    y_b = g_b - G_b y_{b+1} on the way back. The trace is the sum of the
+    first sqrt(D) coordinates.
 
     Returns x, (..., D), and the mask of the states the elimination vouches
     for: those with ||M||_1 ||M^-1 p||_1 / ||p||_1 at most 1/_KERNEL_RTOL. A
-    singular block raises LinAlgError for the whole stack. The residual
-    max|gen x| of ``_residuals`` is the check of ``_steady_stack``.
-    No D x D array is formed.
+    singular block raises LinAlgError for the whole stack. The caller checks
+    the residual max|gen x|. No D x D array is formed.
     """
-    blocks = _excitation_blocks(n)
     solved = []
-    norm = upper = partial = None  # ||M||_1 so far, and column sums of |M| not yet complete
+    norm = upper = 0.0  # ||M||_1 so far, and the last level's column sums of |M| at the next level
     for rows, (n_lo, n_b), probe in zip(levels, blocks.widths, blocks.probe):
         stack = rows.shape[:-2]
         # a column of block b sums |M| over levels b - 1, b and b + 1, in that order
         sums = np.abs(rows).sum(axis=-2)
         if n_lo:
-            done = (partial + sums[..., :n_lo]).max(axis=-1)
-            norm = done if norm is None else np.maximum(norm, done)
-        partial = sums[..., n_lo:n_lo + n_b] if upper is None else upper + sums[..., n_lo:n_lo + n_b]
+            norm = np.maximum(norm, (partial + sums[..., :n_lo]).max(axis=-1))
+        partial = upper + sums[..., n_lo:n_lo + n_b]
         upper = sums[..., n_lo + n_b:-1]
         work = np.empty(stack + (n_b, rows.shape[-1] - n_lo + 1))  # [S_b | C_b | rhs | probe]
         work[..., -1:] = probe
@@ -621,7 +602,7 @@ def _blocked_kernel(levels, n: int) -> tuple[np.ndarray, np.ndarray]:
             work[..., :-1] = rows
         solved.append(np.linalg.solve(work[..., :n_b], work[..., n_b:]))  # [G_b | g_b | probe]
     norm = np.maximum(norm, partial.max(axis=-1))
-    x = np.empty(stack + (4 * n * n,))
+    x = np.empty(stack + (blocks.level.size,))
     x[..., 0] = 1.0
     y = np.zeros(stack + (0, 2))
     probe_norm = np.zeros(stack)
@@ -630,7 +611,7 @@ def _blocked_kernel(levels, n: int) -> tuple[np.ndarray, np.ndarray]:
         x[..., idx] = -y[..., 0]
         probe_norm += np.abs(y[..., 1]).sum(axis=-1)
     vouched = norm * probe_norm / blocks.probe_norm <= 1.0 / _KERNEL_RTOL
-    x /= x[..., :2 * n].sum(axis=-1, keepdims=True)
+    x /= x[..., :math.isqrt(blocks.level.size)].sum(axis=-1, keepdims=True)
     return x, vouched
 
 
@@ -648,14 +629,14 @@ def _steady_stack(rows: np.ndarray, slotted: np.ndarray, liouvillian, n: int) ->
     dense L of its Liouvillian ``liouvillian(i)``, the one place a D x D
     generator is formed; whatever that raises is the point's result. One
     stacked ``_density_errors`` pass gives each state its verdict."""
-    k = len(rows)
+    k, blocks = len(rows), _excitation_blocks(n)
     try:
-        x, vouched = _blocked_kernel(_levels(rows, n), n)
+        x, vouched = _blocked_kernel(_levels(rows, n), blocks)
     except np.linalg.LinAlgError:
         x, vouched = np.zeros((k, 4 * n * n)), np.zeros(k, dtype=bool)
         for i in np.flatnonzero(slotted):
             try:
-                x[i:i + 1], vouched[i:i + 1] = _blocked_kernel(_levels(rows[i:i + 1], n), n)
+                x[i:i + 1], vouched[i:i + 1] = _blocked_kernel(_levels(rows[i:i + 1], n), blocks)
             except np.linalg.LinAlgError:
                 pass
     ok = vouched & slotted
@@ -665,7 +646,7 @@ def _steady_stack(rows: np.ndarray, slotted: np.ndarray, liouvillian, n: int) ->
     for i in np.flatnonzero(~(residual <= _RESIDUAL_TOL)):
         try:
             liouv = liouvillian(i)
-            x[i] = _kernel_state(liouv.real, 2 * n)
+            x[i] = _kernel_state(liouv.real)
             residual[i] = liouv.residual(_density(x[i]))
         except Exception as exc:  # the point's result; the rest of the stack goes on
             results[i] = exc
@@ -788,7 +769,7 @@ def _truncated_harmonics(p: SystemParams, l0: np.ndarray, harmonics: int):
         coupling = l_minus @ levels[-1]
     gen = l0.copy()
     gen[np.ix_(s, s)] += 2.0 * coupling.real
-    x = _kernel_state(gen, math.isqrt(gen.shape[0]))
+    x = _kernel_state(gen)
     top = x[s]
     for level in reversed(levels):
         top = level @ top
@@ -892,9 +873,10 @@ def evolve(rho0: DensityMatrix, p: SystemParams, t_grid) -> Trajectory:
     at 0, each a power of one RK4 step of the static Liouvillian applied to
     ``rho0``: each grid interval takes ceil(spacing / ``Trajectory.step``)
     equal steps, with ``step`` the ``_max_step`` bound. The longitudinal
-    coupling makes the generator time-dependent, so g_rp > 0 is a ValueError.
-    The samples are checked as density matrices in one stacked call, which
-    raises the ValueError of the first one that fails, a trace drift beyond
+    coupling makes the generator time-dependent, so g_rp > 0 is a ValueError,
+    as is a ``rho0`` on another space than ``p.space``. The samples are
+    checked as density matrices in one stacked call, which raises the
+    ValueError of the first one that fails, a trace drift beyond
     ``hilbert._TRACE_TOL`` included.
     """
     if p.g_rp > 0.0:
@@ -905,6 +887,9 @@ def evolve(rho0: DensityMatrix, p: SystemParams, t_grid) -> Trajectory:
     if (not np.isfinite(t_grid).all() or t_grid[0] != 0.0 or gaps.size == 0
             or gaps.min() <= 0.0 or gaps.max() - gaps.min() > 1e-9 * gaps.max()):
         raise ValueError("t_grid must start at 0 and increase in equal steps")
+    if rho0.space != p.space:
+        raise ValueError(f"initial state has N = {rho0.space.fock_dim} Fock states, "
+                         f"the parameters N = {p.space.fock_dim}")
     rho0.validate()
     dt = t_grid[-1] / gaps.size
     h = build_h_eff(p)
@@ -955,5 +940,5 @@ def steady_state_periodic(p: SystemParams, steps_per_period: int | None = None) 
         x = _harmonic_state(p)
     else:
         prop, avg, period = _one_period_maps(p, steps_per_period)
-        x = avg @ _kernel_state((prop - np.eye(prop.shape[0])) / period, d)
+        x = avg @ _kernel_state((prop - np.eye(prop.shape[0])) / period)
     return DensityMatrix(_density(x / x[:d].sum()), p.space).validate()

@@ -226,10 +226,13 @@ def collapse_channels(p: SystemParams) -> list[tuple[float, np.ndarray]]:
 def thermal_occupation(omega_m: float, temperature_K: float) -> float:
     """Bose-Einstein occupation 1/(exp(hbar w / kB T) - 1).
 
-    ``omega_m`` is angular in rad/us; ``temperature_K`` in kelvin.
+    ``omega_m`` is angular in rad/us; ``temperature_K`` in kelvin. Each
+    must be positive and finite.
     """
-    if temperature_K <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature_K}")
+    if not (math.isfinite(omega_m) and omega_m > 0.0):
+        raise ValueError(f"magnon frequency omega_m must be positive and finite, got {omega_m} rad/us")
+    if not (math.isfinite(temperature_K) and temperature_K > 0.0):
+        raise ValueError(f"temperature must be positive and finite, got {temperature_K}")
     x = _HBAR * (omega_m * 1e6) / (_KB * temperature_K)
     return 1.0 / math.expm1(x)
 

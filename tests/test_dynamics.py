@@ -481,9 +481,18 @@ class TestSteadyState:
         def singular(*args):
             raise np.linalg.LinAlgError("singular block")
 
+        # the banded and the one-level eliminations both fail, so the SVD decides
+        svd_calls = []
+        svd_kernel = dynamics_mod._svd_kernel
+
+        def spy(gen):
+            svd_calls.append(gen)
+            return svd_kernel(gen)
+
         monkeypatch.setattr(dynamics_mod, "_blocked_kernel", singular)
-        monkeypatch.setattr(dynamics_mod, "_bordered_solve", lambda *args: None)
+        monkeypatch.setattr(dynamics_mod, "_svd_kernel", spy)
         slow = steady_state(liouv)
+        assert len(svd_calls) == 1
         assert np.abs(fast.matrix - slow.matrix).max() <= 1e-10
 
     @pytest.mark.parametrize("p", [fig2a_params(), fig7b_params(12)], ids=["fig2a", "fig7b-N12"])
@@ -491,9 +500,9 @@ class TestSteadyState:
         import magnonblockade.dynamics as dynamics_mod
 
         def no_dense(*args):
-            raise AssertionError("dense bordered solve called on a regular point")
+            raise AssertionError("dense kernel solve called on a regular point")
 
-        monkeypatch.setattr(dynamics_mod, "_bordered_solve", no_dense)
+        monkeypatch.setattr(dynamics_mod, "_kernel_state", no_dense)
         liouv = build_liouvillian(build_h_eff(p), collapse_channels(p))
         rho = steady_state(liouv)
         assert liouv.residual(rho.matrix) <= 1e-10
@@ -625,13 +634,14 @@ def dense_reads(monkeypatch):
 
 
 def blocked_against_dense(gen, fock_dim):
-    """max|x - x_dense| of the blocked kernel vector against ``_kernel_state``'s,
-    after checking that the blocked solve vouched for it and that its
-    residual passes."""
-    x, vouched = _blocked_kernel(dense_levels([gen], fock_dim), fock_dim)
+    """max|x - x_dense| of the kernel vector of the excitation-blocked
+    ordering against that of the one-level ordering (``_kernel_state``), after
+    checking that the blocked solve vouched for it and that its residual
+    passes."""
+    x, vouched = _blocked_kernel(dense_levels([gen], fock_dim), _excitation_blocks(fock_dim))
     assert vouched.tolist() == [True]
     assert np.abs(gen @ x[0]).max() <= 1e-10
-    return np.abs(x[0] - _kernel_state(gen, 2 * fock_dim)).max()
+    return np.abs(x[0] - _kernel_state(gen)).max()
 
 
 def cubic_generator():
@@ -810,15 +820,16 @@ class TestBlockedKernel:
         liouv, space = cubic_generator()
         rho = steady_state(liouv)
         assert dense_reads == [liouv]
-        assert identical(rho.matrix, _density(_kernel_state(liouv.real, space.total_dim)))
+        assert identical(rho.matrix, _density(_kernel_state(liouv.real)))
 
     def test_out_of_band_generator_falls_back(self):
         liouv, space = cubic_generator()
         assert block_spread(liouv.real, space.fock_dim) == 2
-        x, vouched = _blocked_kernel(dense_levels([liouv.real], space.fock_dim), space.fock_dim)
+        x, vouched = _blocked_kernel(dense_levels([liouv.real], space.fock_dim),
+                                     _excitation_blocks(space.fock_dim))
         assert not (vouched[0] and np.abs(liouv.real @ x[0]).max() <= 1e-10)
         rho = steady_state(liouv)
-        assert identical(rho.matrix, _density(_kernel_state(liouv.real, space.total_dim)))
+        assert identical(rho.matrix, _density(_kernel_state(liouv.real)))
 
     def test_layout_without_slots_takes_the_dense_residual(self, dense_reads):
         """A pattern with an entry outside the level rows, or an odd d, gives
@@ -844,7 +855,7 @@ class TestBlockedKernel:
         liouv, space = cubic_generator()
         regular = build_liouvillian(build_h_eff(fig2a_params()), collapse_channels(fig2a_params()))
         (cubic, cubic_residual), (rho, residual) = stack_solve([liouv, regular], space.fock_dim)
-        assert identical(cubic.matrix, _density(_kernel_state(liouv.real, space.total_dim)))
+        assert identical(cubic.matrix, _density(_kernel_state(liouv.real)))
         assert cubic_residual == liouv.residual(cubic.matrix) <= 1e-10
         assert identical(rho.matrix, steady_state(regular).matrix)
         assert residual == regular.residual(rho.matrix) <= 1e-10
@@ -857,10 +868,10 @@ class TestBlockedKernel:
                   for p in (fig2a_params(), fig2a_params(m_th=0.05), fig2a_params(kappa_q=0.3 * MHZ),
                             fig2a_params(Omega_q=0.0))]
         gens = [liouv.real for liouv in liouvs]
-        x, vouched = _blocked_kernel(dense_levels(gens, 6), 6)
+        x, vouched = _blocked_kernel(dense_levels(gens, 6), _excitation_blocks(6))
         assert vouched.all()
         for gen, row in zip(gens, x):
-            alone, _ = _blocked_kernel(dense_levels([gen], 6), 6)
+            alone, _ = _blocked_kernel(dense_levels([gen], 6), _excitation_blocks(6))
             assert identical(row, alone[0])
         for (rho, _), row in zip(stack_solve(liouvs, 6), x):
             assert identical(rho.matrix, _density(row))
@@ -872,7 +883,7 @@ class TestBlockedKernel:
         liouvs = [build_liouvillian(build_h_eff(p), collapse_channels(p)) for p in ps]
         gens = [liouv.real for liouv in liouvs]
         with pytest.raises(np.linalg.LinAlgError):
-            _blocked_kernel(dense_levels(gens, 6), 6)
+            _blocked_kernel(dense_levels(gens, 6), _excitation_blocks(6))
         solved = stack_solve(liouvs, 6)
         assert isinstance(solved[1], DegenerateKernelError)
         for i in (0, 2):
@@ -1030,6 +1041,11 @@ class TestEvolve:
             evolve(vacuum(p), p, [0.0, math.nan, 2.0])
         with pytest.raises(ValueError, match="t_grid"):
             evolve(vacuum(p), p, [0.0, 1.0, math.inf])
+
+    def test_rejects_initial_state_on_another_space(self):
+        # numpy failed to broadcast the 64 coordinates of N = 4 into 144
+        with pytest.raises(ValueError, match="initial state has N = 4 Fock states, the parameters N = 6"):
+            evolve(vacuum(fig2a_params(fock_dim=4)), fig2a_params(), np.linspace(0.0, 0.1, 3))
 
     def test_rejects_longitudinal_coupling(self):
         # g_rp > 0 makes the generator time-dependent; evolve steps a static one
@@ -1326,6 +1342,41 @@ class TestSteadyStatePeriodic:
         assert log10_g2(got) == pytest.approx(log10_g2(ref), abs=1e-10)
         assert populations(got)[1] == pytest.approx(populations(ref)[1], rel=1e-9)
 
+    def test_matches_sambe_space_lu_over_fig9a_points(self):
+        # at N = 6, corners and optimum of fig9a's range against the Sambe LU at
+        # 8 harmonics; largest deviations measured over a 3 x 3 grid: log10 g2
+        # 1.3e-12 and relative P1 1.6e-14, P2 2.9e-12 and P3 6.8e-12
+        for g_over_j in (0.1, 0.5):
+            for ratio in (2.5, 3.0, 4.0):
+                p = fig9a_params(g_over_j, ratio)
+                got, ref = steady_state_periodic(p), sambe_period_average(p, 8)
+                assert log10_g2(got) == pytest.approx(log10_g2(ref), abs=1e-11)
+                for level, rel in ((1, 1e-13), (2, 2e-11), (3, 5e-11)):
+                    assert populations(got)[level] == pytest.approx(populations(ref)[level], rel=rel)
+
+    @pytest.mark.parametrize("steps_per_period", [None, 64], ids=["harmonic", "rk4"])
+    def test_regular_generator_kernel_takes_one_solve(self, monkeypatch, steps_per_period):
+        """The kernel of a regular G, the harmonic one or the RK4 reference's
+        (P - I)/T, comes from one LU solve: nothing factorizes it again."""
+        solve, kernel_state = np.linalg.solve, dynamics_mod._kernel_state
+        solves = []  # per kernel solve, its np.linalg.solve calls
+
+        def counted(*args, **kwargs):
+            solves[-1] += 1
+            return solve(*args, **kwargs)
+
+        def spy(*args):
+            solves.append(0)
+            monkeypatch.setattr(np.linalg, "solve", counted)
+            try:
+                return kernel_state(*args)
+            finally:
+                monkeypatch.setattr(np.linalg, "solve", solve)
+
+        monkeypatch.setattr(dynamics_mod, "_kernel_state", spy)
+        steady_state_periodic(fig9a_params(0.3, 3.0, fock_dim=4), steps_per_period)
+        assert solves and all(count == 1 for count in solves)
+
     @pytest.mark.parametrize("fock_dim", [3, 6])
     def test_harmonic_system_scales_cached_coupling_bit_for_bit(self, monkeypatch, fock_dim):
         # the cached L+ at g_rp = 1 times g_rp is the L+ of the parts built at g_rp,
@@ -1390,7 +1441,7 @@ class TestSteadyStatePeriodic:
 class TestPeriodicGeneratorProperties:
     """What the fixed-point solve relies on: every part of L(t) annihilates the
     trace, L(t) preserves Hermiticity, and so the RK4 one-period map P keeps
-    the trace, which lets the bordered solve drop row 0 of (P - I)/T."""
+    the trace, which lets the kernel elimination drop row 0 of (P - I)/T."""
 
     @settings(max_examples=10, deadline=None)
     @given(random_params(), st.floats(0.5, 15.0), st.integers(3, 4),

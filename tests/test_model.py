@@ -290,6 +290,18 @@ class TestThermalOccupation:
         with pytest.raises(ValueError):
             thermal_occupation(self.OMEGA, 0.0)
 
+    @pytest.mark.parametrize("temperature", [math.inf, math.nan])
+    def test_rejects_nonfinite_temperature(self, temperature):
+        # inf divided by zero and nan gave a nan occupation
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            thermal_occupation(self.OMEGA, temperature)
+
+    @pytest.mark.parametrize("omega", [0.0, -30.0 * MHZ, math.inf, math.nan])
+    def test_rejects_nonpositive_or_nonfinite_frequency(self, omega):
+        # 0 divided by zero and -30 MHz gave a negative occupation
+        with pytest.raises(ValueError, match="magnon frequency omega_m must be positive and finite"):
+            thermal_occupation(omega, 5.3e-3)
+
 
 class TestRabiFromPower:
     def test_zero_power(self):

@@ -292,6 +292,20 @@ sweep.axis1.linspace = 0.1 1.3 5
         assert result.rows[1][i_err] == ""
         assert result.rows[0][result.columns.index("log10_g2")] is None
 
+    @pytest.mark.parametrize("drive_mhz", [-20.0, -30.0])
+    def test_temperature_at_a_nonpositive_magnon_frequency_names_it(self, drive_mhz):
+        # omega_m = w_d + Delta_+ = (drive + J) 2pi with J/2pi = 20 MHz: 0, then negative
+        cfg = ScenarioConfig(
+            name="cold", mode="steady",
+            params={"J_over_2pi_MHz": 20.0, "kappa_over_2pi_MHz": 1.0,
+                    "Omega_m_over_2pi_MHz": 0.1, "Omega_q_over_Omega_m": 3.0,
+                    "drive_freq_over_2pi_MHz": drive_mhz},
+            axes=(SweepAxis("params.T_mK", (5.0, 10.0)),),
+        )
+        errors = run_scenario(cfg).column("error")
+        assert len(errors) == 2
+        assert all(e.startswith("ValueError: magnon frequency omega_m must be positive") for e in errors)
+
     def test_periodic_sweep_records(self):
         cfg = parse_config("""
 scenario = periodic_small

@@ -19,6 +19,19 @@ sweep.axis1.path = params.Delta_plus_over_J
 sweep.axis1.values = 0.8 0.9 1 1.1 1.2
 """
 
+PERIODIC = """
+scenario = tiny_periodic
+mode = periodic
+fock_dim = 4
+params.J_over_2pi_MHz = 35
+params.kappa_over_2pi_MHz = 0.5
+params.Omega_m_over_2pi_MHz = 0.033
+params.Omega_q_over_Omega_m = 3
+params.drive_freq_over_2pi_MHz = 1500
+sweep.axis1.path = params.g_rp_over_J
+sweep.axis1.values = 0.1 0.3
+"""
+
 
 def test_times_every_stage_of_a_static_sweep(tmp_path):
     config = tmp_path / "tiny.cfg"
@@ -32,6 +45,17 @@ def test_times_every_stage_of_a_static_sweep(tmp_path):
                ("build", "rows", "elimination", "residual", "verdicts", "states", "columns",
                 "record"))
     assert sum(report["stages"].values()) < 3 * report["wall"] + 0.05
+
+
+def test_times_the_harmonic_recursion_and_elimination_of_a_periodic_sweep(tmp_path):
+    # the kernel of the period-averaged G is the one-level block elimination
+    config = tmp_path / "tiny_periodic.cfg"
+    config.write_text(PERIODIC)
+    report = stage_times.measure(str(config), os.path.join(stage_times.ROOT, "src"))
+    assert report["points"] == 2
+    assert all(report["stages"][stage] > 0.0 for stage in
+               ("build", "harmonics", "elimination", "states", "columns"))
+    assert report["stages"]["rows"] == report["stages"]["residual"] == 0.0
 
 
 def test_prints_one_line_per_stage(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Microseconds per grid point of each stage of a static sweep, in-process.
+"""Microseconds per grid point of each stage of a static or periodic sweep, in-process.
 
     python3 tools/stage_times.py CONFIG [--src PATH]
 
@@ -15,7 +15,8 @@ table be taken of two checkouts whose internals differ:
 
   build        the Hamiltonians, channels and Liouvillian entries
   rows         the level rows (np.bincount of the entries)
-  elimination  the stacked block elimination
+  harmonics    the periodic state's harmonic recursion, which forms G
+  elimination  the block elimination of every kernel solve, static or G's
   residual     max|L x| from the level rows
   verdicts     the density-matrix checks of the states
   states       the rest of the steady solve: fallbacks and DensityMatrix objects
@@ -41,13 +42,15 @@ STAGES = {
               "model._nonhermitian", "model._channel_stack", "dynamics.build_liouvillian",
               "dynamics._stacked_weights", "dynamics.steady_states"),
     "rows": ("dynamics._group_rows", "dynamics._chunk_rows"),
+    "harmonics": ("dynamics._harmonic_state", "dynamics._truncated_harmonics"),
     "elimination": ("dynamics._blocked_kernel",),
     "residual": ("dynamics._residuals",),
     "verdicts": ("hilbert._density_errors",),
-    "states": ("dynamics._steady_stack", "dynamics.steady_state"),
+    "states": ("dynamics._steady_stack", "dynamics.steady_state", "dynamics.steady_state_periodic"),
     "columns": ("scenarios._system_params", "scenarios._steady_rows", "scenarios._steady_chunk",
-                "scenarios._steady_columns", "observables.populations", "observables.g2_zero",
-                "observables._g2", "analytic.g2_analytic"),
+                "scenarios._steady_columns", "scenarios._periodic_rows", "scenarios._state_columns",
+                "observables.populations", "observables.g2_zero", "observables._g2",
+                "analytic.g2_analytic"),
     "record": ("scenarios.run_scenario",),
 }
 
